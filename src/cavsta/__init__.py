@@ -28,7 +28,7 @@ from .errors import (
     GeometryError,
     SuperluminalError,
 )
-from .moore_adiabatic import AdiabaticMoore, adiabatic_residual, eval_moore
+from .moore_adiabatic import AdiabaticMoore, adiabatic_residual
 from .moore_exact import ExactMoore
 from .runner import RunConfig, load_config, run, sweep_tau
 from .sta import (
@@ -42,7 +42,7 @@ from .sta import (
     effective_position,
     limit_trajectory,
 )
-from .trajectory import MirrorPath, TrajectoryPair, make_reference, max_speed, smoothstep7
+from .trajectory import MirrorPath, TrajectoryPair, make_reference, smoothstep7
 
 __version__ = "0.1.0"
 
@@ -76,11 +76,9 @@ __all__ = [
     "effective_position",
     "energy_record",
     "eval_mode",
-    "eval_moore",
     "limit_trajectory",
     "load_config",
     "make_reference",
-    "max_speed",
     "run",
     "smoothstep7",
     "sweep_tau",

@@ -41,7 +41,7 @@ def _parser() -> argparse.ArgumentParser:
         )
         sp.add_argument("--out", default=None, help="override output directory")
         sp.add_argument(
-            "--threads", type=int, default=1, help="worker threads for energy/sweep"
+            "--threads", type=int, default=1, help="worker threads for the sweep over tau"
         )
     return p
 

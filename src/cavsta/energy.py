@@ -8,24 +8,31 @@ mirrors splits into left/right-mover contributions of the Moore functions,
 
 a Schwarzian-type conformal-anomaly piece plus a kinetic piece whose weight
 carries the initial thermal occupation Z(T d0) = sum_n n pi/(e^{n pi/(T d0)}-1).
-Total energy integrates the density across the cavity; the adiabaticity
-parameter Q(t) = E(t)/E_ad(d(t)) equals 1 exactly when the field tracks the
-adiabatic state of the instantaneous cavity length.
+The adiabaticity parameter Q(t) = E(t)/E_ad(d(t)) equals 1 exactly when the
+field tracks the adiabatic state of the instantaneous cavity length.
 
-The integrand is smooth except along null characteristics launched from
-trajectory breakpoints, so the quadrature splits its panels at those kink
-abscissae (order loss of Simpson is silent otherwise).  The thermal weight
-multiplies only the kinetic integral, so one density sweep serves every
+Each piece depends on one null coordinate, so the total energy is a
+difference of one-variable primitives,
+
+    E(t) = A_G(t + R) - A_G(t + L) + A_F(t - L) - A_F(t - R).
+
+With r = h''/h' the anomaly bracket equals r' - r^2/2 (Schwarzian identity),
+so its primitive is -(1/24 pi) [r - (1/2) int r^2]: the total energy needs
+only h' and h'', and `density` stays the one pointwise consumer of h'''.
+Each Moore map gets one grid across the arguments a call needs, with every
+sample endpoint and every kink argument (null rays launched from trajectory
+breakpoints, where Simpson would lose order) as a node.  One cumulative
+Simpson pass on nodes and midpoints then gives every E(t_j) as a difference
+of node values.  Anomaly and kinetic primitives stay separate because the
+thermal weight multiplies only the kinetic one, so one pass serves every
 temperature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import DensityError
 from .trajectory import TrajectoryPair  # noqa: F401  (protocol reference)
@@ -91,12 +98,17 @@ class ThermalState:
         return -_QUARTER_PI_6 + self.Z
 
 
+def _slope_ratio(h1, h2):
+    """r = h''/h' of one Moore jet; the density is undefined where h' = 0."""
+    if np.min(np.abs(h1)) < 1e-12:
+        raise DensityError("Moore-function derivative vanishes; density undefined")
+    return h2 / h1
+
+
 def _density_parts(jet):
     """(anomaly, kinetic) density pieces for one Moore jet."""
     h1, h2, h3 = jet[1], jet[2], jet[3]
-    if np.min(np.abs(h1)) < 1e-12:
-        raise DensityError("Moore-function derivative vanishes; density undefined")
-    r = h2 / h1
+    r = _slope_ratio(h1, h2)
     anom = -(h3 / h1 - 1.5 * r * r) / (24.0 * np.pi)
     kin = 0.5 * h1 * h1
     return anom, kin
@@ -119,100 +131,47 @@ def density(moore, x, t: float, state: ThermalState):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _panel_edges(moore, xl: float, xr: float, t: float) -> np.ndarray:
-    """Quadrature panel edges: cavity ends plus interior kink abscissae,
-    x = z - t for G-argument kinks and x = t - w for F-argument kinks.
-    The two argument windows differ: z runs over t + x, w over t - x."""
-    z_k, _ = moore.kink_args(t + xl, t + xr)
-    _, w_k = moore.kink_args(t - xr, t - xl)
-    xs = np.concatenate([z_k - t, t - w_k])
-    xs = xs[(xs > xl) & (xs < xr)]
-    edges = np.unique(np.concatenate([[xl], xs, [xr]]))
-    # drop near-duplicate edges (the same physical kink can arrive through
-    # both maps); zero-width panels waste a full density evaluation
-    gap_tol = 1e-12 * max(1.0, abs(xl), abs(xr))
-    keep = np.concatenate([[True], np.diff(edges) > gap_tol])
-    keep[0] = True
-    edges = edges[keep]
-    edges[-1] = xr
-    return edges
+def _map_parts(moore, which: int, lo, hi, points):
+    """(anomaly, kinetic) integrals of one Moore map's density pieces over
+    [lo[j], hi[j]] for every j; `which` is 0 for G, 1 for F.
+
+    The grid has `points` panels across [min lo, max hi], and every endpoint
+    and kink argument is a node, so each integral is a difference of node
+    values of the cumulative primitives."""
+    a, b = float(np.min(lo)), float(np.max(hi))
+    kinks = moore.kink_args(a, b)[which]
+    nodes = np.unique(np.concatenate([np.linspace(a, b, points + 1), lo, hi, kinks]))
+    n = nodes.size
+    jet = moore.G_jet if which == 0 else moore.F_jet
+    _, h1, h2, _ = jet(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))
+    r = _slope_ratio(h1, h2)
+    width = np.diff(nodes) / 6.0
+
+    def primitive(f):
+        out = np.zeros(n)
+        np.cumsum(width * (f[: n - 1] + 4.0 * f[n:] + f[1:n]), out=out[1:])
+        return out
+
+    rr, kk = primitive(r * r), primitive(h1 * h1)
+    i, j = np.searchsorted(nodes, lo), np.searchsorted(nodes, hi)
+    anom = -((r[j] - r[i]) - 0.5 * (rr[j] - rr[i])) / (24.0 * np.pi)
+    return anom, 0.5 * (kk[j] - kk[i])
 
 
-def _integral_parts(moore, xl, xr, t, points):
-    """(anomaly, kinetic) integrals over the cavity at time t, composite
-    Simpson with `points` base points per kink-free panel.
-
-    Also returns the embedded stride-2 Simpson estimates (same samples,
-    every other point), whose disagreement with the full rule bounds the
-    quadrature error without extra density evaluations."""
-    edges = _panel_edges(moore, xl, xr, t)
-    npts = points if points % 2 == 1 else points + 1
-    if (npts - 1) % 4 != 0:
-        npts += 2
-    grids = [np.linspace(a, b, npts) for a, b in zip(edges[:-1], edges[1:])]
-    xs_all = np.concatenate(grids)
-    # one backward trace per Moore map for all panels together; the walk is
-    # vectorized, so merging panels amortizes its per-call cost
-    anom_g, kin_g = _density_parts(moore.G_jet(t + xs_all))
-    anom_f, kin_f = _density_parts(moore.F_jet(t - xs_all))
-    anom_all = anom_g + anom_f
-    kin_all = kin_g + kin_f
-    full = np.zeros(2)
-    half = np.zeros(2)
-    for i, xs in enumerate(grids):
-        sl = slice(i * npts, (i + 1) * npts)
-        anom, kin = anom_all[sl], kin_all[sl]
-        full += (simpson(anom, x=xs), simpson(kin, x=xs))
-        half += (simpson(anom[::2], x=xs[::2]), simpson(kin[::2], x=xs[::2]))
-    return full, half
+def _energy_parts(moore, pair, times, points):
+    """(anomaly, kinetic) cavity integrals at every time in `times`: G runs
+    over t + [L, R], F over t - [R, L]."""
+    L, R = pair.left(times), pair.right(times)
+    anom_g, kin_g = _map_parts(moore, 0, times + L, times + R, points)
+    anom_f, kin_f = _map_parts(moore, 1, times - R, times - L, points)
+    return anom_g + anom_f, kin_g + kin_f
 
 
-def _refined_parts(moore, xl, xr, t, points, rtol, max_doublings, weights):
-    """Integral parts with panel-point doubling until every weighted total
-    settles to `rtol` relative (embedded coarse estimate, so the common
-    smooth case costs a single pass).  Doubling stops early when the error
-    estimate stops shrinking: interpolated trajectories leave a noise floor
-    in the density well below any physical tolerance, and grinding points
-    against that floor would never settle."""
-
-    def worst(full, half):
-        return max(
-            abs((full[0] + w * full[1]) - (half[0] + w * half[1]))
-            / max(1e-9, abs(full[0] + w * full[1]))
-            for w in weights
-        )
-
-    full, half = _integral_parts(moore, xl, xr, t, points)
-    diff = worst(full, half)
-    for _ in range(max_doublings):
-        if diff <= rtol:
-            break
-        points *= 2
-        full2, half2 = _integral_parts(moore, xl, xr, t, points)
-        diff2 = worst(full2, half2)
-        if diff2 >= 0.25 * diff:
-            if diff2 < diff:
-                full, diff = full2, diff2
-            break
-        full, half, diff = full2, half2, diff2
-    return float(full[0]), float(full[1]), float(diff)
-
-
-def total_energy(
-    moore,
-    pair,
-    t: float,
-    state: ThermalState,
-    points: int = 2001,
-    rtol: float = 1e-8,
-    max_doublings: int = 3,
-) -> float:
-    """Total field energy at time t: the density integrated across the cavity."""
-    xl, xr = float(pair.left(t)), float(pair.right(t))
-    anom, kin, _ = _refined_parts(
-        moore, xl, xr, t, points, rtol, max_doublings, (state.kinetic_weight,)
-    )
-    return anom + state.kinetic_weight * kin
+def total_energy(moore, pair, t: float, state: ThermalState, points: int = 2001) -> float:
+    """Total field energy at time t: the density integrated across the cavity,
+    with `points` Simpson panels per Moore map."""
+    anom, kin = _energy_parts(moore, pair, np.array([float(t)]), points)
+    return float(anom[0] + state.kinetic_weight * kin[0])
 
 
 def adiabatic_energy(d: float, state: ThermalState) -> float:
@@ -273,7 +232,7 @@ class EnergyRecord:
     Q_eff: np.ndarray
 
 
-def _run_series(moore, pair, times, states, points, rtol, threads):
+def _run_series(moore, pair, times, states, points):
     """(E, E_ad) arrays of shape (nT, nt) for one run; NaN when moore is None."""
     nT, nt = len(states), len(times)
     E = np.full((nT, nt), np.nan)
@@ -285,29 +244,9 @@ def _run_series(moore, pair, times, states, points, rtol, threads):
                 E_ad[i, j] = adiabatic_energy(d, st)
     if moore is None or pair is None:
         return E, E_ad
-    weights = tuple(st.kinetic_weight for st in states)
-
-    def one(j, tol):
-        t = times[j]
-        xl, xr = float(pair.left(t)), float(pair.right(t))
-        return _refined_parts(moore, xl, xr, t, points, tol, 3, weights)
-
-    # probe the last sample (deepest backward traces) to learn this run's
-    # quadrature noise floor, then let the remaining samples settle against
-    # it instead of burning doublings they cannot convert into accuracy;
-    # the probe index is fixed, so results never depend on thread scheduling
-    probe = one(nt - 1, rtol)
-    run_tol = max(rtol, 4.0 * probe[2])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda j: one(j, run_tol), range(nt - 1)))
-    else:
-        parts = [one(j, run_tol) for j in range(nt - 1)]
-    parts.append(probe)
-    for j, (anom, kin, _) in enumerate(parts):
-        for i, st in enumerate(states):
-            E[i, j] = anom + st.kinetic_weight * kin
+    anom, kin = _energy_parts(moore, pair, times, points)
+    for i, st in enumerate(states):
+        E[i] = anom + st.kinetic_weight * kin
     return E, E_ad
 
 
@@ -319,17 +258,16 @@ def energy_record(
     moore_eff=None,
     pair_eff=None,
     points: int = 2001,
-    rtol: float = 1e-8,
-    threads: int = 1,
 ) -> EnergyRecord:
     """Assemble the energy/adiabaticity time series for both runs.
 
     The exact Moore solutions enter through `moore_ref`/`moore_eff`; passing
     None for a run leaves its columns NaN (reported, not fatal, so sweeps
-    can cross the superluminal regime)."""
+    can cross the superluminal regime).  `points` is the number of Simpson
+    panels per Moore map across the arguments the run needs."""
     times = np.asarray(times, dtype=float)
-    E_ref, E_ad_ref = _run_series(moore_ref, pair_ref, times, states, points, rtol, threads)
-    E_eff, E_ad_eff = _run_series(moore_eff, pair_eff, times, states, points, rtol, threads)
+    E_ref, E_ad_ref = _run_series(moore_ref, pair_ref, times, states, points)
+    E_eff, E_ad_eff = _run_series(moore_eff, pair_eff, times, states, points)
     with np.errstate(divide="ignore", invalid="ignore"):
         Q_ref = E_ref / E_ad_ref
         Q_eff = E_eff / E_ad_eff

@@ -26,7 +26,7 @@ from . import jets
 from .errors import ConvergenceError, GeometryError
 from .trajectory import TrajectoryPair
 
-__all__ = ["AdiabaticMoore", "build", "eval_moore", "adiabatic_residual"]
+__all__ = ["AdiabaticMoore", "adiabatic_residual"]
 
 _CF = -0.5
 _CG = +0.5
@@ -167,14 +167,6 @@ class AdiabaticMoore:
         res_l = np.max(np.abs(self.eval("G", t + L) - self.eval("F", t - L)))
         res_r = np.max(np.abs(self.eval("G", t + R) - self.eval("F", t - R) - 2.0))
         return float(res_l), float(res_r)
-
-
-def build(pair: TrajectoryPair, panels: int = 4096, **kw) -> AdiabaticMoore:
-    return AdiabaticMoore.build(pair, panels, **kw)
-
-
-def eval_moore(am: AdiabaticMoore, which: str, z, order: int = 0):
-    return am.eval(which, z, order)
 
 
 def adiabatic_residual(am: AdiabaticMoore, times):

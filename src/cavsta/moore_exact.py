@@ -23,17 +23,6 @@ from .errors import ConvergenceError, SuperluminalError
 __all__ = ["ExactMoore"]
 
 
-def _chain(step, acc):
-    """Compose derivative triples: step follows acc (d/dz chain rule)."""
-    s1, s2, s3 = step
-    a1, a2, a3 = acc
-    return (
-        s1 * a1,
-        s2 * a1 * a1 + s1 * a2,
-        s3 * a1 ** 3 + 3.0 * s2 * a1 * a2 + s1 * a3,
-    )
-
-
 class ExactMoore:
     """Exact Moore pair (F, G) for a subluminal TrajectoryPair.
 
@@ -43,7 +32,7 @@ class ExactMoore:
     effective-trajectory pairs built by the sta module satisfy this protocol.
     """
 
-    def __init__(self, pair, tol: float = 1e-13, memo: bool = False):
+    def __init__(self, pair, tol: float = 1e-13):
         for side in ("left", "right"):
             speed = getattr(pair, side).max_speed()
             if speed >= 1.0:
@@ -53,7 +42,6 @@ class ExactMoore:
                 )
         self.pair = pair
         self.tol = float(tol)
-        self.memo = bool(memo)
         self._bounds = {
             "left": pair.left.bounds(),
             "right": pair.right.bounds(),
@@ -67,10 +55,6 @@ class ExactMoore:
             "G": self._start + float(pair.right(self._start)),
             "F": self._start - float(pair.left(self._start)),
         }
-        # insert-only caches (safe under concurrent readers); keyed by the
-        # exact float argument, so only deliberate grid reuse ever hits
-        self._memo_G: dict = {}
-        self._memo_F: dict = {}
         self._kink_cache = None
 
     # -- monotone map inversion ------------------------------------------------
@@ -185,32 +169,30 @@ class ExactMoore:
             if cont.size == 0:
                 continue
             tc = t1[go]
+            # each step is the jet of one map, valued at the argument it
+            # reaches: invert the mirror map, then reflect off the mirror
             if which == "G":
                 Xj = right.jet(tc)
-                step_in = jets.inverse_derivs(1.0 + Xj[1], Xj[2], Xj[3])
-                step_out = (1.0 - Xj[1], -Xj[2], -Xj[3])
-                mid = tc - Xj[0]
+                step_in = (tc, *jets.inverse_derivs(1.0 + Xj[1], Xj[2], Xj[3]))
+                step_out = (tc - Xj[0], 1.0 - Xj[1], -Xj[2], -Xj[3])
             else:
                 Xj = left.jet(tc)
-                step_in = jets.inverse_derivs(1.0 - Xj[1], -Xj[2], -Xj[3])
-                step_out = (1.0 + Xj[1], Xj[2], Xj[3])
-                mid = tc + Xj[0]
-            acc = _chain(step_in, (d1[cont], d2[cont], d3[cont]))
-            acc = _chain(step_out, acc)
+                step_in = (tc, *jets.inverse_derivs(1.0 - Xj[1], -Xj[2], -Xj[3]))
+                step_out = (tc + Xj[0], 1.0 + Xj[1], Xj[2], Xj[3])
+            acc = jets.compose(step_in, (arg[cont], d1[cont], d2[cont], d3[cont]))
+            acc = jets.compose(step_out, acc)
             if which == "G":
-                t2 = self._invert(left, bl, mid, -1)
+                t2 = self._invert(left, bl, acc[0], -1)
                 Yj = left.jet(t2)
-                step_in2 = jets.inverse_derivs(1.0 - Yj[1], -Yj[2], -Yj[3])
-                step_out2 = (1.0 + Yj[1], Yj[2], Yj[3])
-                new_arg = t2 + Yj[0]
+                step_in2 = (t2, *jets.inverse_derivs(1.0 - Yj[1], -Yj[2], -Yj[3]))
+                step_out2 = (t2 + Yj[0], 1.0 + Yj[1], Yj[2], Yj[3])
             else:
-                t2 = self._invert(right, br, mid, +1)
+                t2 = self._invert(right, br, acc[0], +1)
                 Yj = right.jet(t2)
-                step_in2 = jets.inverse_derivs(1.0 + Yj[1], Yj[2], Yj[3])
-                step_out2 = (1.0 - Yj[1], -Yj[2], -Yj[3])
-                new_arg = t2 - Yj[0]
-            acc = _chain(step_in2, acc)
-            acc = _chain(step_out2, acc)
+                step_in2 = (t2, *jets.inverse_derivs(1.0 + Yj[1], Yj[2], Yj[3]))
+                step_out2 = (t2 - Yj[0], 1.0 - Yj[1], -Yj[2], -Yj[3])
+            acc = jets.compose(step_in2, acc)
+            new_arg, *acc = jets.compose(step_out2, acc)
             if np.any(new_arg >= arg[cont]):
                 raise ConvergenceError(
                     "backward trace failed to decrease; geometry invalid"
@@ -223,36 +205,12 @@ class ExactMoore:
         return arg, (d1, d2, d3), n
 
     def _solve(self, args, which: str):
-        scalar = np.ndim(args) == 0
         a = np.atleast_1d(np.asarray(args, dtype=float))
-        if a.size == 0:
-            return tuple(np.empty(0) for _ in range(4))
-        memo = self._memo_G if which == "G" else self._memo_F
-        if self.memo:
-            missing = [x for x in a.tolist() if x not in memo]
-        else:
-            missing = a.tolist()
-        if missing:
-            marr = np.asarray(missing)
-            arg, (d1, d2, d3), n = self._trace(marr, which)
-            sgn = -1.0 if which == "G" else +1.0
-            val = (arg + sgn * self.pair.L0) / self.pair.d0 + 2.0 * n
-            if self.memo:
-                for i, x in enumerate(missing):
-                    memo[x] = (
-                        float(val[i]),
-                        float(d1[i] / self.pair.d0),
-                        float(d2[i] / self.pair.d0),
-                        float(d3[i] / self.pair.d0),
-                    )
-            else:
-                out = (val, d1 / self.pair.d0, d2 / self.pair.d0, d3 / self.pair.d0)
-                if scalar:
-                    return tuple(float(v[0]) for v in out)
-                return out
-        rows = np.array([memo[x] for x in a.tolist()])
-        out = tuple(rows[:, k] for k in range(4))
-        if scalar:
+        arg, (d1, d2, d3), n = self._trace(a, which)
+        sgn = -1.0 if which == "G" else +1.0
+        d0 = self.pair.d0
+        out = ((arg + sgn * self.pair.L0) / d0 + 2.0 * n, d1 / d0, d2 / d0, d3 / d0)
+        if np.ndim(args) == 0:
             return tuple(float(v[0]) for v in out)
         return out
 

@@ -52,12 +52,11 @@ class RunConfig:
     tau: float = 1.0
     temperatures: tuple = (0.0,)
     time_step: float | None = None  # None -> tau/64
-    spatial_points: int = 2001
+    spatial_points: int = 2001  # Simpson panels per Moore map (energy record)
     moore_panels: int = 4096
     effective_step: float | None = None  # None -> tau/512
     effective_refine_tol: float = 1e-8
     root_tol: float = 1e-13
-    quad_rtol: float = 1e-8
     window: tuple | None = None  # None -> [-(R0+tau), tau + 3(Rf-Lf)]
     out_dir: str = "out"
     csv: tuple = ("trajectories", "moore", "energy")
@@ -73,6 +72,29 @@ class RunConfig:
 
 def _parse_floats(text: str) -> tuple:
     return tuple(float(v) for v in text.replace(",", " ").split())
+
+
+def _parse_window(text: str) -> tuple:
+    lo, hi = _parse_floats(text)
+    return (lo, hi)
+
+
+def _auto(parse):
+    """Parser where `auto` means the RunConfig default (None)."""
+    return lambda text: None if text.strip() == "auto" else parse(text)
+
+
+# every accepted [numerics] key and its parser
+_NUMERICS = {
+    "temperatures": _parse_floats,
+    "spatial_points": int,
+    "moore_panels": int,
+    "effective_refine_tol": float,
+    "root_tol": float,
+    "time_step": _auto(float),
+    "effective_step": _auto(float),
+    "window": _auto(_parse_window),
+}
 
 
 def load_config(path: str) -> RunConfig:
@@ -97,23 +119,12 @@ def load_config(path: str) -> RunConfig:
                 tuple(tuple(row) for row in json.loads(geo[ck])),
             )
     num = cp["numerics"] if cp.has_section("numerics") else {}
-    if "temperatures" in num:
-        kw["temperatures"] = _parse_floats(num["temperatures"])
-    for key, cast in (
-        ("spatial_points", int),
-        ("moore_panels", int),
-        ("effective_refine_tol", float),
-        ("root_tol", float),
-        ("quad_rtol", float),
-    ):
+    unknown = sorted(set(num) - set(_NUMERICS))
+    if unknown:
+        raise CavstaError(f"unknown [numerics] keys: {', '.join(unknown)}")
+    for key, parse in _NUMERICS.items():
         if key in num:
-            kw[key] = cast(num[key])
-    for key in ("time_step", "effective_step"):
-        if key in num and num[key].strip() != "auto":
-            kw[key] = float(num[key])
-    if "window" in num and num["window"].strip() != "auto":
-        lo, hi = _parse_floats(num["window"])
-        kw["window"] = (lo, hi)
+            kw[key] = parse(num[key])
     out = cp["outputs"] if cp.has_section("outputs") else {}
     if "dir" in out:
         kw["out_dir"] = out["dir"].strip()
@@ -246,8 +257,6 @@ def run(cfg: RunConfig) -> RunResult:
         moore_eff=exact_eff,
         pair_eff=eff_pair,
         points=cfg.spatial_points,
-        rtol=cfg.quad_rtol,
-        threads=cfg.threads,
     )
 
     res_ad = am.residual(times)
@@ -373,7 +382,6 @@ def run(cfg: RunConfig) -> RunResult:
             "moore_panels": cfg.moore_panels,
             "effective_refine_tol": cfg.effective_refine_tol,
             "root_tol": cfg.root_tol,
-            "quad_rtol": cfg.quad_rtol,
         },
         "outputs": {"dir": cfg.out_dir, "csv": ", ".join(cfg.csv)},
         "results": results_section,
@@ -386,21 +394,8 @@ def run(cfg: RunConfig) -> RunResult:
 
 
 @dataclass
-class SweepResult:
-    config: RunConfig
-    files: list = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-    hard_failures: list = field(default_factory=list)
-    strict_failures: list = field(default_factory=list)
+class SweepResult(RunResult):
     rows: list = field(default_factory=list)
-
-    @property
-    def exit_code(self) -> int:
-        if self.hard_failures:
-            return 1
-        if self.config.strict and self.strict_failures:
-            return 2
-        return 0
 
 
 def _limit_distance(eff, lim, times, tau: float) -> float:

@@ -25,7 +25,6 @@ __all__ = [
     "MirrorPath",
     "TrajectoryPair",
     "make_reference",
-    "max_speed",
 ]
 
 # Ascending coefficients of delta and its derivatives; _STEP_POWER[k] is the
@@ -279,12 +278,6 @@ class MirrorPath:
             for u in us:
                 best = max(best, abs(_horner_row(self._dcoeffs[1][i], u)))
         return best
-
-
-def max_speed(path: MirrorPath) -> float:
-    """Sup of |dX/dt| over the full time axis (exact, not grid-sampled:
-    extrema of a piecewise polynomial are segment ends and derivative roots)."""
-    return path.max_speed()
 
 
 def _merged_gap_coeffs(left: MirrorPath, right: MirrorPath):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import simpson
 
 from cavsta.energy import (
     ThermalState,
@@ -140,10 +141,27 @@ def test_energy_record_handles_missing_solver(contraction12):
     assert np.all(np.isnan(rec.E_ad_eff))
 
 
-def test_energy_record_threaded_matches_serial(contraction12):
+def test_energy_record_independent_of_discretization(contraction12):
     s = contraction12
-    times = np.linspace(0.2, 1.4, 5)
-    states = [ThermalState(1.0, 1.0)]
-    serial = energy_record(times, states, s.exact_ref, s.pair, threads=1)
-    threaded = energy_record(times, states, s.exact_ref, s.pair, threads=4)
-    assert_allclose(serial.E_ref, threaded.E_ref, rtol=0, atol=0)
+    times = s.times(65)
+    states = [ThermalState(T, 1.0) for T in (0.0, 1.0)]
+    args = (times, states, s.exact_ref, s.pair, s.exact_eff, s.eff_pair)
+    base = energy_record(*args, points=2001)
+    fine = energy_record(*args, points=4002)
+    for E, E_fine, E_ad in (
+        (base.E_ref, fine.E_ref, base.E_ad_ref),
+        (base.E_eff, fine.E_eff, base.E_ad_eff),
+    ):
+        assert np.all(np.abs(E - E_fine) <= 1e-7 * np.abs(E_ad))
+
+
+def test_total_energy_matches_density_quadrature(contraction12):
+    """The integration-by-parts primitives against plain Simpson of the
+    pointwise density (the h''' form) across the cavity."""
+    s = contraction12
+    for T in (0.0, 1.0):
+        st = ThermalState(T, 1.0)
+        for t in (0.3, 0.6, 0.9, 2.0):
+            x = np.linspace(s.pair.left(t), s.pair.right(t), 20001)
+            want = simpson(density(s.exact_ref, x, t, st), x=x)
+            assert total_energy(s.exact_ref, s.pair, t, st) == pytest.approx(want, rel=1e-6)

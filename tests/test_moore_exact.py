@@ -104,17 +104,6 @@ def test_effective_pair_accepted(contraction12):
     assert max(res_l, res_r) < 1e-12
 
 
-def test_memoized_solutions_agree(contraction12):
-    moore = ExactMoore(contraction12.pair, memo=True)
-    z = np.linspace(-0.8, 2.6, 41)
-    first = moore.solve_G(z)
-    again = moore.solve_G(z)
-    plain = contraction12.exact_ref.solve_G(z)
-    for a, b, c in zip(first, again, plain):
-        assert_allclose(a, b, rtol=0, atol=0)
-        assert_allclose(a, c, rtol=0, atol=1e-13)
-
-
 def test_scalar_interface(contraction12):
     moore = contraction12.exact_ref
     out = moore.solve_G(0.37)

@@ -140,6 +140,16 @@ def test_config_auto_markers(tmp_path):
     assert cfg.window is None
 
 
+def test_unknown_numerics_keys_rejected(tmp_path):
+    ini = tmp_path / "old.ini"
+    ini.write_text(
+        "[geometry]\nfamily = contraction\nLf = 0.3\neps = 0.3\ntau = 1.2\n"
+        "[numerics]\nquad_rtol = 1e-8\nspatial_point = 301\ntime_step = auto\n"
+    )
+    with pytest.raises(CavstaError, match="quad_rtol, spatial_point"):
+        load_config(str(ini))
+
+
 def test_missing_config_rejected(tmp_path):
     with pytest.raises(CavstaError):
         load_config(str(tmp_path / "nope.ini"))
