@@ -20,11 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
-
 from . import jets
 from .errors import ConvergenceError, GeometryError
-from .trajectory import TrajectoryPair
+from .trajectory import TrajectoryPair, piecewise_eval
 
 __all__ = ["AdiabaticMoore", "adiabatic_residual"]
 
@@ -37,14 +35,16 @@ class AdiabaticMoore:
     """Evaluable adiabatic Moore pair for one TrajectoryPair.
 
     The advance integral I is tabulated on the motion window by cumulative
-    composite Simpson and interpolated with a cubic Hermite spline whose node
-    slopes are the exact integrand 1/(R-L); outside the window I is linear
-    and evaluated in closed form.
+    composite Simpson and interpolated by cubic Hermite rows (ascending
+    coefficients, one per panel of `_nodes`) whose node slopes are the exact
+    integrand 1/(R-L); outside the window I is linear and evaluated in
+    closed form.
     """
 
     pair: TrajectoryPair
     panels: int
-    _spline: CubicHermiteSpline = field(repr=False, compare=False)
+    _nodes: np.ndarray = field(repr=False, compare=False)
+    _rows: np.ndarray = field(repr=False, compare=False)
     I_end: float
 
     @classmethod
@@ -86,13 +86,17 @@ class AdiabaticMoore:
                 f"advance integral did not settle to {endpoint_tol} "
                 f"after {max_doublings} doublings"
             )
-        spline = CubicHermiteSpline(nodes, I, g_nodes)
-        return cls(pair=pair, panels=n, _spline=spline, I_end=float(end))
+        dx = np.diff(nodes)
+        slope = np.diff(I) / dx
+        bend = (g_nodes[:-1] + g_nodes[1:] - 2.0 * slope) / dx
+        c2 = (slope - g_nodes[:-1]) / dx - bend
+        rows = np.stack([I[:-1], g_nodes[:-1], c2, bend / dx], axis=1)
+        return cls(pair=pair, panels=n, _nodes=nodes, _rows=rows, I_end=float(end))
 
     # -- pieces ---------------------------------------------------------------
 
     def advance(self, z):
-        """I(z): spline inside the motion window, exact linear outside."""
+        """I(z): Hermite rows inside the motion window, exact linear outside."""
         z = np.asarray(z, dtype=float)
         scalar = z.ndim == 0
         zz = np.atleast_1d(z)
@@ -101,7 +105,7 @@ class AdiabaticMoore:
         below = zz < t_lo
         above = zz > t_hi
         inner = ~(below | above)
-        out[inner] = self._spline(zz[inner])
+        out[inner] = piecewise_eval(self._nodes, self._rows, zz[inner])
         out[below] = zz[below] / self.pair.d0
         out[above] = self.I_end + (zz[above] - t_hi) / self.pair.df
         return float(out[0]) if scalar else out

@@ -143,6 +143,8 @@ def load_config(path: str) -> RunConfig:
 
 
 def _build_pair(cfg: RunConfig, tau: float | None = None) -> TrajectoryPair:
+    if cfg.family == "custom" and (tau is not None or cfg.critical):
+        raise CavstaError("sweep and critical search rescale tau; custom tables cannot")
     tau = cfg.tau if tau is None else tau
     if cfg.family == "custom":
         if cfg.custom_left is None or cfg.custom_right is None:
@@ -231,6 +233,18 @@ def _scenario(cfg: RunConfig, tau: float | None = None):
     eff_pair = sta.EffectivePair(eff["left"], eff["right"])
     lim_left, lim_right = sta.limit_trajectory(pair.L0, pair.Lf, pair.R0, pair.Rf)
     return pair, am, times, eff_pair, (lim_left, lim_right)
+
+
+def _critical_tau(cfg: RunConfig):
+    """Critical timescale with the configured numerics, or why it was not found."""
+    try:
+        return sta.critical_tau(
+            cfg.family, cfg.L0, cfg.Lf, cfg.R0, cfg.eps, cfg.tau_min, cfg.tau_max,
+            step=cfg.effective_step, panels=cfg.moore_panels,
+            refine_tol=cfg.effective_refine_tol,
+        )
+    except CavstaError as exc:
+        return f"not found: {exc}"
 
 
 def _try_exact(pair, tol: float, notes: list, label: str):
@@ -357,13 +371,7 @@ def run(cfg: RunConfig) -> RunResult:
     for j, note in enumerate(notes):
         results_section[f"note_{j}"] = note
     if cfg.critical:
-        try:
-            tau_c = sta.critical_tau(
-                cfg.family, cfg.L0, cfg.Lf, cfg.R0, cfg.eps, cfg.tau_min, cfg.tau_max
-            )
-            results_section["critical_tau"] = tau_c
-        except CavstaError as exc:
-            results_section["critical_tau"] = f"not found: {exc}"
+        results_section["critical_tau"] = _critical_tau(cfg)
 
     summary = {
         "geometry": {
@@ -460,13 +468,7 @@ def sweep_tau(cfg: RunConfig, tau_list=None) -> SweepResult:
         ),
     }
     if cfg.critical:
-        try:
-            tau_c = sta.critical_tau(
-                cfg.family, cfg.L0, cfg.Lf, cfg.R0, cfg.eps, cfg.tau_min, cfg.tau_max
-            )
-            results_section["critical_tau"] = tau_c
-        except CavstaError as exc:
-            results_section["critical_tau"] = f"not found: {exc}"
+        results_section["critical_tau"] = _critical_tau(cfg)
     for r in rows:
         if not r["realizable"]:
             result.strict_failures.append(f"tau={r['tau']:g} superluminal")

@@ -25,12 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BPoly, PPoly
-from scipy.optimize import brentq
 
 from .errors import AdiabaticOrderError, BracketError, GeometryError
 from .moore_adiabatic import AdiabaticMoore
-from .trajectory import make_reference
+from .trajectory import (
+    _poly_derivative,
+    make_reference,
+    piecewise_eval,
+    piecewise_extremes,
+)
 
 __all__ = [
     "effective_position",
@@ -59,28 +62,57 @@ def _default_bracket(am: AdiabaticMoore) -> tuple[float, float]:
     return (min(p.L0, p.Lf) - p.d0, max(p.R0, p.Rf) + p.d0)
 
 
-def _solve_bracketed(am, side, t, lo, hi, max_expand=40):
-    """Root of h(x) = G_ad(t+x) - F_ad(t-x) - target in [lo, hi], expanding
-    the bracket geometrically until a sign change is straddled."""
+def _solve(am, side, t, lo, hi, rounds):
+    """Roots of h(x) = G_ad(t+x) - F_ad(t-x) - target, one per sample.
+
+    Each sample's bracket [lo, hi] grows by half its width on each side per
+    round, for at most `rounds` rounds, until it straddles an increasing
+    crossing h(lo) < 0 < h(hi) (or hits a root exactly).  A bracketed
+    Newton iteration with bisection fallback, started at the bracket
+    midpoint, then polishes the bracketed samples together.  Returns the
+    roots and a mask of the samples that found a bracket.
+    """
     target = _TARGET[side]
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
 
-    def h(x):
-        return am.G(t + x) - am.F(t - x) - target
+    def h(tv, xv):
+        return am.G(tv + xv) - am.F(tv - xv) - target
 
-    flo, fhi = h(lo), h(hi)
-    for _ in range(max_expand):
-        if flo == 0.0:
-            return lo
-        if fhi == 0.0:
-            return hi
-        if flo < 0.0 < fhi:
+    flo, fhi = h(t, lo), h(t, hi)
+    for round_ in range(rounds + 1):
+        ok = ((flo < 0.0) & (fhi > 0.0)) | (flo == 0.0) | (fhi == 0.0)
+        i = np.flatnonzero(~ok)
+        if i.size == 0 or round_ == rounds:
             break
-        half = 0.5 * (hi - lo)
-        lo, hi = lo - half, hi + half
-        flo, fhi = h(lo), h(hi)
-    else:
-        raise BracketError(f"no physical effective position for side={side} at t={t}")
-    return brentq(h, lo, hi, xtol=1e-14, rtol=8.9e-16)
+        half = 0.5 * (hi[i] - lo[i])
+        lo[i] -= half
+        hi[i] += half
+        flo[i], fhi[i] = h(t[i], lo[i]), h(t[i], hi[i])
+
+    x = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, 0.5 * (lo + hi)))
+    active = np.flatnonzero(ok & (flo != 0.0) & (fhi != 0.0))
+    for _ in range(80):
+        if active.size == 0:
+            break
+        ti, xi, loi, hii = t[active], x[active], lo[active], hi[active]
+        g = am.G(ti + xi)
+        fv = am.F(ti - xi)
+        f = g - fv - target
+        scale = np.maximum(1.0, np.maximum(np.abs(g), np.abs(fv)))
+        conv = np.abs(f) <= 2e-14 * scale
+        loi = np.where(f < 0.0, xi, loi)
+        hii = np.where(f > 0.0, xi, hii)
+        m = am.G(ti + xi, order=1) + am.F(ti - xi, order=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = xi - f / m
+        bad = ~np.isfinite(xn) | (xn <= loi) | (xn >= hii)
+        xn = np.where(bad, 0.5 * (loi + hii), xn)
+        small = np.abs(xn - xi) <= 1e-15 * np.maximum(1.0, np.abs(xi))
+        x[active] = np.where(conv, xi, xn)
+        lo[active], hi[active] = loi, hii
+        active = active[~(conv | small)]
+    return x, ok
 
 
 def effective_position(am: AdiabaticMoore, side: str, t: float, bracket=None) -> float:
@@ -93,7 +125,10 @@ def effective_position(am: AdiabaticMoore, side: str, t: float, bracket=None) ->
     if side not in _TARGET:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     lo, hi = bracket if bracket is not None else _default_bracket(am)
-    x = _solve_bracketed(am, side, float(t), float(lo), float(hi))
+    x, ok = _solve(am, side, np.array([float(t)]), [float(lo)], [float(hi)], 40)
+    if not ok[0]:
+        raise BracketError(f"no physical effective position for side={side} at t={t}")
+    x = float(x[0])
     slope = am.G(t + x, order=1) + am.F(t - x, order=1)
     if not slope > 0.0:
         raise AdiabaticOrderError(
@@ -105,58 +140,26 @@ def effective_position(am: AdiabaticMoore, side: str, t: float, bracket=None) ->
 def _solve_many(am, side, times, guesses, d0):
     """Vectorized solve of the defining equation, one root per time sample.
 
-    Each sample gets a bracket centered on its guess, grown geometrically
-    until it straddles an increasing crossing; a bracketed Newton iteration
-    with bisection fallback then polishes all samples at once.  Samples that
-    never straddle locally (near fold points of a too-fast protocol) fall
-    back to the scalar global solver.
+    Each sample starts from a bracket of half-width 0.05 d0 centered on its
+    guess.  Samples that never straddle an increasing crossing locally
+    (near fold points of a too-fast protocol) are solved again from the
+    global default bracket; BracketError if that fails too.
     """
-    target = _TARGET[side]
     t = np.asarray(times, dtype=float)
     x = np.asarray(guesses, dtype=float)
-
-    def h(xv):
-        return am.G(t + xv) - am.F(t - xv) - target
-
-    w = np.full(t.shape, 0.05 * d0)
-    lo, hi = x - w, x + w
-    flo, fhi = h(lo), h(hi)
-    ok = (flo < 0.0) & (fhi > 0.0)
-    for _ in range(24):
-        if ok.all():
-            break
-        lo = np.where(ok, lo, lo - w)
-        hi = np.where(ok, hi, hi + w)
-        w = np.where(ok, w, 2.0 * w)
-        flo, fhi = h(lo), h(hi)
-        ok = (flo < 0.0) & (fhi > 0.0)
-    stragglers = np.flatnonzero(~ok)
-
-    xx = np.clip(x, lo, hi)
-    done = ~ok
-    for _ in range(80):
-        g = am.G(t + xx)
-        fv = am.F(t - xx)
-        f = g - fv - target
-        scale = np.maximum(1.0, np.maximum(np.abs(g), np.abs(fv)))
-        done = done | (np.abs(f) <= 2e-14 * scale)
-        if done.all():
-            break
-        lo = np.where(~done & (f < 0.0), xx, lo)
-        hi = np.where(~done & (f > 0.0), xx, hi)
-        m = am.G(t + xx, order=1) + am.F(t - xx, order=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xn = xx - f / m
-        bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
-        xn = np.where(bad, 0.5 * (lo + hi), xn)
-        step_small = np.abs(xn - xx) <= 1e-15 * np.maximum(1.0, np.abs(xx))
-        xx = np.where(done, xx, xn)
-        done = done | step_small
-    out = xx
-    if stragglers.size:
+    w = 0.05 * d0
+    out, ok = _solve(am, side, t, x - w, x + w, 24)
+    miss = np.flatnonzero(~ok)
+    if miss.size:
         glo, ghi = _default_bracket(am)
-        for i in stragglers:
-            out[i] = _solve_bracketed(am, side, float(t[i]), glo, ghi)
+        out[miss], ok = _solve(
+            am, side, t[miss], np.full(miss.size, glo), np.full(miss.size, ghi), 40
+        )
+        if not ok.all():
+            raise BracketError(
+                f"no physical effective position for side={side} "
+                f"at t={t[miss][~ok][0]}"
+            )
     return out
 
 
@@ -181,29 +184,22 @@ def _implicit_jet(am, side, times, positions):
     return slopes, curv, mono
 
 
-def _quintic_hermite(times, positions, slopes, curvatures) -> PPoly:
-    """C^2 piecewise-quintic interpolant matching value, slope and curvature
-    at every node.  The exact curvature data is what keeps the *third*
-    derivative of the interpolant accurate to O(h^3); a cubic Hermite fit
-    leaves O(h) third-derivative noise, which the energy density (built
-    from third derivatives of the Moore functions) cannot tolerate."""
-    bp = BPoly.from_derivatives(
-        times, np.stack([positions, slopes, curvatures], axis=1)
-    )
-    return PPoly.from_bernstein_basis(bp)
-
-
-def _spline_max_abs_speed(spline) -> float:
-    """Exact sup of |dx/dt| over the interpolant: extrema of the derivative
-    sit at nodes or at roots of the second derivative."""
-    d1 = spline.derivative()
-    cand = [np.abs(d1(spline.x))]
-    crit = d1.derivative().roots(extrapolate=False)
-    crit = np.real(crit[np.isreal(crit)])
-    crit = crit[np.isfinite(crit)]
-    if crit.size:
-        cand.append(np.abs(d1(crit)))
-    return float(np.max(np.concatenate(cand)))
+def _quintic_rows(times, positions, slopes, curvatures) -> np.ndarray:
+    """Ascending coefficients, one row per sample interval, of the C^2
+    piecewise quintic matching value, slope and curvature at every node.
+    The exact curvature data is what keeps the *third* derivative of the
+    interpolant accurate to O(h^3); a cubic Hermite fit leaves O(h)
+    third-derivative noise, which the energy density (built from third
+    derivatives of the Moore functions) cannot tolerate."""
+    h = np.diff(times)
+    s0, k0 = slopes[:-1], curvatures[:-1]
+    D0 = np.diff(positions) - h * s0 - 0.5 * h * h * k0
+    D1 = h * (np.diff(slopes) - h * k0)
+    D2 = h * h * np.diff(curvatures)
+    c3 = (10.0 * D0 - 4.0 * D1 + 0.5 * D2) / h**3
+    c4 = (-15.0 * D0 + 7.0 * D1 - D2) / h**4
+    c5 = (6.0 * D0 - 3.0 * D1 + 0.5 * D2) / h**5
+    return np.stack([positions[:-1], s0, 0.5 * k0, c3, c4, c5], axis=1)
 
 
 def _refined_times(times: np.ndarray, factor: int) -> np.ndarray:
@@ -221,7 +217,8 @@ class EffectiveTrajectory:
 
     `times`/`positions` are the solved samples; `slopes` and `curvatures`
     are the exact implicit-function derivatives there, feeding a C^2
-    quintic Hermite interpolant.  Outside the sample window the trajectory
+    quintic Hermite interpolant, stored as ascending-coefficient rows (one
+    per sample interval) with their derivative tables.  Outside the sample window the trajectory
     is the pre/post constant.  `realizable` is False when the curve reaches
     the speed of light (protocol faster than the critical timescale); such
     curves remain usable for plotting and limit-curve comparison.
@@ -238,7 +235,7 @@ class EffectiveTrajectory:
     realizable: bool
     monotone_ok: bool
     max_speed_sampled: float
-    _spline: PPoly = field(repr=False, compare=False)
+    _dcoeffs: tuple = field(repr=False, compare=False)  # rows of orders 0..3
 
     def __call__(self, t, order: int = 0):
         if order not in (0, 1, 2, 3):
@@ -250,7 +247,7 @@ class EffectiveTrajectory:
         after = tt > self.times[-1]
         inner = ~(before | after)
         out = np.zeros(tt.shape)
-        out[inner] = self._spline(tt[inner], nu=order)
+        out[inner] = piecewise_eval(self.times, self._dcoeffs[order], tt[inner])
         if order == 0:
             out[before] = self.const_before
             out[after] = self.const_after
@@ -264,16 +261,9 @@ class EffectiveTrajectory:
         extrema sit at sample nodes or at roots of the spline derivative
         (the Hermite interpolant overshoots the raw samples slightly, so
         sampling any fixed grid instead would understate the range)."""
-        cand = [self.positions, [self.const_before, self.const_after]]
-        crit = self._spline.derivative().roots(extrapolate=False)
-        # roots() flags identically-zero stretches (the constant pre/post
-        # segments) with nan sentinels; only finite roots are extrema
-        crit = np.real(crit[np.isreal(crit)])
-        crit = crit[np.isfinite(crit)]
-        if crit.size:
-            cand.append(self._spline(crit))
-        vals = np.concatenate([np.atleast_1d(c) for c in cand])
-        lo, hi = float(np.min(vals)), float(np.max(vals))
+        _, vals = piecewise_extremes(self.times, self._dcoeffs[0])
+        lo = min(float(vals.min()), self.const_before, self.const_after)
+        hi = max(float(vals.max()), self.const_before, self.const_after)
         pad = 1e-12 * max(1.0, abs(hi), abs(lo))
         return lo - pad, hi + pad
 
@@ -322,11 +312,11 @@ def build_effective(
     for round_ in range(max_refine + 1):
         slopes, curvatures, mono = _implicit_jet(am, side, times, positions)
         monotone_ok = monotone_ok and mono
-        spline = _quintic_hermite(times, positions, slopes, curvatures)
+        rows = _quintic_rows(times, positions, slopes, curvatures)
         if round_ == max_refine:
             break
         mids = 0.5 * (times[:-1] + times[1:])
-        predicted = spline(mids)
+        predicted = piecewise_eval(times, rows, mids)
         solved = _solve_many(am, side, mids, predicted, pair.d0)
         bad = np.abs(predicted - solved) > refine_tol
         if not bad.any():
@@ -341,7 +331,10 @@ def build_effective(
         np.abs(am.G(times + positions) - am.F(times - positions) - _TARGET[side])
     )
     fd_speed = np.max(np.abs(np.diff(positions) / np.diff(times)))
-    max_speed = float(max(fd_speed, _spline_max_abs_speed(spline)))
+    # sup of |dx/dt| over the interpolant: nodes and roots of d2x/dt2
+    dcoeffs = tuple(_poly_derivative(rows, k) for k in range(4))
+    _, speeds = piecewise_extremes(times, dcoeffs[1])
+    max_speed = float(max(fd_speed, np.max(np.abs(speeds))))
     return EffectiveTrajectory(
         side=side,
         times=times,
@@ -354,7 +347,7 @@ def build_effective(
         realizable=max_speed < 1.0,
         monotone_ok=monotone_ok,
         max_speed_sampled=max_speed,
-        _spline=spline,
+        _dcoeffs=dcoeffs,
     )
 
 
@@ -506,28 +499,30 @@ def critical_tau(
     tau_hi: float,
     tol: float = 1e-3,
     step: float | None = None,
+    panels: int = 4096,
+    refine_tol: float = 1e-8,
 ) -> float:
     """Timescale where the max effective-trajectory speed crosses 1.
 
     Rebuilds the adiabatic Moore functions and both effective trajectories
     per candidate tau and bisects on (max speed - 1); speeds come from
-    finite differences on the sample table.  Raises BracketError when the
-    range does not straddle the crossing ("all candidate tau physical" /
-    "none physical").
+    finite differences on the sample table.  `step` (default tau/512),
+    `panels` and `refine_tol` are passed to AdiabaticMoore.build and
+    build_effective.  Raises BracketError when the range does not straddle
+    the crossing ("all candidate tau physical" / "none physical").
     """
     if not 0 < tau_lo < tau_hi:
         raise ValueError(f"need 0 < tau_lo < tau_hi, got ({tau_lo}, {tau_hi})")
 
     def max_speed(tau: float) -> float:
         pair = make_reference(family, L0=L0, Lf=Lf, R0=R0, eps=eps, tau=tau)
-        am = AdiabaticMoore.build(pair)
+        am = AdiabaticMoore.build(pair, panels)
         lo, hi = default_window(pair)
         s = step if step is not None else tau / 512.0
-        speeds = [
-            build_effective(am, side, lo, hi, step=s).max_speed_sampled
+        return max(
+            build_effective(am, side, lo, hi, step=s, refine_tol=refine_tol).max_speed_sampled
             for side in ("left", "right")
-        ]
-        return max(speeds)
+        )
 
     f_lo = max_speed(tau_lo) - 1.0
     f_hi = max_speed(tau_hi) - 1.0

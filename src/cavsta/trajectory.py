@@ -25,6 +25,8 @@ __all__ = [
     "MirrorPath",
     "TrajectoryPair",
     "make_reference",
+    "piecewise_eval",
+    "piecewise_extremes",
 ]
 
 # Ascending coefficients of delta and its derivatives; _STEP_POWER[k] is the
@@ -83,7 +85,7 @@ def _poly_shift(coeffs: np.ndarray, dt: float) -> np.ndarray:
     fact = 1.0
     work = coeffs.copy()
     for k in range(n):
-        out[k] = _horner_row(work, dt) / fact
+        out[k] = _horner(work, dt) / fact
         work = work[1:] * np.arange(1, len(work))
         fact *= k + 1
         if len(work) == 0:
@@ -91,11 +93,57 @@ def _poly_shift(coeffs: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _horner_row(c: np.ndarray, u) -> float:
-    val = c[-1]
-    for j in range(len(c) - 2, -1, -1):
-        val = val * u + c[j]
+def _horner(c: np.ndarray, u):
+    """Ascending-coefficient rows c[..., :] evaluated at u (broadcast)."""
+    val = c[..., -1]
+    for j in range(c.shape[-1] - 2, -1, -1):
+        val = val * u + c[..., j]
     return val
+
+
+def piecewise_eval(breaks: np.ndarray, rows: np.ndarray, t) -> np.ndarray:
+    """Piecewise polynomial with one ascending-coefficient row per segment
+    (local variable u = t - breaks[i]) evaluated at t.  Arguments outside
+    [breaks[0], breaks[-1]] are clamped to the nearest end; at an interior
+    break the segment to the right is used."""
+    tc = np.clip(t, breaks[0], breaks[-1])
+    idx = np.searchsorted(breaks, tc, side="right") - 1
+    idx = np.clip(idx, 0, len(breaks) - 2)
+    return _horner(rows[idx], tc - breaks[idx])
+
+
+def piecewise_extremes(breaks: np.ndarray, rows: np.ndarray):
+    """Candidate extremal points (t, value) of a piecewise polynomial on
+    [breaks[0], breaks[-1]]: both ends of every segment and the real roots
+    of the derivative inside each segment, so min/max of the values are the
+    exact extremes, each attained at its argument.
+
+    Derivative terms whose size over their segment stays below 1e-14 of the
+    row's largest are dropped, so a vanishing leading coefficient lowers the
+    degree instead of blowing up the companion matrix.  Rows of equal degree
+    share one batched eigenvalue call.
+    """
+    spans = np.diff(breaks)
+    ts, vals = [breaks[:-1], breaks[1:]], [rows[:, 0], _horner(rows, spans)]
+    d = rows[:, 1:] * np.arange(1, rows.shape[1])
+    size = np.abs(d) * spans[:, None] ** np.arange(d.shape[1])
+    keep = size > 1e-14 * np.max(size, axis=1, keepdims=True, initial=0.0)
+    deg = np.max(np.where(keep, np.arange(d.shape[1]), 0), axis=1, initial=0)
+    for k in np.unique(deg[deg > 0]):
+        seg = np.flatnonzero(deg == k)
+        comp = np.zeros((seg.size, k, k))
+        comp[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+        comp[:, :, -1] = -d[seg, :k] / d[seg, k : k + 1]
+        # the rotated companion matrix, as in numpy's polyroots, is more accurate
+        roots = np.linalg.eigvals(comp[:, ::-1, ::-1]).ravel()
+        seg = np.repeat(seg, k)
+        u, span = roots.real, spans[seg]
+        # a real double root may come back as a pair with a tiny imaginary
+        # part; its real part is still a point of the segment
+        real = (np.abs(roots.imag) <= 1e-7 * span) & (u > 0.0) & (u < span)
+        ts.append(breaks[seg[real]] + u[real])
+        vals.append(_horner(rows[seg[real]], u[real]))
+    return np.concatenate(ts), np.concatenate(vals)
 
 
 @dataclass(frozen=True)
@@ -146,7 +194,7 @@ class MirrorPath:
         )
         ev = (
             float(coeffs[0, 0]),
-            float(_horner_row(coeffs[-1], breaks[-1] - breaks[-2])),
+            float(_horner(coeffs[-1], breaks[-1] - breaks[-2])),
         )
         if self.edges is None:
             object.__setattr__(self, "edges", ev)
@@ -169,9 +217,7 @@ class MirrorPath:
         spans = np.diff(self.breaks)
         for k in range(_MAX_ORDER + 1):
             dc = self._dcoeffs[k]
-            left_end = np.array(
-                [_horner_row(dc[i], spans[i]) for i in range(len(spans))]
-            )
+            left_end = _horner(dc, spans)
             right_start = dc[:, 0]
             if k >= 1:
                 if abs(left_end[-1]) > tol or abs(right_start[0]) > tol:
@@ -192,40 +238,20 @@ class MirrorPath:
         time derivative (orders 1..3)."""
         if order not in range(_MAX_ORDER + 1):
             raise ValueError(f"order must be in 0..3, got {order}")
-        t = np.asarray(t, dtype=float)
-        val = self._eval_clamped(t, order)
-        if order > 0:
-            outside = (t < self.breaks[0]) | (t > self.breaks[-1])
-            val = np.where(outside, 0.0, val)
-        else:
-            val = np.where(t <= self.breaks[0], self.edges[0], val)
-            val = np.where(t >= self.breaks[-1], self.edges[1], val)
-        if val.ndim == 0:
-            return float(val)
-        return val
+        val = self._eval(np.asarray(t, dtype=float), order)
+        return float(val) if val.ndim == 0 else val
 
-    def _eval_clamped(self, t: np.ndarray, order: int) -> np.ndarray:
-        tc = np.clip(t, self.breaks[0], self.breaks[-1])
-        idx = np.searchsorted(self.breaks, tc, side="right") - 1
-        idx = np.clip(idx, 0, len(self.breaks) - 2)
-        u = tc - self.breaks[idx]
-        c = self._dcoeffs[order][idx]
-        val = c[..., -1]
-        for j in range(_NCOEF - 2, -1, -1):
-            val = val * u + c[..., j]
-        return val
+    def _eval(self, t: np.ndarray, order: int) -> np.ndarray:
+        val = piecewise_eval(self.breaks, self._dcoeffs[order], t)
+        if order > 0:
+            return np.where((t < self.breaks[0]) | (t > self.breaks[-1]), 0.0, val)
+        val = np.where(t <= self.breaks[0], self.edges[0], val)
+        return np.where(t >= self.breaks[-1], self.edges[1], val)
 
     def jet(self, t):
         """Position and derivatives 1..3 at t, as a 4-tuple of arrays."""
         t = np.asarray(t, dtype=float)
-        outside = (t < self.breaks[0]) | (t > self.breaks[-1])
-        pos = self._eval_clamped(t, 0)
-        pos = np.where(t <= self.breaks[0], self.edges[0], pos)
-        pos = np.where(t >= self.breaks[-1], self.edges[1], pos)
-        vals = [pos]
-        for k in range(1, _MAX_ORDER + 1):
-            vals.append(np.where(outside, 0.0, self._eval_clamped(t, k)))
-        return tuple(vals)
+        return tuple(self._eval(t, k) for k in range(_MAX_ORDER + 1))
 
     # -- metadata and diagnostics -------------------------------------------
 
@@ -245,39 +271,15 @@ class MirrorPath:
     def final_value(self) -> float:
         return self.edges[1]
 
-    def _segment_extrema(self, order: int):
-        """Per-segment candidate extremal (u, segment) points of the order-th
-        derivative: segment ends plus interior roots of the next derivative."""
-        spans = np.diff(self.breaks)
-        d_this = self._dcoeffs[order]
-        d_next = self._dcoeffs[order + 1] if order < _MAX_ORDER else None
-        for i, span in enumerate(spans):
-            us = [0.0, float(span)]
-            if d_next is not None:
-                c = np.trim_zeros(d_next[i], "b")
-                if len(c) > 1:
-                    roots = np.polynomial.polynomial.polyroots(c)
-                    for r in roots:
-                        if abs(r.imag) < 1e-12 and 0.0 < r.real < span:
-                            us.append(float(r.real))
-            yield i, us
-
     def bounds(self) -> tuple[float, float]:
         """Exact (min, max) of the position over the whole time axis."""
-        lo, hi = min(self.edges), max(self.edges)
-        for i, us in self._segment_extrema(0):
-            for u in us:
-                v = _horner_row(self._dcoeffs[0][i], u)
-                lo, hi = min(lo, v), max(hi, v)
-        return lo, hi
+        _, vals = piecewise_extremes(self.breaks, self.coeffs)
+        return min(*self.edges, float(vals.min())), max(*self.edges, float(vals.max()))
 
     def max_speed(self) -> float:
         """Exact sup of |velocity|, found at polynomial critical points."""
-        best = 0.0
-        for i, us in self._segment_extrema(1):
-            for u in us:
-                best = max(best, abs(_horner_row(self._dcoeffs[1][i], u)))
-        return best
+        _, vals = piecewise_extremes(self.breaks, self._dcoeffs[1])
+        return float(np.max(np.abs(vals)))
 
 
 def _merged_gap_coeffs(left: MirrorPath, right: MirrorPath):
@@ -348,21 +350,8 @@ class TrajectoryPair:
     def gap_min(self) -> float:
         """Exact min of R(t) - L(t) over the whole time axis."""
         breaks, rows = _merged_gap_coeffs(self.left, self.right)
-        spans = np.diff(breaks)
-        best = min(self.d0, self.df)
-        drows = rows[:, 1:] * np.arange(1, _NCOEF)
-        for i, span in enumerate(spans):
-            us = [0.0, float(span)]
-            c = np.trim_zeros(drows[i], "b")
-            if len(c) > 1:
-                for r in np.polynomial.polynomial.polyroots(c):
-                    if abs(r.imag) < 1e-12 and 0.0 < r.real < span:
-                        us.append(float(r.real))
-            elif len(c) == 0:
-                us = [0.0]
-            for u in us:
-                best = min(best, _horner_row(rows[i], u))
-        return best
+        _, vals = piecewise_extremes(breaks, rows)
+        return min(self.d0, self.df, float(vals.min()))
 
     def gap(self, t, order: int = 0):
         """R(t) - L(t) or its time derivative."""

@@ -1,6 +1,12 @@
 """Command line interface wiring and exit codes."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import cavsta
 
 from cavsta.cli import main
 
@@ -86,3 +92,18 @@ def test_sweep_subcommand(tmp_path, capsys):
 def test_subcommand_required():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_import_loads_no_scipy():
+    """numpy is the only runtime dependency: importing the CLI must not pull
+    in scipy (which would add most of the start-up time)."""
+    src = os.path.dirname(os.path.dirname(cavsta.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = (
+        "import cavsta.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

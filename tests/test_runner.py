@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from cavsta import sta
 from cavsta.errors import CavstaError
 from cavsta.runner import RunConfig, load_config, run, sweep_tau
 
@@ -180,6 +181,55 @@ def test_custom_family_from_tables(tmp_path):
     # motionless custom cavity stays exactly adiabatic
     q = data[:, header.index("Q_ref_T0")]
     assert np.allclose(q, 1.0, atol=1e-9)
+
+
+def custom_cfg(out_dir, **kw):
+    """Motionless unit cavity given as explicit tables."""
+    return RunConfig(
+        family="custom",
+        custom_left=((0.0, 1.0), ((0.0,) * 8,)),
+        custom_right=((0.0, 1.0), ((1.0,) + (0.0,) * 7,)),
+        out_dir=str(out_dir),
+        **kw,
+    )
+
+
+def test_sweep_rejects_custom_family(tmp_path):
+    cfg = custom_cfg(tmp_path / "out", tau_list=(1.0, 2.0, 4.0))
+    with pytest.raises(CavstaError, match="custom"):
+        sweep_tau(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def test_critical_search_rejects_custom_family(tmp_path):
+    cfg = custom_cfg(tmp_path / "out", critical=True)
+    with pytest.raises(CavstaError, match="custom"):
+        run(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def test_critical_search_uses_configured_numerics(tmp_path, monkeypatch):
+    seen = []
+    build = sta.build_effective
+
+    def recording(am, side, lo, hi, **kw):
+        seen.append((am.panels, kw))
+        return build(am, side, lo, hi, **kw)
+
+    monkeypatch.setattr(sta, "build_effective", recording)
+    cfg = contraction_cfg(
+        tmp_path, csv=(), critical=True, tau_min=0.8, tau_max=1.2,
+        moore_panels=6000, effective_refine_tol=1e-7,
+    )
+    res = run(cfg)
+    assert isinstance(res.summary["results"]["critical_tau"], float)
+    # two builds for the scenario itself, the rest for the critical search
+    assert len(seen) > 2
+    for panels, kw in seen:
+        # panel counts double from the configured start; 4096 * 2^k never
+        # has the factor 375 of 6000
+        assert panels % 6000 == 0
+        assert kw == {"step": cfg.effective_step, "refine_tol": 1e-7}
 
 
 def test_sweep_needs_three_ascending_taus(tmp_path):

@@ -1,5 +1,7 @@
 """Effective trajectories, limit curves, and the critical timescale."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,6 +9,7 @@ from numpy.testing import assert_allclose
 from cavsta.errors import AdiabaticOrderError, BracketError, CavstaError
 from cavsta.moore_adiabatic import AdiabaticMoore
 from cavsta.sta import (
+    _solve_many,
     EffectivePair,
     build_effective,
     continuity_check,
@@ -126,6 +129,41 @@ def test_decreasing_root_rejected():
 def test_missing_root_reported():
     with pytest.raises(BracketError):
         effective_position(_RootlessMoore(), "left", 0.0, bracket=(0.0, 1.0))
+
+
+# unit cavity [0, 1] at rest: the default bracket is [-1, 2]
+_UNIT_PAIR = SimpleNamespace(L0=0.0, Lf=0.0, R0=1.0, Rf=1.0, d0=1.0)
+
+
+class _FarGuessMoore:
+    """Stub with h(x) = -(x - 0.5)(x + 1.5)(x - 2.5) at t = 0: the only
+    increasing crossing is x = 0.5, and a bracket grown symmetrically about
+    a guess beyond 2.5 or below -1.5 never straddles it."""
+
+    pair = _UNIT_PAIR
+
+    def G(self, z, order=0):
+        z = np.asarray(z, dtype=float)
+        if order == 0:
+            return -(z - 0.5) * (z + 1.5) * (z - 2.5)
+        return -3.0 * z**2 + 3.0 * z + 3.25
+
+    def F(self, w, order=0):
+        return np.zeros_like(np.asarray(w, dtype=float))
+
+
+class _PairedRootlessMoore(_RootlessMoore):
+    pair = _UNIT_PAIR
+
+
+def test_far_guesses_fall_back_to_default_bracket():
+    x = _solve_many(_FarGuessMoore(), "left", np.zeros(3), np.array([10.0, -8.0, 0.45]), 1.0)
+    assert_allclose(x, 0.5, rtol=0, atol=1e-12)
+
+
+def test_fallback_without_crossing_raises():
+    with pytest.raises(BracketError):
+        _solve_many(_PairedRootlessMoore(), "left", np.zeros(2), np.array([0.0, 5.0]), 1.0)
 
 
 def test_limit_velocity_and_intercepts():

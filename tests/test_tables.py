@@ -1,0 +1,97 @@
+"""Property tests for the shared piecewise-polynomial table code: the one
+evaluator and extremum finder, and the two interpolants built on it."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
+from numpy.testing import assert_allclose
+
+from cavsta.moore_adiabatic import AdiabaticMoore
+from cavsta.sta import _quintic_rows
+from cavsta.trajectory import (
+    _poly_derivative,
+    make_reference,
+    piecewise_eval,
+    piecewise_extremes,
+)
+
+_coef = st.floats(-5.0, 5.0, allow_nan=False)
+
+
+@st.composite
+def continuous_tables(draw):
+    """(breaks, rows) of a continuous random table; each row keeps a random
+    number of leading coefficients, so zero leading terms are common."""
+    n = draw(st.integers(1, 5))
+    width = draw(st.integers(2, 8))
+    t0 = draw(st.floats(-3.0, 3.0))
+    spans = draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n))
+    breaks = t0 + np.concatenate([[0.0], np.cumsum(spans)])
+    rows = np.zeros((n, width))
+    for i in range(n):
+        degree = draw(st.integers(0, width - 1))
+        rows[i, : degree + 1] = draw(
+            st.lists(_coef, min_size=degree + 1, max_size=degree + 1)
+        )
+    for i in range(n - 1):
+        rows[i + 1, 0] = polyval(breaks[i + 1] - breaks[i], rows[i])
+    return breaks, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(continuous_tables())
+def test_extremes_enclose_dense_sampling_and_are_attained(table):
+    breaks, rows = table
+    ts, vals = piecewise_extremes(breaks, rows)
+    dense = piecewise_eval(breaks, rows, np.linspace(breaks[0], breaks[-1], 10_000))
+    spans = np.diff(breaks)
+    size = np.abs(rows) * spans[:, None] ** np.arange(rows.shape[1])
+    tol = 1e-12 * max(1.0, float(size.sum(axis=1).max()))
+    assert vals.min() <= dense.min() + tol
+    assert vals.max() >= dense.max() - tol
+    assert np.all((ts >= breaks[0]) & (ts <= breaks[-1]))
+    for i in (np.argmin(vals), np.argmax(vals)):
+        assert abs(piecewise_eval(breaks, rows, ts[i]) - vals[i]) <= tol
+
+
+def _node_data(n):
+    return st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n).map(np.array)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_quintic_rows_reproduce_node_jets(data):
+    n = data.draw(st.integers(1, 8))
+    t0 = data.draw(st.floats(-5.0, 5.0))
+    h = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    times = t0 + np.concatenate([[0.0], np.cumsum(h)])
+    jet = [data.draw(_node_data(n + 1)) for _ in range(3)]
+    rows = _quintic_rows(times, *jet)
+    for order, want in enumerate(jet):
+        d = _poly_derivative(rows, order)
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(want))))
+        assert_allclose(d[:, 0], want[:-1], rtol=1e-9, atol=tol)
+        assert_allclose(polyval(np.diff(times), d.T, tensor=False), want[1:], rtol=1e-9, atol=tol)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.floats(0.05, 0.5),
+    st.floats(0.0, 0.3),
+    st.floats(0.3, 5.0),
+    st.sampled_from([32, 100, 128]),
+)
+def test_advance_rows_reproduce_integral_and_integrand(eps, Lf, tau, panels):
+    pair = make_reference("contraction", L0=0.0, Lf=Lf, R0=1.0, eps=eps, tau=tau)
+    am = AdiabaticMoore.build(pair, panels)
+    nodes, rows = am._nodes, am._rows
+    assert am.panels % panels == 0 and len(rows) == am.panels
+    I = np.append(rows[:, 0], am.I_end)
+    assert I[0] == nodes[0] / pair.d0
+    assert_allclose(am.advance(nodes), I, rtol=1e-12, atol=1e-12)
+    assert_allclose(polyval(np.diff(nodes), rows.T, tensor=False), I[1:], rtol=1e-9)
+    slopes = _poly_derivative(rows, 1)
+    g = 1.0 / pair.gap(nodes)
+    assert_allclose(slopes[:, 0], g[:-1], rtol=1e-9)
+    assert_allclose(polyval(np.diff(nodes), slopes.T, tensor=False), g[1:], rtol=1e-9)
