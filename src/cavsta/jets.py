@@ -4,7 +4,9 @@ The exact Moore solver and the adiabatic closed forms both need first
 through third derivatives propagated through compositions, inversions and
 quotients.  Everything here is plain Faa di Bruno truncated at order 3; the
 quotient rule solves the Leibniz triangle for the quotient's derivatives,
-which is tidier than expanding u/v directly.
+which is tidier than expanding u/v directly.  `divide` and `reciprocal`
+also take shorter jets and return that many orders, each entry computed
+exactly as in the full jet.
 """
 
 from __future__ import annotations
@@ -39,18 +41,27 @@ def inverse_derivs(m1, m2, m3):
 
 
 def divide(u, v):
-    """Jet of u/v from jets of u and v (v[0] must be nonzero)."""
-    q0 = u[0] / v[0]
-    q1 = (u[1] - q0 * v[1]) / v[0]
-    q2 = (u[2] - q0 * v[2] - 2.0 * q1 * v[1]) / v[0]
-    q3 = (u[3] - q0 * v[3] - 3.0 * q1 * v[2] - 3.0 * q2 * v[1]) / v[0]
-    return (q0, q1, q2, q3)
+    """Jet of u/v from jets of u and v (v[0] must be nonzero), to the order
+    of the shorter of the two."""
+    n = min(len(u), len(v))
+    q = [u[0] / v[0]]
+    if n > 1:
+        q.append((u[1] - q[0] * v[1]) / v[0])
+    if n > 2:
+        q.append((u[2] - q[0] * v[2] - 2.0 * q[1] * v[1]) / v[0])
+    if n > 3:
+        q.append((u[3] - q[0] * v[3] - 3.0 * q[1] * v[2] - 3.0 * q[2] * v[1]) / v[0])
+    return tuple(q)
 
 
 def reciprocal(v):
-    """Jet of 1/v."""
+    """Jet of 1/v, to the order of v."""
     r0 = 1.0 / v[0]
-    r1 = -v[1] * r0 * r0
-    r2 = (-v[2] + 2.0 * v[1] * v[1] * r0) * r0 * r0
-    r3 = (-v[3] + 6.0 * v[1] * v[2] * r0 - 6.0 * v[1] ** 3 * r0 * r0) * r0 * r0
-    return (r0, r1, r2, r3)
+    r = [r0]
+    if len(v) > 1:
+        r.append(-v[1] * r0 * r0)
+    if len(v) > 2:
+        r.append((-v[2] + 2.0 * v[1] * v[1] * r0) * r0 * r0)
+    if len(v) > 3:
+        r.append((-v[3] + 6.0 * v[1] * v[2] * r0 - 6.0 * v[1] ** 3 * r0 * r0) * r0 * r0)
+    return tuple(r)

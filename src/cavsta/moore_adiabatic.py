@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from . import jets
 from .errors import ConvergenceError, GeometryError
-from .trajectory import TrajectoryPair, piecewise_eval
+from .trajectory import TrajectoryPair, _check_order, piecewise_eval
 
 __all__ = ["AdiabaticMoore", "adiabatic_residual"]
 
@@ -110,39 +110,36 @@ class AdiabaticMoore:
         out[above] = self.I_end + (zz[above] - t_hi) / self.pair.df
         return float(out[0]) if scalar else out
 
-    def _q_jet(self, z):
-        """Jet of (R+L)/(R-L) at z (exact from the path polynomials)."""
-        L = self.pair.left.jet(z)
-        R = self.pair.right.jet(z)
+    def _q_jet(self, z, order: int):
+        """Jets to `order` of (R+L)/(R-L) and, one order lower, of 1/(R-L)
+        at z (exact from the path polynomials)."""
+        L = self.pair.left.jet(z, order)
+        R = self.pair.right.jet(z, order)
         u = tuple(r + l for r, l in zip(R, L))
         v = tuple(r - l for r, l in zip(R, L))
-        return jets.divide(u, v), jets.reciprocal(v)
+        return jets.divide(u, v), jets.reciprocal(v[:order]) if order else ()
 
-    def jet(self, which: str, z):
-        """(value, d1, d2, d3) of F_ad or G_ad at z; vectorized."""
-        scalar = np.ndim(z) == 0
-        zz = np.atleast_1d(np.asarray(z, dtype=float))
-        q, r = self._q_jet(zz)
+    def jet(self, which: str, z, order: int = 3):
+        """(value, d1, ..., d_order) of F_ad or G_ad at z; vectorized."""
         if which == "F":
             s, c = +0.5, _CF
         elif which == "G":
             s, c = -0.5, _CG
         else:
             raise ValueError(f"which must be 'F' or 'G', got {which!r}")
-        out = (
-            self.advance(zz) + s * q[0] + c,
-            r[0] + s * q[1],
-            r[1] + s * q[2],
-            r[2] + s * q[3],
+        _check_order(order)
+        scalar = np.ndim(z) == 0
+        zz = np.atleast_1d(np.asarray(z, dtype=float))
+        q, r = self._q_jet(zz, order)
+        out = (self.advance(zz) + s * q[0] + c,) + tuple(
+            r[k - 1] + s * q[k] for k in range(1, order + 1)
         )
         if scalar:
             return tuple(float(a[0]) for a in out)
         return out
 
     def eval(self, which: str, z, order: int = 0):
-        if order not in (0, 1, 2, 3):
-            raise ValueError(f"order must be in 0..3, got {order}")
-        return self.jet(which, z)[order]
+        return self.jet(which, z, order)[order]
 
     def F(self, z, order: int = 0):
         return self.eval("F", z, order)

@@ -27,7 +27,8 @@ class ExactMoore:
     """Exact Moore pair (F, G) for a subluminal TrajectoryPair.
 
     Works with any pair-like object exposing left/right paths with
-    ``__call__(t, order)``, ``jet(t)``, ``bounds()`` and ``max_speed()``,
+    ``__call__(t, order)``, ``jet(t, order=3)`` (the tuple of orders
+    0..order), ``bounds()`` and ``max_speed()``,
     plus ``L0``, ``R0``, ``d0``, ``motion_start`` and ``gap_min()``; the
     effective-trajectory pairs built by the sta module satisfy this protocol.
     """
@@ -89,13 +90,14 @@ class ExactMoore:
         t = 0.5 * (lo + hi)
         done = np.zeros(t.shape, dtype=bool)
         for _ in range(90):
-            f = t + sign * path(t) - target
+            X, X1 = path.jet(t, 1)
+            f = t + sign * X - target
             done = done | (np.abs(f) <= 4e-15 * scale)
             if done.all():
                 break
             lo = np.where(~done & (f < 0.0), t, lo)
             hi = np.where(~done & (f > 0.0), t, hi)
-            m = 1.0 + sign * path(t, 1)
+            m = 1.0 + sign * X1
             with np.errstate(divide="ignore", invalid="ignore"):
                 tn = t - f / m
             # strict comparison: the root can sit exactly on a bracket end

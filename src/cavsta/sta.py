@@ -29,6 +29,10 @@ import numpy as np
 from .errors import AdiabaticOrderError, BracketError, GeometryError
 from .moore_adiabatic import AdiabaticMoore
 from .trajectory import (
+    _check_order,
+    _horner,
+    _locate,
+    _merged_gap_coeffs,
     _poly_derivative,
     make_reference,
     piecewise_eval,
@@ -76,10 +80,13 @@ def _solve(am, side, t, lo, hi, rounds):
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
 
-    def h(tv, xv):
-        return am.G(tv + xv) - am.F(tv - xv) - target
+    def h_ends(tv, lov, hiv):
+        # both bracket ends in one evaluation of each map
+        tt, xx = np.concatenate([tv, tv]), np.concatenate([lov, hiv])
+        hv = am.jet("G", tt + xx, 0)[0] - am.jet("F", tt - xx, 0)[0] - target
+        return np.split(hv, 2)
 
-    flo, fhi = h(t, lo), h(t, hi)
+    flo, fhi = h_ends(t, lo, hi)
     for round_ in range(rounds + 1):
         ok = ((flo < 0.0) & (fhi > 0.0)) | (flo == 0.0) | (fhi == 0.0)
         i = np.flatnonzero(~ok)
@@ -88,7 +95,7 @@ def _solve(am, side, t, lo, hi, rounds):
         half = 0.5 * (hi[i] - lo[i])
         lo[i] -= half
         hi[i] += half
-        flo[i], fhi[i] = h(t[i], lo[i]), h(t[i], hi[i])
+        flo[i], fhi[i] = h_ends(t[i], lo[i], hi[i])
 
     x = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, 0.5 * (lo + hi)))
     active = np.flatnonzero(ok & (flo != 0.0) & (fhi != 0.0))
@@ -96,14 +103,14 @@ def _solve(am, side, t, lo, hi, rounds):
         if active.size == 0:
             break
         ti, xi, loi, hii = t[active], x[active], lo[active], hi[active]
-        g = am.G(ti + xi)
-        fv = am.F(ti - xi)
+        g, g1 = am.jet("G", ti + xi, 1)
+        fv, f1 = am.jet("F", ti - xi, 1)
         f = g - fv - target
         scale = np.maximum(1.0, np.maximum(np.abs(g), np.abs(fv)))
         conv = np.abs(f) <= 2e-14 * scale
         loi = np.where(f < 0.0, xi, loi)
         hii = np.where(f > 0.0, xi, hii)
-        m = am.G(ti + xi, order=1) + am.F(ti - xi, order=1)
+        m = g1 + f1
         with np.errstate(divide="ignore", invalid="ignore"):
             xn = xi - f / m
         bad = ~np.isfinite(xn) | (xn <= loi) | (xn >= hii)
@@ -129,7 +136,7 @@ def effective_position(am: AdiabaticMoore, side: str, t: float, bracket=None) ->
     if not ok[0]:
         raise BracketError(f"no physical effective position for side={side} at t={t}")
     x = float(x[0])
-    slope = am.G(t + x, order=1) + am.F(t - x, order=1)
+    slope = am.jet("G", t + x, 1)[1] + am.jet("F", t - x, 1)[1]
     if not slope > 0.0:
         raise AdiabaticOrderError(
             f"defining equation not increasing at its root (h' = {slope:.3g})"
@@ -171,10 +178,8 @@ def _implicit_jet(am, side, times, positions):
         d2x/dt2 = [F''(1-dx/dt)^2 - G''(1+dx/dt)^2] / (F' + G').
 
     Both are capped where F' + G' changes sign (fold of the branch)."""
-    G1 = am.G(times + positions, order=1)
-    F1 = am.F(times - positions, order=1)
-    G2 = am.G(times + positions, order=2)
-    F2 = am.F(times - positions, order=2)
+    _, G1, G2 = am.jet("G", times + positions, 2)
+    _, F1, F2 = am.jet("F", times - positions, 2)
     denom = G1 + F1
     mono = bool(np.all(denom > 0.0))
     safe = np.where(np.abs(denom) < 1e-12, 1e-12, denom)
@@ -200,15 +205,6 @@ def _quintic_rows(times, positions, slopes, curvatures) -> np.ndarray:
     c4 = (-15.0 * D0 + 7.0 * D1 - D2) / h**4
     c5 = (6.0 * D0 - 3.0 * D1 + 0.5 * D2) / h**5
     return np.stack([positions[:-1], s0, 0.5 * k0, c3, c4, c5], axis=1)
-
-
-def _refined_times(times: np.ndarray, factor: int) -> np.ndarray:
-    parts = [
-        np.linspace(times[i], times[i + 1], factor, endpoint=False)
-        for i in range(len(times) - 1)
-    ]
-    parts.append(times[-1:])
-    return np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -238,23 +234,31 @@ class EffectiveTrajectory:
     _dcoeffs: tuple = field(repr=False, compare=False)  # rows of orders 0..3
 
     def __call__(self, t, order: int = 0):
-        if order not in (0, 1, 2, 3):
-            raise ValueError(f"order must be in 0..3, got {order}")
+        _check_order(order)
+        return self._eval(t, (order,))[0]
+
+    def _eval(self, t, orders) -> list:
+        """The given derivative orders at t, from one segment lookup."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         tt = np.atleast_1d(t)
         before = tt < self.times[0]
         after = tt > self.times[-1]
         inner = ~(before | after)
-        out = np.zeros(tt.shape)
-        out[inner] = piecewise_eval(self.times, self._dcoeffs[order], tt[inner])
-        if order == 0:
-            out[before] = self.const_before
-            out[after] = self.const_after
-        return float(out[0]) if scalar else out
+        idx, u = _locate(self.times, tt[inner])
+        out = []
+        for k in orders:
+            val = np.zeros(tt.shape)
+            val[inner] = _horner(self._dcoeffs[k][idx], u)
+            if k == 0:
+                val[before] = self.const_before
+                val[after] = self.const_after
+            out.append(float(val[0]) if scalar else val)
+        return out
 
-    def jet(self, t):
-        return tuple(self(t, order=k) for k in range(4))
+    def jet(self, t, order: int = 3):
+        _check_order(order)
+        return tuple(self._eval(t, range(order + 1)))
 
     def bounds(self) -> tuple[float, float]:
         """(min, max) of position over all time, exact for the interpolant:
@@ -273,6 +277,10 @@ class EffectiveTrajectory:
     @property
     def motion_start(self) -> float:
         return float(self.times[0])
+
+    def table(self):
+        """(breaks, rows, before, after) of the position interpolant."""
+        return self.times, self._dcoeffs[0], self.const_before, self.const_after
 
     @property
     def breaks(self) -> np.ndarray:
@@ -328,7 +336,11 @@ def build_effective(
     x0 = pair.R0 if side == "right" else pair.L0
 
     residual = np.max(
-        np.abs(am.G(times + positions) - am.F(times - positions) - _TARGET[side])
+        np.abs(
+            am.jet("G", times + positions, 0)[0]
+            - am.jet("F", times - positions, 0)[0]
+            - _TARGET[side]
+        )
     )
     fd_speed = np.max(np.abs(np.diff(positions) / np.diff(times)))
     # sup of |dx/dt| over the interpolant: nodes and roots of d2x/dt2
@@ -395,10 +407,10 @@ class EffectivePair:
         return self.right(t, order) - self.left(t, order)
 
     def gap_min(self) -> float:
-        tt = np.union1d(
-            _refined_times(self.left.times, 4), _refined_times(self.right.times, 4)
-        )
-        return float(np.min(self.right(tt) - self.left(tt)))
+        """Exact min of R(t) - L(t) over the whole time axis."""
+        breaks, rows = _merged_gap_coeffs(self.left.table(), self.right.table())
+        _, vals = piecewise_extremes(breaks, rows)
+        return min(self.d0, self.df, float(vals.min()))
 
 
 @dataclass(frozen=True)

@@ -77,22 +77,6 @@ def _poly_derivative(coeffs: np.ndarray, order: int) -> np.ndarray:
     return np.hstack([out, pad])
 
 
-def _poly_shift(coeffs: np.ndarray, dt: float) -> np.ndarray:
-    """Re-center an ascending coefficient row from u to u' = u - dt."""
-    n = len(coeffs)
-    out = np.zeros(n)
-    # Taylor coefficients at the new origin: p^(k)(dt)/k!
-    fact = 1.0
-    work = coeffs.copy()
-    for k in range(n):
-        out[k] = _horner(work, dt) / fact
-        work = work[1:] * np.arange(1, len(work))
-        fact *= k + 1
-        if len(work) == 0:
-            break
-    return out
-
-
 def _horner(c: np.ndarray, u):
     """Ascending-coefficient rows c[..., :] evaluated at u (broadcast)."""
     val = c[..., -1]
@@ -101,15 +85,26 @@ def _horner(c: np.ndarray, u):
     return val
 
 
-def piecewise_eval(breaks: np.ndarray, rows: np.ndarray, t) -> np.ndarray:
-    """Piecewise polynomial with one ascending-coefficient row per segment
-    (local variable u = t - breaks[i]) evaluated at t.  Arguments outside
-    [breaks[0], breaks[-1]] are clamped to the nearest end; at an interior
-    break the segment to the right is used."""
+def _check_order(order: int) -> None:
+    if order not in range(_MAX_ORDER + 1):
+        raise ValueError(f"order must be in 0..3, got {order}")
+
+
+def _locate(breaks: np.ndarray, t):
+    """Segment index and local variable u = t - breaks[idx] of each t.
+    Arguments outside [breaks[0], breaks[-1]] are clamped to the nearest
+    end; at an interior break the segment to the right is used."""
     tc = np.clip(t, breaks[0], breaks[-1])
     idx = np.searchsorted(breaks, tc, side="right") - 1
     idx = np.clip(idx, 0, len(breaks) - 2)
-    return _horner(rows[idx], tc - breaks[idx])
+    return idx, tc - breaks[idx]
+
+
+def piecewise_eval(breaks: np.ndarray, rows: np.ndarray, t) -> np.ndarray:
+    """Piecewise polynomial with one ascending-coefficient row per segment
+    (local variable u = t - breaks[i]) evaluated at t, clamped as `_locate`."""
+    idx, u = _locate(breaks, t)
+    return _horner(rows[idx], u)
 
 
 def piecewise_extremes(breaks: np.ndarray, rows: np.ndarray):
@@ -236,22 +231,29 @@ class MirrorPath:
     def __call__(self, t, order: int = 0):
         """Exact piecewise-polynomial evaluation of position (order 0) or a
         time derivative (orders 1..3)."""
-        if order not in range(_MAX_ORDER + 1):
-            raise ValueError(f"order must be in 0..3, got {order}")
-        val = self._eval(np.asarray(t, dtype=float), order)
+        _check_order(order)
+        (val,) = self._eval(np.asarray(t, dtype=float), (order,))
         return float(val) if val.ndim == 0 else val
 
-    def _eval(self, t: np.ndarray, order: int) -> np.ndarray:
-        val = piecewise_eval(self.breaks, self._dcoeffs[order], t)
-        if order > 0:
-            return np.where((t < self.breaks[0]) | (t > self.breaks[-1]), 0.0, val)
-        val = np.where(t <= self.breaks[0], self.edges[0], val)
-        return np.where(t >= self.breaks[-1], self.edges[1], val)
+    def _eval(self, t: np.ndarray, orders) -> list:
+        """The given derivative orders at t, from one segment lookup."""
+        idx, u = _locate(self.breaks, t)
+        outside = (t < self.breaks[0]) | (t > self.breaks[-1])
+        out = []
+        for k in orders:
+            val = _horner(self._dcoeffs[k][idx], u)
+            if k > 0:
+                val = np.where(outside, 0.0, val)
+            else:
+                val = np.where(t <= self.breaks[0], self.edges[0], val)
+                val = np.where(t >= self.breaks[-1], self.edges[1], val)
+            out.append(val)
+        return out
 
-    def jet(self, t):
-        """Position and derivatives 1..3 at t, as a 4-tuple of arrays."""
-        t = np.asarray(t, dtype=float)
-        return tuple(self._eval(t, k) for k in range(_MAX_ORDER + 1))
+    def jet(self, t, order: int = 3):
+        """Position and derivatives 1..order at t, as a tuple of arrays."""
+        _check_order(order)
+        return tuple(self._eval(np.asarray(t, dtype=float), range(order + 1)))
 
     # -- metadata and diagnostics -------------------------------------------
 
@@ -271,6 +273,10 @@ class MirrorPath:
     def final_value(self) -> float:
         return self.edges[1]
 
+    def table(self):
+        """(breaks, rows, before, after) of the position polynomial."""
+        return self.breaks, self.coeffs, *self.edges
+
     def bounds(self) -> tuple[float, float]:
         """Exact (min, max) of the position over the whole time axis."""
         _, vals = piecewise_extremes(self.breaks, self.coeffs)
@@ -282,26 +288,36 @@ class MirrorPath:
         return float(np.max(np.abs(vals)))
 
 
-def _merged_gap_coeffs(left: MirrorPath, right: MirrorPath):
-    """Ascending coefficients of R - L on the merged break grid."""
-    breaks = np.union1d(left.breaks, right.breaks)
-    lo = min(left.motion_start, right.motion_start)
-    hi = max(left.motion_end, right.motion_end)
-    breaks = breaks[(breaks >= lo) & (breaks <= hi)]
-    rows = []
-    for a in breaks[:-1]:
-        row = np.zeros(_NCOEF)
-        for sgn, path in ((1.0, right), (-1.0, left)):
-            if a < path.motion_start:
-                row[0] += sgn * path.initial_value
-            elif a >= path.motion_end:
-                row[0] += sgn * path.final_value
-            else:
-                i = int(np.searchsorted(path.breaks, a, side="right") - 1)
-                i = min(i, len(path.breaks) - 2)
-                row += sgn * _poly_shift(path.coeffs[i], a - path.breaks[i])
-        rows.append(row)
-    return breaks, np.array(rows)
+def _merged_gap_coeffs(left, right):
+    """Ascending coefficients of R - L on the merged break grid.
+
+    `left` and `right` are tables (breaks, rows, before, after): the rows
+    of one piecewise polynomial and its constant values before breaks[0]
+    and from breaks[-1] on.  The merged grid spans both motion windows;
+    each path's row is Taylor-shifted to every merged segment start, one
+    derivative order at a time across all segments.
+    """
+    tables = (left, right)
+    breaks = np.union1d(left[0], right[0])
+    lo = min(tab[0][0] for tab in tables)
+    hi = max(tab[0][-1] for tab in tables)
+    a = breaks[(breaks >= lo) & (breaks <= hi)]
+    width = max(tab[1].shape[1] for tab in tables)
+    rows = np.zeros((len(a) - 1, width))
+    for sgn, (tb, tr, before, after) in zip((-1.0, 1.0), tables):
+        idx, u = _locate(tb, a[:-1])
+        shifted = np.zeros_like(rows)
+        fact = 1.0
+        for k in range(tr.shape[1]):
+            fact *= max(k, 1)
+            # Taylor coefficient p^(k)(u) / k! at the new segment start
+            shifted[:, k] = _horner(_poly_derivative(tr, k)[idx], u) / fact
+        pre, post = a[:-1] < tb[0], a[:-1] >= tb[-1]
+        shifted[pre | post] = 0.0
+        shifted[pre, 0] = before
+        shifted[post, 0] = after
+        rows += sgn * shifted
+    return a, rows
 
 
 @dataclass(frozen=True)
@@ -349,7 +365,7 @@ class TrajectoryPair:
 
     def gap_min(self) -> float:
         """Exact min of R(t) - L(t) over the whole time axis."""
-        breaks, rows = _merged_gap_coeffs(self.left, self.right)
+        breaks, rows = _merged_gap_coeffs(self.left.table(), self.right.table())
         _, vals = piecewise_extremes(breaks, rows)
         return min(self.d0, self.df, float(vals.min()))
 

@@ -90,3 +90,6 @@ def test_invalid_requests_rejected(contraction12):
         am.eval("H", 0.0)
     with pytest.raises(ValueError):
         am.eval("G", 0.0, order=4)
+    for order in (-1, 4):
+        with pytest.raises(ValueError):
+            am.jet("F", 0.0, order)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cavsta.errors import SuperluminalError
@@ -39,6 +41,31 @@ def test_map_inversion_round_trip(contraction12):
     assert_allclose(t_adv + s.pair.right(t_adv), z, atol=1e-12)
     t_ret = moore.invert_retarded("left", z)
     assert_allclose(t_ret - s.pair.left(t_ret), z, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.0, 0.4),
+    st.floats(0.0, 0.3),
+    st.floats(1.5, 20.0),
+    st.sampled_from(["left", "right"]),
+    st.data(),
+)
+def test_map_inversion_round_trip_on_random_protocols(eps, Lf, tau, mirror, data):
+    """Subluminal contractions (speeds <= 35/16 * 0.4/1.5 < 0.6): both map
+    inverses land on their target, inside and outside the motion window."""
+    pair = make_reference("contraction", L0=0.0, Lf=Lf, R0=1.0, eps=eps, tau=tau)
+    moore = ExactMoore(pair)
+    path = getattr(pair, mirror)
+    target = st.one_of(st.floats(-2.0, tau + 2.0), st.floats(-1e3, 1e3))
+    z = np.array(data.draw(st.lists(target, min_size=1, max_size=16)))
+    tol = 1e-12 * np.maximum(1.0, np.abs(z))
+    t = moore.invert_advanced(mirror, z)
+    assert np.all(np.abs(t + path(t) - z) <= tol)
+    t = moore.invert_retarded(mirror, z)
+    assert np.all(np.abs(t - path(t) - z) <= tol)
+    t = moore.invert_advanced(mirror, float(z[0]))
+    assert isinstance(t, float) and abs(t + path(t) - z[0]) <= tol[0]
 
 
 def test_pre_motion_inversion_is_exact_shift(contraction12):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cavsta import sta
 from cavsta.errors import AdiabaticOrderError, BracketError, CavstaError
 from cavsta.moore_adiabatic import AdiabaticMoore
 from cavsta.sta import (
@@ -18,7 +19,7 @@ from cavsta.sta import (
     effective_position,
     limit_trajectory,
 )
-from cavsta.trajectory import make_reference
+from cavsta.trajectory import _merged_gap_coeffs, make_reference, piecewise_extremes
 
 
 def test_effective_solves_defining_equations(contraction12):
@@ -78,6 +79,38 @@ def test_effective_derivatives_consistent(contraction12):
     assert_allclose(jet[1], tr(t, 1), rtol=0, atol=0)
 
 
+def test_effective_jet_orders_outside_0_to_3_rejected(contraction12):
+    tr = contraction12.eff_pair.right
+    for order in (-1, 4):
+        with pytest.raises(ValueError):
+            tr(0.5, order)
+        with pytest.raises(ValueError):
+            tr.jet(0.5, order)
+
+
+def test_effective_build_asks_for_no_third_order(contraction12, monkeypatch):
+    """The solver needs value and slope, the implicit jet curvature; a
+    full third-order adiabatic jet anywhere in the build is wasted work."""
+    orders, rounds = [], []
+    jet, implicit_jet = AdiabaticMoore.jet, sta._implicit_jet
+
+    def recording_jet(self, which, z, order=3):
+        orders.append(order)
+        return jet(self, which, z, order)
+
+    def counting_implicit_jet(*args):
+        rounds.append(None)
+        return implicit_jet(*args)
+
+    monkeypatch.setattr(AdiabaticMoore, "jet", recording_jet)
+    monkeypatch.setattr(sta, "_implicit_jet", counting_implicit_jet)
+    s = contraction12
+    build_effective(s.am, "right", *s.window)
+    assert rounds and orders
+    assert 3 not in orders
+    assert orders.count(2) <= 2 * len(rounds)
+
+
 def test_effective_position_scalar_matches_curve(contraction12):
     s = contraction12
     for t in (-0.5, 0.3, 0.8, 1.9):
@@ -96,7 +129,14 @@ def test_superluminal_protocol_flagged():
     assert eff.left.max_speed_sampled >= 1.0
 
 
-class _DecreasingMoore:
+class _StubMoore:
+    """Stub Moore pair: `jet` is assembled from the stub's own G and F."""
+
+    def jet(self, which, z, order=3):
+        return tuple(getattr(self, which)(z, k) for k in range(order + 1))
+
+
+class _DecreasingMoore(_StubMoore):
     """Stub whose defining equation has its root on a decreasing branch."""
 
     def G(self, z, order=0):
@@ -108,7 +148,7 @@ class _DecreasingMoore:
         return w ** 2 if order == 0 else 2.0 * w
 
 
-class _RootlessMoore:
+class _RootlessMoore(_StubMoore):
     """Stub whose defining equation never crosses its target."""
 
     def G(self, z, order=0):
@@ -135,7 +175,7 @@ def test_missing_root_reported():
 _UNIT_PAIR = SimpleNamespace(L0=0.0, Lf=0.0, R0=1.0, Rf=1.0, d0=1.0)
 
 
-class _FarGuessMoore:
+class _FarGuessMoore(_StubMoore):
     """Stub with h(x) = -(x - 0.5)(x + 1.5)(x - 2.5) at t = 0: the only
     increasing crossing is x = 0.5, and a bracket grown symmetrically about
     a guess beyond 2.5 or below -1.5 never straddles it."""
@@ -213,3 +253,17 @@ def test_effective_pair_presents_trajectory_protocol(contraction12):
     assert 0.0 < eff.gap_min() <= 0.4 + 1e-9
     t = np.linspace(*contraction12.window, 50)
     assert np.all(eff.gap(t) > 0.0)
+
+
+def test_effective_gap_min_is_exact(contraction12):
+    eff = contraction12.eff_pair
+    lo, hi = contraction12.window
+    dense = eff.gap(np.linspace(lo, hi, 10_000))
+    gmin = eff.gap_min()
+    assert gmin <= dense.min()
+    # the minimum sits inside the window, at a candidate of the merged table
+    breaks, rows = _merged_gap_coeffs(eff.left.table(), eff.right.table())
+    ts, vals = piecewise_extremes(breaks, rows)
+    i = int(np.argmin(vals))
+    assert gmin == vals[i] < min(eff.d0, eff.df)
+    assert abs(eff.gap(ts[i]) - gmin) <= 1e-12

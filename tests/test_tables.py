@@ -1,15 +1,19 @@
 """Property tests for the shared piecewise-polynomial table code: the one
-evaluator and extremum finder, and the two interpolants built on it."""
+evaluator and extremum finder, the two interpolants built on it, and the
+truncated jets, which must be bit-for-bit prefixes of the full ones."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 from numpy.polynomial.polynomial import polyval
 from numpy.testing import assert_allclose
 
+from cavsta import jets
 from cavsta.moore_adiabatic import AdiabaticMoore
 from cavsta.sta import _quintic_rows
 from cavsta.trajectory import (
+    MirrorPath,
     _poly_derivative,
     make_reference,
     piecewise_eval,
@@ -95,3 +99,100 @@ def test_advance_rows_reproduce_integral_and_integrand(eps, Lf, tau, panels):
     g = 1.0 / pair.gap(nodes)
     assert_allclose(slopes[:, 0], g[:-1], rtol=1e-9)
     assert_allclose(polyval(np.diff(nodes), slopes.T, tensor=False), g[1:], rtol=1e-9)
+
+
+# -- truncated jets are prefixes of the full jets ----------------------------
+
+
+def _same(got, want):
+    """Tuples of equal length whose entries are equal element by element."""
+    return len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@st.composite
+def arguments(draw, breaks):
+    """Arguments inside the span of `breaks`, outside it and exactly on a
+    break, as a scalar or an array."""
+    lo, hi = float(breaks[0]), float(breaks[-1])
+    one = st.one_of(
+        st.floats(lo, hi),
+        st.floats(lo - 5.0, lo, exclude_max=True),
+        st.floats(hi, hi + 5.0, exclude_min=True),
+        st.sampled_from([float(b) for b in breaks]),
+    )
+    if draw(st.booleans()):
+        return draw(one)
+    return np.array(draw(st.lists(one, min_size=1, max_size=12)))
+
+
+def _split_path(path: MirrorPath, cuts) -> MirrorPath:
+    """The one-segment `path` with its polynomial re-expanded on segments
+    split at `cuts`, so the table has interior breaks."""
+    p = Polynomial(path.coeffs[0])
+    breaks = np.concatenate([path.breaks[:1], cuts, path.breaks[1:]])
+    rows = np.zeros((len(breaks) - 1, path.coeffs.shape[1]))
+    for i, a in enumerate(breaks[:-1]):
+        c = p(Polynomial([a - path.breaks[0], 1.0])).coef
+        rows[i, : len(c)] = c
+    return MirrorPath(breaks, rows, edges=path.edges)
+
+
+def _some(breaks, n=40):
+    """About n of `breaks`, both ends included."""
+    return np.append(breaks[:-1 : max(1, len(breaks) // n)], breaks[-1])
+
+
+_TAU = 1.2
+_REF = make_reference("contraction", L0=0.0, Lf=0.3, R0=1.0, eps=0.3, tau=_TAU)
+_SPLIT = _split_path(_REF.right, np.array([0.25, 0.6, 0.61, 1.0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_path_jets_are_prefixes_of_calls(data):
+    for path in (_REF.left, _SPLIT):
+        t = data.draw(arguments(path.breaks))
+        for k in range(4):
+            assert _same(path.jet(t, k), tuple(path(t, j) for j in range(k + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_effective_jets_are_prefixes_of_calls(contraction12, data):
+    for path in (contraction12.eff_pair.left, contraction12.eff_pair.right):
+        t = data.draw(arguments(_some(path.times)))
+        for k in range(4):
+            assert _same(path.jet(t, k), tuple(path(t, j) for j in range(k + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_adiabatic_jets_are_prefixes_of_full_jet(contraction12, data):
+    am = contraction12.am
+    z = data.draw(arguments(_some(am._nodes)))
+    for which in ("F", "G"):
+        full = am.jet(which, z)
+        for k in range(4):
+            assert _same(am.jet(which, z, k), full[: k + 1])
+            assert np.array_equal(am.eval(which, z, k), full[k])
+
+
+_jet_entry = st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3).map(np.array)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_jet_entry, min_size=4, max_size=4),
+    st.lists(_jet_entry, min_size=3, max_size=3),
+    st.lists(st.floats(0.01, 100.0), min_size=3, max_size=3),
+    st.lists(st.booleans(), min_size=3, max_size=3),
+)
+def test_truncated_quotients_are_prefixes(u, v_tail, v0, flip):
+    v = [np.where(flip, -1.0, 1.0) * np.array(v0), *v_tail]
+    full_q, full_r = jets.divide(u, v), jets.reciprocal(v)
+    for k in range(4):
+        n = k + 1
+        assert _same(jets.divide(u[:n], v[:n]), full_q[:n])
+        assert _same(jets.divide(u[:n], v), full_q[:n])
+        assert _same(jets.divide(u, v[:n]), full_q[:n])
+        assert _same(jets.reciprocal(v[:n]), full_r[:n])

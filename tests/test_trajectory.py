@@ -79,6 +79,15 @@ def test_path_jet_matches_call_orders():
         assert_allclose(jet[k], pair.right(t, k), rtol=0, atol=0)
 
 
+def test_path_orders_outside_0_to_3_rejected():
+    path = make_reference("contraction", L0=0.0, Lf=0.3, R0=1.0, eps=0.3, tau=1.2).left
+    for order in (-1, 4):
+        with pytest.raises(ValueError):
+            path(0.5, order)
+        with pytest.raises(ValueError):
+            path.jet(0.5, order)
+
+
 def test_path_derivatives_vanish_outside_motion():
     pair = make_reference("contraction", L0=0.0, Lf=0.3, R0=1.0, eps=0.3, tau=1.2)
     for order in (1, 2, 3):
