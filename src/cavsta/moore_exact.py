@@ -5,9 +5,13 @@ the last right-mirror reflection, step to the previous left-mirror
 reflection, and recurse with G(z) = G(z') + 2 until the bounce time drops
 before motion onset, where the static closed form (z - L0)/d0 applies.  F is
 the mirror image.  Each inversion is a strictly monotone scalar equation
-(guaranteed by |X'| < 1), solved with a bracketed vectorized Newton
-iteration; derivatives to third order propagate analytically through every
-inversion and reflection, so no numerical differentiation ever happens.
+(guaranteed by |X'| < 1).  The images b +- X(b) of the path's segment
+boundaries are tabulated once per map, so one search finds the segment
+that holds a target's root; Newton steps on that segment's rows, seeded by
+the secant across it, then polish the root, and targets beyond the table
+invert in closed form.  The path's jet at the root comes back with it, and
+derivatives to third order propagate analytically through every inversion
+and reflection, so no numerical differentiation ever happens.
 
 The recursion argument strictly decreases by about twice the cavity length
 per round trip, which bounds the depth a priori.
@@ -19,8 +23,30 @@ import numpy as np
 
 from . import jets
 from .errors import ConvergenceError, SuperluminalError
+from .trajectory import _horner, _poly_derivative
 
 __all__ = ["ExactMoore"]
+
+
+def _map_tables(path):
+    """Inversion tables of the maps t + sign*X(t) of one mirror path, keyed
+    by sign: (breaks, ascending coefficients of value and slope, images of
+    the breaks, constant values before and after the table).  Both signs
+    share the coefficient arrays.
+    """
+    breaks, rows, before, after = path.table()
+    coefs = (rows, _poly_derivative(rows, 1))
+    X = path(breaks)
+    tables = {}
+    for sign in (1.0, -1.0):
+        img = breaks + sign * X
+        if not np.all(np.diff(img) > 0.0):
+            raise SuperluminalError(
+                "the images t +- X(t) of the path's segment boundaries do not "
+                "strictly increase; the map is not invertible"
+            )
+        tables[sign] = (breaks, coefs, img, float(before), float(after))
+    return tables
 
 
 class ExactMoore:
@@ -28,7 +54,8 @@ class ExactMoore:
 
     Works with any pair-like object exposing left/right paths with
     ``__call__(t, order)``, ``jet(t, order=3)`` (the tuple of orders
-    0..order), ``bounds()`` and ``max_speed()``,
+    0..order), ``table()`` (breaks, ascending-coefficient rows, constant
+    values before and after) and ``max_speed()``,
     plus ``L0``, ``R0``, ``d0``, ``motion_start`` and ``gap_min()``; the
     effective-trajectory pairs built by the sta module satisfy this protocol.
     """
@@ -43,10 +70,7 @@ class ExactMoore:
                 )
         self.pair = pair
         self.tol = float(tol)
-        self._bounds = {
-            "left": pair.left.bounds(),
-            "right": pair.right.bounds(),
-        }
+        self._maps = {side: _map_tables(getattr(pair, side)) for side in ("left", "right")}
         self._gap_min = pair.gap_min()
         self._start = pair.motion_start
         # a backward ray is already static when its argument is at or below
@@ -60,76 +84,69 @@ class ExactMoore:
 
     # -- monotone map inversion ------------------------------------------------
 
-    def _invert(self, path, bnd, target, sign):
-        """Solve t + sign*X(t) = target; vectorized safeguarded Newton.
+    def _invert(self, mirror: str, sign: float, target, order: int = 3):
+        """Solve t + sign*X(t) = target for the mirror's path X.
 
-        The map is strictly increasing for subluminal X, so the bracket
-        [target -+ max X, target -+ min X] straddles the unique root; the
-        ends are re-validated and pushed outward first, in case the path's
-        reported bounds are a hair tight (interpolated paths).  Newton steps
-        that leave the bracket fall back to bisection, and each point stops
-        iterating once its residual or step is at roundoff.
+        Returns t and the path's jet of orders 0..order at t.  Targets at or
+        beyond the image of the first or last segment boundary map to the
+        constant path in closed form.  Every other target lies between the
+        images of one segment's ends (the map is strictly increasing for
+        subluminal X), which brackets its root in the segment's local
+        variable; Newton steps from the secant seed run on that segment's
+        rows, and a step that leaves the bracket falls back to bisection.
+        Each point stops once its residual or step is at roundoff.
         """
-        target = np.asarray(target, dtype=float)
-        xmin, xmax = bnd
-        if sign > 0:
-            lo, hi = target - xmax, target - xmin
-        else:
-            lo, hi = target + xmin, target + xmax
+        path = getattr(self.pair, mirror)
+        breaks, (c0, c1), img, before, after = self._maps[mirror][sign]
+        target = np.atleast_1d(np.asarray(target, dtype=float))
         scale = np.maximum(1.0, np.abs(target))
-        pad = 1e-6 * np.maximum(scale, hi - lo)
-        for _ in range(8):
-            f_lo = lo + sign * path(lo) - target
-            f_hi = hi + sign * path(hi) - target
-            short = (f_lo > 0.0) | (f_hi < 0.0)
-            if not short.any():
-                break
-            lo = np.where(f_lo > 0.0, lo - pad, lo)
-            hi = np.where(f_hi < 0.0, hi + pad, hi)
-            pad = pad * 8.0
-        t = 0.5 * (lo + hi)
-        done = np.zeros(t.shape, dtype=bool)
-        for _ in range(90):
-            X, X1 = path.jet(t, 1)
-            f = t + sign * X - target
-            done = done | (np.abs(f) <= 4e-15 * scale)
-            if done.all():
-                break
-            lo = np.where(~done & (f < 0.0), t, lo)
-            hi = np.where(~done & (f > 0.0), t, hi)
-            m = 1.0 + sign * X1
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tn = t - f / m
-            # strict comparison: the root can sit exactly on a bracket end
-            # (static targets in a monotone protocol), and rejecting that
-            # landing would degrade Newton to plain bisection
-            fallback = ~np.isfinite(tn) | (tn < lo) | (tn > hi)
-            tn = np.where(fallback, 0.5 * (lo + hi), tn)
-            step_small = np.abs(tn - t) <= 1e-15 * scale
-            t = np.where(done, t, tn)
-            done = done | step_small
-        f = t + sign * path(t) - target
-        bad = ~np.isfinite(f) | (
-            np.abs(f) > np.maximum(self.tol, 1e-12 * scale)
-        )
+        t = target - sign * np.where(target <= img[0], before, after)
+        inner = np.flatnonzero((target > img[0]) & (target < img[-1]))
+        if inner.size:
+            z = target[inner]
+            k = np.searchsorted(img, z, side="right") - 1
+            b, a0, a1 = breaks[k], c0[k], c1[k]
+            lo = np.zeros(z.shape)
+            hi = breaks[k + 1] - b
+            u = hi * (z - img[k]) / (img[k + 1] - img[k])
+            done = np.zeros(z.shape, dtype=bool)
+            tol_f, tol_u = 4e-15 * scale[inner], 1e-15 * scale[inner]
+            for _ in range(90):
+                f = (b + u) + sign * _horner(a0, u) - z
+                done = done | (np.abs(f) <= tol_f)
+                if done.all():
+                    break
+                lo = np.where(f < 0.0, u, lo)
+                hi = np.where(f > 0.0, u, hi)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    un = u - f / (1.0 + sign * _horner(a1, u))
+                # strict comparison: the root can sit exactly on a bracket end
+                # (a target on a boundary image), and rejecting that landing
+                # would degrade Newton to plain bisection
+                fallback = ~np.isfinite(un) | (un < lo) | (un > hi)
+                un = np.where(fallback, 0.5 * (lo + hi), un)
+                step_small = np.abs(un - u) <= tol_u
+                u = np.where(done, u, un)
+                done = done | step_small
+            t[inner] = b + u
+        jet = path.jet(t, order)
+        f = t + sign * jet[0] - target
+        bad = ~np.isfinite(f) | (np.abs(f) > np.maximum(self.tol, 1e-12 * scale))
         if np.any(bad):
-            worst = np.abs(np.atleast_1d(f)[np.atleast_1d(bad)])
             raise ConvergenceError(
-                f"map inversion stalled at residual {np.max(worst):.3e}"
+                f"map inversion stalled at residual {np.max(np.abs(f[bad])):.3e}"
             )
-        return t
+        return t, jet
 
     def invert_advanced(self, mirror: str, z):
         """t such that t + X(t) = z for the chosen mirror path."""
-        path = getattr(self.pair, mirror)
-        t = self._invert(path, self._bounds[mirror], z, +1)
-        return float(t) if np.ndim(z) == 0 else t
+        t, _ = self._invert(mirror, 1.0, z, 0)
+        return float(t[0]) if np.ndim(z) == 0 else t
 
     def invert_retarded(self, mirror: str, w):
         """t such that t - X(t) = w for the chosen mirror path."""
-        path = getattr(self.pair, mirror)
-        t = self._invert(path, self._bounds[mirror], w, -1)
-        return float(t) if np.ndim(w) == 0 else t
+        t, _ = self._invert(mirror, -1.0, w, 0)
+        return float(t[0]) if np.ndim(w) == 0 else t
 
     # -- backward traces ---------------------------------------------------------
 
@@ -137,10 +154,24 @@ class ExactMoore:
         span = max(0.0, arg_max - self._start)
         return int(np.ceil(span / (2.0 * self._gap_min))) + 4
 
+    @staticmethod
+    def _reflect(sign: float, t, Xj, acc):
+        """Compose onto the jet `acc` one reflection: invert the map
+        t + sign*X(t) at the jet's value (root t, path jet Xj there), then
+        step to the other null coordinate t - sign*X(t)."""
+        step_in = (t, *jets.inverse_derivs(1.0 + sign * Xj[1], sign * Xj[2], sign * Xj[3]))
+        step_out = (t - sign * Xj[0], 1.0 - sign * Xj[1], -sign * Xj[2], -sign * Xj[3])
+        return jets.compose(step_out, jets.compose(step_in, acc))
+
     def _trace(self, args, which: str):
-        """Shared backward walk; returns (final static args, jets, bounce counts)."""
-        left, right = self.pair.left, self.pair.right
-        bl, br = self._bounds["left"], self._bounds["right"]
+        """Shared backward walk; returns (final static args, jets, bounce counts).
+
+        G first inverts the right-mirror map t + R(t), then the left-mirror
+        map t - L(t); F takes the two mirrors in the opposite order.
+        """
+        first, second = (("right", 1.0), ("left", -1.0))
+        if which == "F":
+            first, second = second, first
         arg = np.array(args, dtype=float, copy=True)
         d1 = np.ones_like(arg)
         d2 = np.zeros_like(arg)
@@ -161,40 +192,18 @@ class ExactMoore:
                 a = a[~stat]
                 if idx.size == 0:
                     continue
-            if which == "G":
-                t1 = self._invert(right, br, a, +1)
-            else:
-                t1 = self._invert(left, bl, a, -1)
+            t1, Xj = self._invert(*first, a)
             go = t1 > self._start
             active[idx[~go]] = False
             cont = idx[go]
             if cont.size == 0:
                 continue
-            tc = t1[go]
             # each step is the jet of one map, valued at the argument it
             # reaches: invert the mirror map, then reflect off the mirror
-            if which == "G":
-                Xj = right.jet(tc)
-                step_in = (tc, *jets.inverse_derivs(1.0 + Xj[1], Xj[2], Xj[3]))
-                step_out = (tc - Xj[0], 1.0 - Xj[1], -Xj[2], -Xj[3])
-            else:
-                Xj = left.jet(tc)
-                step_in = (tc, *jets.inverse_derivs(1.0 - Xj[1], -Xj[2], -Xj[3]))
-                step_out = (tc + Xj[0], 1.0 + Xj[1], Xj[2], Xj[3])
-            acc = jets.compose(step_in, (arg[cont], d1[cont], d2[cont], d3[cont]))
-            acc = jets.compose(step_out, acc)
-            if which == "G":
-                t2 = self._invert(left, bl, acc[0], -1)
-                Yj = left.jet(t2)
-                step_in2 = (t2, *jets.inverse_derivs(1.0 - Yj[1], -Yj[2], -Yj[3]))
-                step_out2 = (t2 + Yj[0], 1.0 + Yj[1], Yj[2], Yj[3])
-            else:
-                t2 = self._invert(right, br, acc[0], +1)
-                Yj = right.jet(t2)
-                step_in2 = (t2, *jets.inverse_derivs(1.0 + Yj[1], Yj[2], Yj[3]))
-                step_out2 = (t2 - Yj[0], 1.0 - Yj[1], -Yj[2], -Yj[3])
-            acc = jets.compose(step_in2, acc)
-            new_arg, *acc = jets.compose(step_out2, acc)
+            acc = (arg[cont], d1[cont], d2[cont], d3[cont])
+            acc = self._reflect(first[1], t1[go], [x[go] for x in Xj], acc)
+            t2, Yj = self._invert(*second, acc[0])
+            new_arg, *acc = self._reflect(second[1], t2, Yj, acc)
             if np.any(new_arg >= arg[cont]):
                 raise ConvergenceError(
                     "backward trace failed to decrease; geometry invalid"
@@ -242,11 +251,15 @@ class ExactMoore:
 
     def residuals(self, times):
         """Sup over `times` of |G(t+L)-F(t-L)| and |G(t+R)-F(t-R)-2|."""
-        t = np.asarray(times, dtype=float)
+        t = np.atleast_1d(np.asarray(times, dtype=float))
         L = self.pair.left(t)
         R = self.pair.right(t)
-        res_l = np.max(np.abs(self.solve_G(t + L)[0] - self.solve_F(t - L)[0]))
-        res_r = np.max(np.abs(self.solve_G(t + R)[0] - self.solve_F(t - R)[0] - 2.0))
+        # one trace per map over both mirrors' arguments; each element's
+        # trace is independent of the rest of the batch
+        g_l, g_r = np.split(self.solve_G(np.concatenate([t + L, t + R]))[0], 2)
+        f_l, f_r = np.split(self.solve_F(np.concatenate([t - L, t - R]))[0], 2)
+        res_l = np.max(np.abs(g_l - f_l))
+        res_r = np.max(np.abs(g_r - f_r - 2.0))
         return float(res_l), float(res_r)
 
     def kink_args(self, lo: float, hi: float):
@@ -275,11 +288,11 @@ class ExactMoore:
                     break
                 new_z, new_w = [], []
                 if w_keep.size:
-                    t = self._invert(self.pair.right, self._bounds["right"], w_keep, -1)
-                    new_z = (t + self.pair.right(t)).tolist()
+                    t, (X,) = self._invert("right", -1.0, w_keep, 0)
+                    new_z = (t + X).tolist()
                 if z_keep.size:
-                    t = self._invert(self.pair.left, self._bounds["left"], z_keep, +1)
-                    new_w = (t - self.pair.left(t)).tolist()
+                    t, (X,) = self._invert("left", 1.0, z_keep, 0)
+                    new_w = (t - X).tolist()
                 z_front, w_front = new_z, new_w
             z_all = np.unique(np.asarray(z_list))
             w_all = np.unique(np.asarray(w_list))

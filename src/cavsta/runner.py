@@ -368,6 +368,9 @@ def run(cfg: RunConfig) -> RunResult:
         lab = _t_label(T)
         results_section[f"q_ref_final_T{lab}"] = float(record.Q_ref[i, -1])
         results_section[f"q_eff_final_T{lab}"] = float(record.Q_eff[i, -1])
+        # Q divides by E_ad, which is proportional to this weight; near its
+        # zero (T*d0 ~ 0.955) Q is ill-conditioned
+        results_section[f"kinetic_weight_T{lab}"] = states[i].kinetic_weight
     for j, note in enumerate(notes):
         results_section[f"note_{j}"] = note
     if cfg.critical:

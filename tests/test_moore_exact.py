@@ -1,5 +1,7 @@
 """Exact Moore functions from backward characteristic tracing."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,9 @@ from numpy.testing import assert_allclose
 
 from cavsta.errors import SuperluminalError
 from cavsta.moore_exact import ExactMoore
-from cavsta.trajectory import make_reference
+from cavsta.trajectory import MirrorPath, TrajectoryPair, make_reference
 
-from util import drop_near, fd_jets
+from util import drop_near, fd_jets, split_path
 
 
 def test_static_cavity_moore_is_identity(static_unit):
@@ -135,3 +137,116 @@ def test_scalar_interface(contraction12):
     moore = contraction12.exact_ref
     out = moore.solve_G(0.37)
     assert all(isinstance(v, float) for v in out)
+
+
+def test_residuals_batch_is_bitwise_unbatched(contraction12):
+    """residuals traces each map once over both mirrors' arguments; every
+    element's trace is independent of the batch, so values are unchanged."""
+    s = contraction12
+    t = s.times(300)
+    for moore, pair in ((s.exact_ref, s.pair), (s.exact_eff, s.eff_pair)):
+        L, R = pair.left(t), pair.right(t)
+        g_l, g_r = moore.solve_G(t + L)[0], moore.solve_G(t + R)[0]
+        f_l, f_r = moore.solve_F(t - L)[0], moore.solve_F(t - R)[0]
+        g = moore.solve_G(np.concatenate([t + L, t + R]))[0]
+        assert np.array_equal(g, np.concatenate([g_l, g_r]))
+        want = (float(np.max(np.abs(g_l - f_l))), float(np.max(np.abs(g_r - f_r - 2.0))))
+        assert moore.residuals(t) == want
+
+
+def test_one_path_lookup_per_inversion(contraction12, monkeypatch):
+    """Each map inversion reads the path once, for the residual check and
+    the jet the trace needs; the Newton loop runs on the map's own table."""
+    moore = contraction12.exact_ref
+    counts = {"lookups": 0, "inversions": 0}
+
+    def counting(cls, name, key):
+        orig = getattr(cls, name)
+
+        def wrapped(*args, **kw):
+            counts[key] += 1
+            return orig(*args, **kw)
+
+        monkeypatch.setattr(cls, name, wrapped)
+
+    counting(MirrorPath, "jet", "lookups")
+    counting(MirrorPath, "__call__", "lookups")
+    counting(ExactMoore, "_invert", "inversions")
+    z = np.linspace(-1.0, 6.0, 97)
+    for solve in (moore.solve_G, moore.solve_F):
+        counts.update(lookups=0, inversions=0)
+        solve(z)
+        assert counts["inversions"] > 0
+        assert counts["lookups"] == counts["inversions"]
+
+
+_TAU = 1.2
+_CUTS = np.array([0.25, 0.6, 0.61, 1.0])
+_REF = make_reference("contraction", L0=0.0, Lf=0.3, R0=1.0, eps=0.3, tau=_TAU)
+_SPLIT = ExactMoore(
+    TrajectoryPair(split_path(_REF.left, _CUTS), split_path(_REF.right, _CUTS), _TAU)
+)
+
+
+@st.composite
+def map_targets(draw, images):
+    """Targets of one map: exactly on a boundary image, inside the table's
+    span of images, or far outside it; a scalar or an array."""
+    lo, hi = float(images[0]), float(images[-1])
+    one = st.one_of(
+        st.sampled_from([float(v) for v in images]),
+        st.floats(lo, hi),
+        st.floats(-1e3, lo),
+        st.floats(hi, 1e3),
+    )
+    if draw(st.booleans()):
+        return draw(one)
+    return np.array(draw(st.lists(one, min_size=1, max_size=16)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_inversion_round_trips_on_multi_segment_tables(contraction12, data):
+    """Effective paths (quintic segments by the thousand) and a five-segment
+    re-expansion of a reference path: every target inverts to the round-trip
+    bound, the returned jet is the path's own jet at the root, and the
+    public inverses return the same roots."""
+    assert len(contraction12.eff_pair.right.table()[0]) > 1000
+    for moore in (contraction12.exact_eff, _SPLIT):
+        mirror = data.draw(st.sampled_from(["left", "right"]))
+        sign = data.draw(st.sampled_from([1.0, -1.0]))
+        path = getattr(moore.pair, mirror)
+        breaks = path.table()[0]
+        z = data.draw(map_targets(breaks + sign * path(breaks)))
+        t, jet = moore._invert(mirror, sign, z)
+        tol = 1e-12 * np.maximum(1.0, np.abs(z))
+        assert np.all(np.abs(t + sign * path(t) - z) <= tol)
+        want = path.jet(t)
+        assert len(jet) == 4 and all(np.array_equal(j, w) for j, w in zip(jet, want))
+        invert = moore.invert_advanced if sign > 0 else moore.invert_retarded
+        assert np.array_equal(invert(mirror, z), t if np.ndim(z) else t[0])
+
+
+class _Understated:
+    """A path that reports a subluminal top speed it does not have."""
+
+    def __init__(self, path):
+        self._path = path
+
+    def __call__(self, t, order=0):
+        return self._path(t, order)
+
+    def __getattr__(self, name):
+        return getattr(self._path, name)
+
+    def max_speed(self):
+        return 0.5
+
+
+def test_non_increasing_boundary_images_refused():
+    """t - L(t) decreases across a left segment that outruns light, so the
+    map table refuses the path even when its reported speed is subluminal."""
+    fast = make_reference("contraction", L0=0.0, Lf=0.3, R0=1.0, eps=0.3, tau=0.2)
+    pair = SimpleNamespace(left=_Understated(fast.left), right=_Understated(fast.right))
+    with pytest.raises(SuperluminalError, match="boundaries"):
+        ExactMoore(pair)

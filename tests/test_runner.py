@@ -74,6 +74,18 @@ def test_summary_sections(tmp_path):
     assert res.summary["results"]["exact_reference_available"] is True
 
 
+def test_summary_reports_kinetic_weight(tmp_path):
+    """The thermal weight that scales E_ad is reported per temperature; at
+    T = 1, d0 = 1 it sits near its zero, where Q is ill-conditioned."""
+    res = run(contraction_cfg(tmp_path))
+    results = res.summary["results"]
+    assert results["kinetic_weight_T0"] == pytest.approx(-np.pi / 24.0, rel=1e-15)
+    assert results["kinetic_weight_T1"] == pytest.approx(0.0235549519, abs=1e-9)
+    text = open(os.path.join(str(tmp_path), "summary.txt")).read()
+    assert "kinetic_weight_T1 = 0.0235549519" in text
+    assert not any(key.startswith("note_") for key in results)
+
+
 def test_reruns_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     run(contraction_cfg(a))

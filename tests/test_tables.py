@@ -5,7 +5,6 @@ truncated jets, which must be bit-for-bit prefixes of the full ones."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial import Polynomial
 from numpy.polynomial.polynomial import polyval
 from numpy.testing import assert_allclose
 
@@ -13,12 +12,13 @@ from cavsta import jets
 from cavsta.moore_adiabatic import AdiabaticMoore
 from cavsta.sta import _quintic_rows
 from cavsta.trajectory import (
-    MirrorPath,
     _poly_derivative,
     make_reference,
     piecewise_eval,
     piecewise_extremes,
 )
+
+from util import split_path
 
 _coef = st.floats(-5.0, 5.0, allow_nan=False)
 
@@ -125,18 +125,6 @@ def arguments(draw, breaks):
     return np.array(draw(st.lists(one, min_size=1, max_size=12)))
 
 
-def _split_path(path: MirrorPath, cuts) -> MirrorPath:
-    """The one-segment `path` with its polynomial re-expanded on segments
-    split at `cuts`, so the table has interior breaks."""
-    p = Polynomial(path.coeffs[0])
-    breaks = np.concatenate([path.breaks[:1], cuts, path.breaks[1:]])
-    rows = np.zeros((len(breaks) - 1, path.coeffs.shape[1]))
-    for i, a in enumerate(breaks[:-1]):
-        c = p(Polynomial([a - path.breaks[0], 1.0])).coef
-        rows[i, : len(c)] = c
-    return MirrorPath(breaks, rows, edges=path.edges)
-
-
 def _some(breaks, n=40):
     """About n of `breaks`, both ends included."""
     return np.append(breaks[:-1 : max(1, len(breaks) // n)], breaks[-1])
@@ -144,7 +132,7 @@ def _some(breaks, n=40):
 
 _TAU = 1.2
 _REF = make_reference("contraction", L0=0.0, Lf=0.3, R0=1.0, eps=0.3, tau=_TAU)
-_SPLIT = _split_path(_REF.right, np.array([0.25, 0.6, 0.61, 1.0]))
+_SPLIT = split_path(_REF.right, np.array([0.25, 0.6, 0.61, 1.0]))
 
 
 @settings(max_examples=100, deadline=None)

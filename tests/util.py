@@ -1,6 +1,10 @@
-"""Finite-difference stencils used to cross-check analytic derivatives."""
+"""Finite-difference stencils used to cross-check analytic derivatives, and
+table re-expansion for tests of multi-segment paths."""
 
 import numpy as np
+from numpy.polynomial import Polynomial
+
+from cavsta.trajectory import MirrorPath
 
 
 def fd_jets(f, z, h):
@@ -18,3 +22,15 @@ def drop_near(grid, points, pad):
     for p in points:
         keep &= np.abs(grid - p) > pad
     return grid[keep]
+
+
+def split_path(path: MirrorPath, cuts) -> MirrorPath:
+    """The one-segment `path` with its polynomial re-expanded on segments
+    split at `cuts`, so the table has interior breaks."""
+    p = Polynomial(path.coeffs[0])
+    breaks = np.concatenate([path.breaks[:1], cuts, path.breaks[1:]])
+    rows = np.zeros((len(breaks) - 1, path.coeffs.shape[1]))
+    for i, a in enumerate(breaks[:-1]):
+        c = p(Polynomial([a - path.breaks[0], 1.0])).coef
+        rows[i, : len(c)] = c
+    return MirrorPath(breaks, rows, edges=path.edges)
