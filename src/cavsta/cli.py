@@ -41,7 +41,8 @@ def _parser() -> argparse.ArgumentParser:
         )
         sp.add_argument("--out", default=None, help="override output directory")
         sp.add_argument(
-            "--threads", type=int, default=1, help="worker threads for the sweep over tau"
+            "--threads", type=int, default=1,
+            help="accepted and ignored: sweeps run serially",
         )
     return p
 
@@ -50,7 +51,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        cfg = replace(cfg, strict=args.strict, threads=max(1, args.threads))
+        cfg = replace(cfg, strict=args.strict)
         if args.out is not None:
             cfg = replace(cfg, out_dir=args.out)
         result = run(cfg) if args.command == "run" else sweep_tau(cfg)

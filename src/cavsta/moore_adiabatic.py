@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from . import jets
-from .errors import ConvergenceError, GeometryError
+from .errors import ConvergenceError
 from .trajectory import TrajectoryPair, _check_order, piecewise_eval
 
 __all__ = ["AdiabaticMoore", "adiabatic_residual"]
@@ -61,8 +61,6 @@ class AdiabaticMoore:
         `endpoint_tol`; the integrand is smooth, so one doubling normally
         settles it.
         """
-        if pair.gap_min() <= 0:
-            raise GeometryError("R - L must stay positive")
         t_lo, t_hi = pair.motion_start, pair.motion_end
         n = int(panels)
         prev_end = None

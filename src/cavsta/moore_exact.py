@@ -52,12 +52,13 @@ def _map_tables(path):
 class ExactMoore:
     """Exact Moore pair (F, G) for a subluminal TrajectoryPair.
 
-    Works with any pair-like object exposing left/right paths with
-    ``__call__(t, order)``, ``jet(t, order=3)`` (the tuple of orders
-    0..order), ``table()`` (breaks, ascending-coefficient rows, constant
-    values before and after) and ``max_speed()``,
-    plus ``L0``, ``R0``, ``d0``, ``motion_start`` and ``gap_min()``; the
-    effective-trajectory pairs built by the sta module satisfy this protocol.
+    The pair may hold reference paths or effective trajectories; both are
+    piecewise paths.  What is read of the pair is ``left``, ``right``,
+    ``L0``, ``d0``, ``motion_start`` and ``gap_min()``; of each path,
+    ``table()`` (knots, ascending-coefficient rows, constant values before
+    and after), ``max_speed()``, ``breaks`` (the C^3 breaks that launch
+    kinks, see `kink_args`), position calls ``path(t)`` and jets
+    ``jet(t, order)`` (the tuple of orders 0..order).
     """
 
     def __init__(self, pair, tol: float = 1e-13):
@@ -265,8 +266,10 @@ class ExactMoore:
     def kink_args(self, lo: float, hi: float):
         """Arguments in (lo, hi) where F/G lose higher-order smoothness.
 
-        Trajectory breakpoints launch null rays; every forward reflection
-        maps an F-argument kink to a G-argument kink and back:
+        Only the paths' C^3 breaks `path.breaks` launch kinks (an effective
+        trajectory reports its window ends there; its interior nodes are
+        C^2 joints of the interpolant, not tracked).  Every forward
+        reflection maps an F-argument kink to a G-argument kink and back:
         left-mirror events seed w = b - L(b), right-mirror events
         z = b + R(b), then w -> z off the right mirror and z -> w off the
         left mirror, each hop advancing by roughly twice the cavity length.
@@ -275,27 +278,23 @@ class ExactMoore:
         if cached is not None and cached[0] >= hi:
             z_all, w_all = cached[1], cached[2]
         else:
+            left, right = self.pair.left, self.pair.right
+            w_front = left.breaks - left(left.breaks)
+            z_front = right.breaks + right(right.breaks)
             z_list, w_list = [], []
-            w_front = [float(b - self.pair.left(float(b))) for b in self.pair.left.breaks]
-            z_front = [float(b + self.pair.right(float(b))) for b in self.pair.right.breaks]
-            cap = self._max_bounces(hi) + 1
-            for _ in range(cap):
-                w_list.extend(w_front)
-                z_list.extend(z_front)
-                w_keep = np.array([w for w in w_front if w <= hi])
-                z_keep = np.array([z for z in z_front if z <= hi])
+            for _ in range(self._max_bounces(hi) + 1):
+                w_list.append(w_front)
+                z_list.append(z_front)
+                w_keep = w_front[w_front <= hi]
+                z_keep = z_front[z_front <= hi]
                 if w_keep.size == 0 and z_keep.size == 0:
                     break
-                new_z, new_w = [], []
-                if w_keep.size:
-                    t, (X,) = self._invert("right", -1.0, w_keep, 0)
-                    new_z = (t + X).tolist()
-                if z_keep.size:
-                    t, (X,) = self._invert("left", 1.0, z_keep, 0)
-                    new_w = (t - X).tolist()
-                z_front, w_front = new_z, new_w
-            z_all = np.unique(np.asarray(z_list))
-            w_all = np.unique(np.asarray(w_list))
+                t, (X,) = self._invert("right", -1.0, w_keep, 0)
+                z_front = t + X
+                t, (X,) = self._invert("left", 1.0, z_keep, 0)
+                w_front = t - X
+            z_all = np.unique(np.concatenate(z_list))
+            w_all = np.unique(np.concatenate(w_list))
             self._kink_cache = (hi, z_all, w_all)
         return (
             z_all[(z_all > lo) & (z_all < hi)],

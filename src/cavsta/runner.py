@@ -21,8 +21,7 @@ import configparser
 import io
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,7 +66,6 @@ class RunConfig:
     custom_left: tuple | None = None  # (breaks, coeff rows)
     custom_right: tuple | None = None
     strict: bool = False
-    threads: int = 1
 
 
 def _parse_floats(text: str) -> tuple:
@@ -224,15 +222,14 @@ def _scenario(cfg: RunConfig, tau: float | None = None):
     eff_step = cfg.effective_step
     if eff_step is None:
         eff_step = (cfg.tau if tau is None else tau) / 512.0
-    eff = {
-        side: sta.build_effective(
+    eff = tuple(
+        sta.build_effective(
             am, side, t_lo, t_hi, step=eff_step, refine_tol=cfg.effective_refine_tol
         )
         for side in ("left", "right")
-    }
-    eff_pair = sta.EffectivePair(eff["left"], eff["right"])
-    lim_left, lim_right = sta.limit_trajectory(pair.L0, pair.Lf, pair.R0, pair.Rf)
-    return pair, am, times, eff_pair, (lim_left, lim_right)
+    )
+    lim = sta.limit_trajectory(pair.L0, pair.Lf, pair.R0, pair.Rf)
+    return pair, am, times, eff, lim
 
 
 def _critical_tau(cfg: RunConfig):
@@ -257,7 +254,8 @@ def _try_exact(pair, tol: float, notes: list, label: str):
 
 def run(cfg: RunConfig) -> RunResult:
     result = RunResult(config=cfg)
-    pair, am, times, eff_pair, (lim_l, lim_r) = _scenario(cfg)
+    pair, am, times, eff, (lim_l, lim_r) = _scenario(cfg)
+    eff_pair = TrajectoryPair(*eff)
     notes: list = []
     exact_ref = _try_exact(pair, cfg.root_tol, notes, "reference pair")
     exact_eff = _try_exact(eff_pair, cfg.root_tol, notes, "effective pair")
@@ -421,18 +419,20 @@ def _limit_distance(eff, lim, times, tau: float) -> float:
 
 
 def _sweep_one(cfg: RunConfig, tau: float) -> dict:
-    pair, am, times, eff_pair, (lim_l, lim_r) = _scenario(cfg, tau)
+    # the effective trajectories are read one by one: a sweep row needs no
+    # pair, and so no exact gap check
+    _, am, times, (eff_l, eff_r), (lim_l, lim_r) = _scenario(cfg, tau)
     res_ad = am.residual(times)
     return {
         "tau": tau,
         "res_ad_L": res_ad[0],
         "res_ad_R": res_ad[1],
         "res_ad_max": max(res_ad),
-        "max_eff_speed_left": eff_pair.left.max_speed_sampled,
-        "max_eff_speed_right": eff_pair.right.max_speed_sampled,
-        "dist_limit_left": _limit_distance(eff_pair.left, lim_l, times, tau),
-        "dist_limit_right": _limit_distance(eff_pair.right, lim_r, times, tau),
-        "realizable": 1.0 if eff_pair.realizable else 0.0,
+        "max_eff_speed_left": eff_l.max_speed_sampled,
+        "max_eff_speed_right": eff_r.max_speed_sampled,
+        "dist_limit_left": _limit_distance(eff_l, lim_l, times, tau),
+        "dist_limit_right": _limit_distance(eff_r, lim_r, times, tau),
+        "realizable": 1.0 if eff_l.realizable and eff_r.realizable else 0.0,
     }
 
 
@@ -443,12 +443,7 @@ def sweep_tau(cfg: RunConfig, tau_list=None) -> SweepResult:
     if any(t2 <= t1 for t1, t2 in zip(taus, taus[1:])):
         raise CavstaError("tau_list must be sorted ascending")
     result = SweepResult(config=cfg)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            rows = list(ex.map(lambda t: _sweep_one(cfg, t), taus))
-    else:
-        rows = [_sweep_one(cfg, t) for t in taus]
-    result.rows = rows
+    rows = result.rows = [_sweep_one(cfg, t) for t in taus]
 
     keys = list(rows[0].keys())
     os.makedirs(cfg.out_dir, exist_ok=True)

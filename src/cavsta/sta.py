@@ -22,22 +22,13 @@ them against the limit curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AdiabaticOrderError, BracketError, GeometryError
 from .moore_adiabatic import AdiabaticMoore
-from .trajectory import (
-    _check_order,
-    _horner,
-    _locate,
-    _merged_gap_coeffs,
-    _poly_derivative,
-    make_reference,
-    piecewise_eval,
-    piecewise_extremes,
-)
+from .trajectory import PiecewisePath, TrajectoryPair, make_reference, piecewise_eval
 
 __all__ = [
     "effective_position",
@@ -181,12 +172,11 @@ def _implicit_jet(am, side, times, positions):
     _, G1, G2 = am.jet("G", times + positions, 2)
     _, F1, F2 = am.jet("F", times - positions, 2)
     denom = G1 + F1
-    mono = bool(np.all(denom > 0.0))
     safe = np.where(np.abs(denom) < 1e-12, 1e-12, denom)
     slopes = np.clip((F1 - G1) / safe, -_SLOPE_CAP, _SLOPE_CAP)
     curv = (F2 * (1.0 - slopes) ** 2 - G2 * (1.0 + slopes) ** 2) / safe
     curv = np.clip(curv, -_SLOPE_CAP, _SLOPE_CAP)
-    return slopes, curv, mono
+    return slopes, curv
 
 
 def _quintic_rows(times, positions, slopes, curvatures) -> np.ndarray:
@@ -207,84 +197,39 @@ def _quintic_rows(times, positions, slopes, curvatures) -> np.ndarray:
     return np.stack([positions[:-1], s0, 0.5 * k0, c3, c4, c5], axis=1)
 
 
-@dataclass(frozen=True)
-class EffectiveTrajectory:
-    """Sampled effective trajectory for one mirror, with interpolant.
+class EffectiveTrajectory(PiecewisePath):
+    """Solved effective trajectory for one mirror, with its interpolant.
 
-    `times`/`positions` are the solved samples; `slopes` and `curvatures`
-    are the exact implicit-function derivatives there, feeding a C^2
-    quintic Hermite interpolant, stored as ascending-coefficient rows (one
-    per sample interval) with their derivative tables.  Outside the sample window the trajectory
-    is the pre/post constant.  `realizable` is False when the curve reaches
-    the speed of light (protocol faster than the critical timescale); such
-    curves remain usable for plotting and limit-curve comparison.
+    `times` are the solved samples, the knots of a C^2 quintic Hermite
+    interpolant that matches the solved positions and the exact
+    implicit-function slopes and curvatures there.  Outside the sample
+    window the trajectory is the pre/post constant.  `breaks` reports only
+    the window ends: the interior nodes are not C^3 breaks that the exact
+    Moore functions need to track.  `max_speed_sampled` is the exact sup
+    of |dx/dt| over the interpolant; `realizable` is False when it reaches
+    the speed of light (protocol faster than the critical timescale), and
+    such curves remain usable for plotting and limit-curve comparison.
     """
 
-    side: str
-    times: np.ndarray
-    positions: np.ndarray
-    slopes: np.ndarray
-    curvatures: np.ndarray
-    const_before: float
-    const_after: float
-    residual_sup: float
-    realizable: bool
-    monotone_ok: bool
-    max_speed_sampled: float
-    _dcoeffs: tuple = field(repr=False, compare=False)  # rows of orders 0..3
+    def __init__(self, side, times, rows, before, after, residual_sup):
+        super().__init__(times, rows, before, after)
+        self.side = side
+        self.residual_sup = float(residual_sup)
+        self.max_speed_sampled = self.max_speed()
+        self.realizable = self.max_speed_sampled < 1.0
 
-    def __call__(self, t, order: int = 0):
-        _check_order(order)
-        return self._eval(t, (order,))[0]
-
-    def _eval(self, t, orders) -> list:
-        """The given derivative orders at t, from one segment lookup."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tt = np.atleast_1d(t)
-        before = tt < self.times[0]
-        after = tt > self.times[-1]
-        inner = ~(before | after)
-        idx, u = _locate(self.times, tt[inner])
-        out = []
-        for k in orders:
-            val = np.zeros(tt.shape)
-            val[inner] = _horner(self._dcoeffs[k][idx], u)
-            if k == 0:
-                val[before] = self.const_before
-                val[after] = self.const_after
-            out.append(float(val[0]) if scalar else val)
-        return out
-
-    def jet(self, t, order: int = 3):
-        _check_order(order)
-        return tuple(self._eval(t, range(order + 1)))
-
-    def bounds(self) -> tuple[float, float]:
-        """(min, max) of position over all time, exact for the interpolant:
-        extrema sit at sample nodes or at roots of the spline derivative
-        (the Hermite interpolant overshoots the raw samples slightly, so
-        sampling any fixed grid instead would understate the range)."""
-        _, vals = piecewise_extremes(self.times, self._dcoeffs[0])
-        lo = min(float(vals.min()), self.const_before, self.const_after)
-        hi = max(float(vals.max()), self.const_before, self.const_after)
-        pad = 1e-12 * max(1.0, abs(hi), abs(lo))
-        return lo - pad, hi + pad
-
-    def max_speed(self) -> float:
-        return self.max_speed_sampled
+    # bound in this class's own namespace, so a tool that patches one path
+    # class's evaluators leaves the other's alone
+    __call__ = PiecewisePath.__call__
+    jet = PiecewisePath.jet
 
     @property
-    def motion_start(self) -> float:
-        return float(self.times[0])
-
-    def table(self):
-        """(breaks, rows, before, after) of the position interpolant."""
-        return self.times, self._dcoeffs[0], self.const_before, self.const_after
+    def times(self) -> np.ndarray:
+        return self._knots
 
     @property
     def breaks(self) -> np.ndarray:
-        return np.array([self.times[0], self.times[-1]])
+        return self._knots[[0, -1]]
 
 
 def build_effective(
@@ -316,10 +261,8 @@ def build_effective(
     ref_path = pair.right if side == "right" else pair.left
     positions = _solve_many(am, side, times, ref_path(times), pair.d0)
 
-    monotone_ok = True
     for round_ in range(max_refine + 1):
-        slopes, curvatures, mono = _implicit_jet(am, side, times, positions)
-        monotone_ok = monotone_ok and mono
+        slopes, curvatures = _implicit_jet(am, side, times, positions)
         rows = _quintic_rows(times, positions, slopes, curvatures)
         if round_ == max_refine:
             break
@@ -333,7 +276,6 @@ def build_effective(
         positions = np.concatenate([positions, solved[bad]])
         order = np.argsort(times)
         times, positions = times[order], positions[order]
-    x0 = pair.R0 if side == "right" else pair.L0
 
     residual = np.max(
         np.abs(
@@ -342,75 +284,11 @@ def build_effective(
             - _TARGET[side]
         )
     )
-    fd_speed = np.max(np.abs(np.diff(positions) / np.diff(times)))
-    # sup of |dx/dt| over the interpolant: nodes and roots of d2x/dt2
-    dcoeffs = tuple(_poly_derivative(rows, k) for k in range(4))
-    _, speeds = piecewise_extremes(times, dcoeffs[1])
-    max_speed = float(max(fd_speed, np.max(np.abs(speeds))))
-    return EffectiveTrajectory(
-        side=side,
-        times=times,
-        positions=positions,
-        slopes=slopes,
-        curvatures=curvatures,
-        const_before=x0,
-        const_after=pair.Rf if side == "right" else pair.Lf,
-        residual_sup=float(residual),
-        realizable=max_speed < 1.0,
-        monotone_ok=monotone_ok,
-        max_speed_sampled=max_speed,
-        _dcoeffs=dcoeffs,
-    )
+    return EffectiveTrajectory(side, times, rows, *ref_path.edges, residual)
 
 
-@dataclass(frozen=True)
-class EffectivePair:
-    """Two effective trajectories presented with the TrajectoryPair protocol,
-    so the exact Moore solver and the energy quadrature can consume them."""
-
-    left: EffectiveTrajectory
-    right: EffectiveTrajectory
-
-    @property
-    def L0(self) -> float:
-        return self.left.const_before
-
-    @property
-    def Lf(self) -> float:
-        return self.left.const_after
-
-    @property
-    def R0(self) -> float:
-        return self.right.const_before
-
-    @property
-    def Rf(self) -> float:
-        return self.right.const_after
-
-    @property
-    def d0(self) -> float:
-        return self.R0 - self.L0
-
-    @property
-    def df(self) -> float:
-        return self.Rf - self.Lf
-
-    @property
-    def motion_start(self) -> float:
-        return min(self.left.motion_start, self.right.motion_start)
-
-    @property
-    def realizable(self) -> bool:
-        return self.left.realizable and self.right.realizable
-
-    def gap(self, t, order: int = 0):
-        return self.right(t, order) - self.left(t, order)
-
-    def gap_min(self) -> float:
-        """Exact min of R(t) - L(t) over the whole time axis."""
-        breaks, rows = _merged_gap_coeffs(self.left.table(), self.right.table())
-        _, vals = piecewise_extremes(breaks, rows)
-        return min(self.d0, self.df, float(vals.min()))
+# two effective trajectories make a pair like the reference one, without tau
+EffectivePair = TrajectoryPair
 
 
 @dataclass(frozen=True)
@@ -517,8 +395,8 @@ def critical_tau(
     """Timescale where the max effective-trajectory speed crosses 1.
 
     Rebuilds the adiabatic Moore functions and both effective trajectories
-    per candidate tau and bisects on (max speed - 1); speeds come from
-    finite differences on the sample table.  `step` (default tau/512),
+    per candidate tau and bisects on (max speed - 1); speeds are the exact
+    sup of each interpolant's |dx/dt|.  `step` (default tau/512),
     `panels` and `refine_tol` are passed to AdiabaticMoore.build and
     build_effective.  Raises BracketError when the range does not straddle
     the crossing ("all candidate tau physical" / "none physical").
@@ -526,7 +404,7 @@ def critical_tau(
     if not 0 < tau_lo < tau_hi:
         raise ValueError(f"need 0 < tau_lo < tau_hi, got ({tau_lo}, {tau_hi})")
 
-    def max_speed(tau: float) -> float:
+    def v_max(tau: float) -> float:
         pair = make_reference(family, L0=L0, Lf=Lf, R0=R0, eps=eps, tau=tau)
         am = AdiabaticMoore.build(pair, panels)
         lo, hi = default_window(pair)
@@ -536,8 +414,8 @@ def critical_tau(
             for side in ("left", "right")
         )
 
-    f_lo = max_speed(tau_lo) - 1.0
-    f_hi = max_speed(tau_hi) - 1.0
+    f_lo = v_max(tau_lo) - 1.0
+    f_hi = v_max(tau_hi) - 1.0
     if f_lo <= 0.0 and f_hi <= 0.0:
         raise BracketError("all candidate tau physical: no speed-of-light crossing")
     if f_lo >= 0.0 and f_hi >= 0.0:
@@ -549,7 +427,7 @@ def critical_tau(
     lo, hi = tau_lo, tau_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if max_speed(mid) - 1.0 > 0.0:
+        if v_max(mid) - 1.0 > 0.0:
             lo = mid
         else:
             hi = mid

@@ -22,6 +22,7 @@ from .errors import ContinuityError, GeometryError
 
 __all__ = [
     "smoothstep7",
+    "PiecewisePath",
     "MirrorPath",
     "TrajectoryPair",
     "make_reference",
@@ -141,14 +142,90 @@ def piecewise_extremes(breaks: np.ndarray, rows: np.ndarray):
     return np.concatenate(ts), np.concatenate(vals)
 
 
-@dataclass(frozen=True)
-class MirrorPath:
-    """One mirror's position as a piecewise polynomial of time.
+class PiecewisePath:
+    """A piecewise polynomial of time, constant outside its table.
+
+    The table is n+1 strictly increasing knots, (n, w) ascending coefficient
+    rows in the local variable u = t - knots[i], one per segment, and the
+    constant values `edges` = (before, after) that the path holds up to the
+    first knot and from the last knot on, where all its derivatives vanish.
+    Rows of derivative orders 0..3 are tabulated once, and every query
+    locates each argument's segment once for all the orders it asks for.
+    """
+
+    def __init__(self, knots: np.ndarray, rows: np.ndarray, before: float, after: float):
+        self._knots = knots
+        self._dcoeffs = tuple(_poly_derivative(rows, k) for k in range(_MAX_ORDER + 1))
+        self.edges = (float(before), float(after))
+        _, speeds = piecewise_extremes(knots, self._dcoeffs[1])
+        self._max_speed = float(np.max(np.abs(speeds)))
+
+    def _eval(self, t: np.ndarray, orders) -> list:
+        """The given derivative orders at t, from one segment lookup."""
+        knots = self._knots
+        idx, u = _locate(knots, t)
+        outside = (t < knots[0]) | (t > knots[-1])
+        out = []
+        for k in orders:
+            val = _horner(self._dcoeffs[k][idx], u)
+            if k > 0:
+                val = np.where(outside, 0.0, val)
+            else:
+                val = np.where(t <= knots[0], self.edges[0], val)
+                val = np.where(t >= knots[-1], self.edges[1], val)
+            out.append(val)
+        return out
+
+    def __call__(self, t, order: int = 0):
+        """Exact piecewise-polynomial evaluation of position (order 0) or a
+        time derivative (orders 1..3)."""
+        _check_order(order)
+        (val,) = self._eval(np.asarray(t, dtype=float), (order,))
+        return float(val) if val.ndim == 0 else val
+
+    def jet(self, t, order: int = 3):
+        """Position and derivatives 1..order at t, as a tuple of arrays."""
+        _check_order(order)
+        return tuple(self._eval(np.asarray(t, dtype=float), range(order + 1)))
+
+    @property
+    def motion_start(self) -> float:
+        return float(self._knots[0])
+
+    @property
+    def motion_end(self) -> float:
+        return float(self._knots[-1])
+
+    @property
+    def initial_value(self) -> float:
+        return self.edges[0]
+
+    @property
+    def final_value(self) -> float:
+        return self.edges[1]
+
+    def table(self):
+        """(knots, rows, before, after) of the position polynomial."""
+        return self._knots, self._dcoeffs[0], *self.edges
+
+    def bounds(self) -> tuple[float, float]:
+        """Exact (min, max) of the position over the whole time axis."""
+        _, vals = piecewise_extremes(self._knots, self._dcoeffs[0])
+        return min(*self.edges, float(vals.min())), max(*self.edges, float(vals.max()))
+
+    def max_speed(self) -> float:
+        """Exact sup of |velocity|, found at polynomial critical points."""
+        return self._max_speed
+
+
+class MirrorPath(PiecewisePath):
+    """One mirror's position as a C^3 piecewise polynomial of time.
 
     `breaks` are the n+1 strictly increasing segment boundaries; `coeffs` is
     an (n, 8) array of ascending polynomial coefficients in the local
-    variable u = t - breaks[i].  Outside [breaks[0], breaks[-1]] the path is
-    constant (the boundary values), with all derivatives zero.
+    variable u = t - breaks[i] (narrower rows are zero-padded).  Outside
+    [breaks[0], breaks[-1]] the path is constant (the boundary values), with
+    all derivatives zero.
 
     `edges`, when given, pins the two constant extension values exactly;
     evaluating the boundary polynomial loses a few ulps, and quantities like
@@ -156,14 +233,9 @@ class MirrorPath:
     agree with the polynomial boundary values to continuity tolerance.
     """
 
-    breaks: np.ndarray
-    coeffs: np.ndarray
-    edges: tuple | None = None
-    _dcoeffs: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        breaks = np.atleast_1d(np.asarray(self.breaks, dtype=float))
-        coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
+    def __init__(self, breaks, coeffs, edges: tuple | None = None):
+        breaks = np.atleast_1d(np.asarray(breaks, dtype=float))
+        coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
         if breaks.ndim != 1 or len(breaks) < 2:
             raise GeometryError("path needs at least one segment")
         if not np.all(np.diff(breaks) > 0):
@@ -180,35 +252,37 @@ class MirrorPath:
             coeffs = np.hstack(
                 [coeffs, np.zeros((coeffs.shape[0], _NCOEF - coeffs.shape[1]))]
             )
-        object.__setattr__(self, "breaks", breaks)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(
-            self,
-            "_dcoeffs",
-            tuple(_poly_derivative(coeffs, k) for k in range(_MAX_ORDER + 1)),
-        )
         ev = (
             float(coeffs[0, 0]),
             float(_horner(coeffs[-1], breaks[-1] - breaks[-2])),
         )
-        if self.edges is None:
-            object.__setattr__(self, "edges", ev)
-        else:
-            edges = (float(self.edges[0]), float(self.edges[1]))
-            scale = max(1.0, float(np.max(np.abs(coeffs))))
-            if max(abs(edges[0] - ev[0]), abs(edges[1] - ev[1])) > 1e-9 * scale:
-                raise ContinuityError(
-                    f"pinned edge values {edges} disagree with boundary "
-                    f"polynomial values {ev}"
-                )
-            object.__setattr__(self, "edges", edges)
-        self._check_c3()
+        scale = max(1.0, float(np.max(np.abs(coeffs))))
+        if edges is None:
+            edges = ev
+        elif max(abs(edges[0] - ev[0]), abs(edges[1] - ev[1])) > 1e-9 * scale:
+            raise ContinuityError(
+                f"pinned edge values {tuple(edges)} disagree with boundary "
+                f"polynomial values {ev}"
+            )
+        super().__init__(breaks, coeffs, *edges)
+        self._check_c3(1e-9 * scale)
 
-    def _check_c3(self):
+    # bound in this class's own namespace, so a tool that patches one path
+    # class's evaluators leaves the other's alone
+    __call__ = PiecewisePath.__call__
+    jet = PiecewisePath.jet
+
+    @property
+    def breaks(self) -> np.ndarray:
+        return self._knots
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        return self._dcoeffs[0]
+
+    def _check_c3(self, tol: float):
         """Value and derivatives 1..3 must match at every interior boundary,
         and derivatives 1..3 must vanish at both ends (constant extension)."""
-        scale = max(1.0, float(np.max(np.abs(self.coeffs))))
-        tol = 1e-9 * scale
         spans = np.diff(self.breaks)
         for k in range(_MAX_ORDER + 1):
             dc = self._dcoeffs[k]
@@ -225,67 +299,6 @@ class MirrorPath:
                 raise ContinuityError(
                     f"derivative {k} jumps by {interior[i]:.3e} at t={self.breaks[i + 1]}"
                 )
-
-    # -- evaluation ---------------------------------------------------------
-
-    def __call__(self, t, order: int = 0):
-        """Exact piecewise-polynomial evaluation of position (order 0) or a
-        time derivative (orders 1..3)."""
-        _check_order(order)
-        (val,) = self._eval(np.asarray(t, dtype=float), (order,))
-        return float(val) if val.ndim == 0 else val
-
-    def _eval(self, t: np.ndarray, orders) -> list:
-        """The given derivative orders at t, from one segment lookup."""
-        idx, u = _locate(self.breaks, t)
-        outside = (t < self.breaks[0]) | (t > self.breaks[-1])
-        out = []
-        for k in orders:
-            val = _horner(self._dcoeffs[k][idx], u)
-            if k > 0:
-                val = np.where(outside, 0.0, val)
-            else:
-                val = np.where(t <= self.breaks[0], self.edges[0], val)
-                val = np.where(t >= self.breaks[-1], self.edges[1], val)
-            out.append(val)
-        return out
-
-    def jet(self, t, order: int = 3):
-        """Position and derivatives 1..order at t, as a tuple of arrays."""
-        _check_order(order)
-        return tuple(self._eval(np.asarray(t, dtype=float), range(order + 1)))
-
-    # -- metadata and diagnostics -------------------------------------------
-
-    @property
-    def motion_start(self) -> float:
-        return float(self.breaks[0])
-
-    @property
-    def motion_end(self) -> float:
-        return float(self.breaks[-1])
-
-    @property
-    def initial_value(self) -> float:
-        return self.edges[0]
-
-    @property
-    def final_value(self) -> float:
-        return self.edges[1]
-
-    def table(self):
-        """(breaks, rows, before, after) of the position polynomial."""
-        return self.breaks, self.coeffs, *self.edges
-
-    def bounds(self) -> tuple[float, float]:
-        """Exact (min, max) of the position over the whole time axis."""
-        _, vals = piecewise_extremes(self.breaks, self.coeffs)
-        return min(*self.edges, float(vals.min())), max(*self.edges, float(vals.max()))
-
-    def max_speed(self) -> float:
-        """Exact sup of |velocity|, found at polynomial critical points."""
-        _, vals = piecewise_extremes(self.breaks, self._dcoeffs[1])
-        return float(np.max(np.abs(vals)))
 
 
 def _merged_gap_coeffs(left, right):
@@ -326,25 +339,31 @@ class TrajectoryPair:
 
     Validates that the cavity never collapses: min over the full axis of
     R(t) - L(t) must stay positive (checked exactly on the merged piecewise
-    polynomial, not on a sample grid).
+    polynomial, not on a sample grid, once at construction).  `tau` is the
+    reference protocol's duration; a pair of effective trajectories has
+    none.
     """
 
-    left: MirrorPath
-    right: MirrorPath
-    tau: float
+    left: PiecewisePath
+    right: PiecewisePath
+    tau: float | None = None
     L0: float = field(init=False)
     Lf: float = field(init=False)
     R0: float = field(init=False)
     Rf: float = field(init=False)
+    _gap_min: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.tau > 0:
+        if self.tau is not None and not self.tau > 0:
             raise GeometryError(f"motion duration must be positive, got {self.tau}")
         object.__setattr__(self, "L0", self.left.initial_value)
         object.__setattr__(self, "Lf", self.left.final_value)
         object.__setattr__(self, "R0", self.right.initial_value)
         object.__setattr__(self, "Rf", self.right.final_value)
-        if self.gap_min() <= 0:
+        breaks, rows = _merged_gap_coeffs(self.left.table(), self.right.table())
+        _, vals = piecewise_extremes(breaks, rows)
+        object.__setattr__(self, "_gap_min", min(self.d0, self.df, float(vals.min())))
+        if self._gap_min <= 0:
             raise GeometryError("mirrors cross: R(t) - L(t) reaches zero")
 
     @property
@@ -363,11 +382,14 @@ class TrajectoryPair:
     def motion_end(self) -> float:
         return max(self.left.motion_end, self.right.motion_end)
 
+    @property
+    def realizable(self) -> bool:
+        """Both paths stay below the speed of light."""
+        return max(self.left.max_speed(), self.right.max_speed()) < 1.0
+
     def gap_min(self) -> float:
         """Exact min of R(t) - L(t) over the whole time axis."""
-        breaks, rows = _merged_gap_coeffs(self.left.table(), self.right.table())
-        _, vals = piecewise_extremes(breaks, rows)
-        return min(self.d0, self.df, float(vals.min()))
+        return self._gap_min
 
     def gap(self, t, order: int = 0):
         """R(t) - L(t) or its time derivative."""

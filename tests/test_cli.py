@@ -96,12 +96,14 @@ def test_subcommand_required():
 
 def test_import_loads_no_scipy():
     """numpy is the only runtime dependency: importing the CLI must not pull
-    in scipy (which would add most of the start-up time)."""
+    in scipy (which would add most of the start-up time), nor the
+    concurrent.futures pools (the program runs serially)."""
     src = os.path.dirname(os.path.dirname(cavsta.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     probe = (
         "import cavsta.cli, sys; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True

@@ -16,6 +16,10 @@ from cavsta.energy import (
     total_energy,
 )
 from cavsta.errors import DensityError
+from cavsta.moore_adiabatic import AdiabaticMoore
+from cavsta.moore_exact import ExactMoore
+from cavsta.sta import build_effective, default_window
+from cavsta.trajectory import TrajectoryPair, make_reference
 
 
 def test_thermal_sum_basics():
@@ -153,6 +157,36 @@ def test_energy_record_independent_of_discretization(contraction12):
         (base.E_eff, fine.E_eff, base.E_ad_eff),
     ):
         assert np.all(np.abs(E - E_fine) <= 1e-7 * np.abs(E_ad))
+
+
+# known defect: at tau = 1.2 the default effective step (tau/512) is too
+# coarse for this bound; halving it moves E_eff mid-protocol by 3.7e-8
+# (T = 0) and 2.0e-7 (T = 1) of E_ad, whatever the advance-integral panel
+# count.  Below that, the 8192-panel advance table sets a floor near 2e-8.
+_STEP_FLOOR = pytest.mark.xfail(
+    strict=True, reason="E_eff moves 3.7e-8 |E_ad| under step halving at tau = 1.2"
+)
+
+
+@pytest.mark.parametrize("tau", (pytest.param(1.2, marks=_STEP_FLOOR), 40.0))
+def test_effective_energy_independent_of_effective_discretization(tau):
+    """E_eff does not depend on how finely the effective trajectories are
+    sampled: half the step and a tenfold tighter refinement tolerance move
+    it by at most 1e-8 of the adiabatic energy (contraction12 geometry, and
+    the same contraction at tau = 40)."""
+    pair = make_reference("contraction", L0=0.0, Lf=0.3, R0=1.0, eps=0.3, tau=tau)
+    am = AdiabaticMoore.build(pair)
+    lo, hi = default_window(pair)
+    times = np.linspace(lo, hi, 33)
+    states = [ThermalState(T, pair.d0) for T in (0.0, 1.0)]
+    records = []
+    for step, refine_tol in ((tau / 512.0, 1e-8), (tau / 1024.0, 1e-9)):
+        eff = TrajectoryPair(
+            *(build_effective(am, side, lo, hi, step, refine_tol) for side in ("left", "right"))
+        )
+        records.append(energy_record(times, states, moore_eff=ExactMoore(eff), pair_eff=eff))
+    base, fine = records
+    assert np.all(np.abs(base.E_eff - fine.E_eff) <= 1e-8 * np.abs(base.E_ad_eff))
 
 
 def test_total_energy_matches_density_quadrature(contraction12):

@@ -1,17 +1,23 @@
 """Property tests for the shared piecewise-polynomial table code: the one
-evaluator and extremum finder, the two interpolants built on it, and the
+evaluator and extremum finder, the C^3 validation `MirrorPath` adds on top
+of the shared path core, the two interpolants built on it, and the
 truncated jets, which must be bit-for-bit prefixes of the full ones."""
 
+from math import factorial, perm
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 from numpy.testing import assert_allclose
 
 from cavsta import jets
+from cavsta.errors import ContinuityError
 from cavsta.moore_adiabatic import AdiabaticMoore
 from cavsta.sta import _quintic_rows
 from cavsta.trajectory import (
+    MirrorPath,
     _poly_derivative,
     make_reference,
     piecewise_eval,
@@ -57,6 +63,56 @@ def test_extremes_enclose_dense_sampling_and_are_attained(table):
     assert np.all((ts >= breaks[0]) & (ts <= breaks[-1]))
     for i in (np.argmin(vals), np.argmax(vals)):
         assert abs(piecewise_eval(breaks, rows, ts[i]) - vals[i]) <= tol
+
+
+@st.composite
+def flat_c3_tables(draw, min_segments=1):
+    """(breaks, rows) of a random C^3 degree-7 table that is flat at both
+    ends: each row starts with the Taylor data (value and derivatives 1..3)
+    of its left neighbour's end, the first row starts flat, and the last
+    row's coefficients 4..6 are solved so that it ends flat."""
+    n = draw(st.integers(min_segments, 5))
+    t0 = draw(st.floats(-3.0, 3.0))
+    spans = draw(st.lists(st.floats(0.25, 2.0), min_size=n, max_size=n))
+    breaks = t0 + np.concatenate([[0.0], np.cumsum(spans)])
+    rows = np.zeros((n, 8))
+    rows[0, 0] = draw(_coef)
+    for i in range(n):
+        if i:
+            rows[i, :4] = [
+                polyval(spans[i - 1], _poly_derivative(rows[i - 1 : i], k)[0]) / factorial(k)
+                for k in range(4)
+            ]
+        rows[i, 4:] = draw(st.lists(_coef, min_size=4, max_size=4))
+    # derivatives 1..3 of u**j at the last row's end, j = 0..7
+    h = spans[-1]
+    deriv = np.array([[perm(j, k) * h ** max(j - k, 0) for j in range(8)] for k in (1, 2, 3)])
+    rows[-1, 4:7] = 0.0
+    rows[-1, 4:7] = np.linalg.solve(deriv[:, 4:7], -deriv @ rows[-1])
+    return breaks, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_c3_tables())
+def test_mirror_path_accepts_flat_c3_tables(table):
+    breaks, rows = table
+    path = MirrorPath(breaks, rows)
+    assert np.array_equal(path.breaks, breaks) and np.array_equal(path.coeffs, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_c3_tables(min_segments=2), st.data())
+def test_mirror_path_rejects_a_nudged_junction(table, data):
+    """One coefficient of orders 0..3 at the start of an interior segment,
+    moved by 1e-6 of the table's scale, breaks C^3 continuity there."""
+    breaks, rows = table
+    i = data.draw(st.integers(1, len(rows) - 1))
+    k = data.draw(st.integers(0, 3))
+    sign = data.draw(st.sampled_from([-1.0, 1.0]))
+    rows = rows.copy()
+    rows[i, k] += sign * 1e-6 * max(1.0, float(np.max(np.abs(rows))))
+    with pytest.raises(ContinuityError):
+        MirrorPath(breaks, rows)
 
 
 def _node_data(n):
