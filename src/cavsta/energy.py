@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DensityError
-from .trajectory import TrajectoryPair  # noqa: F401  (protocol reference)
 
 __all__ = [
     "thermal_Z",
@@ -234,20 +233,15 @@ class EnergyRecord:
 
 def _run_series(moore, pair, times, states, points):
     """(E, E_ad) arrays of shape (nT, nt) for one run; NaN when moore is None."""
-    nT, nt = len(states), len(times)
-    E = np.full((nT, nt), np.nan)
-    E_ad = np.full((nT, nt), np.nan)
-    if pair is not None:
-        for j, t in enumerate(times):
-            d = float(pair.right(t)) - float(pair.left(t))
-            for i, st in enumerate(states):
-                E_ad[i, j] = adiabatic_energy(d, st)
-    if moore is None or pair is None:
-        return E, E_ad
+    nan = np.full((len(states), len(times)), np.nan)
+    if pair is None:
+        return nan, nan.copy()
+    weight = np.array([st.kinetic_weight for st in states])[:, None]
+    E_ad = weight / pair.gap(times)  # adiabatic_energy at every sample
+    if moore is None:
+        return nan, E_ad
     anom, kin = _energy_parts(moore, pair, times, points)
-    for i, st in enumerate(states):
-        E[i] = anom + st.kinetic_weight * kin
-    return E, E_ad
+    return anom + weight * kin, E_ad
 
 
 def energy_record(

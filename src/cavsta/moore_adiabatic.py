@@ -29,6 +29,9 @@ __all__ = ["AdiabaticMoore", "adiabatic_residual"]
 _CF = -0.5
 _CG = +0.5
 
+_ENDPOINT_TOL = 1e-10  # settling test of the advance-integral table
+_MAX_DOUBLINGS = 6
+
 
 @dataclass(frozen=True)
 class AdiabaticMoore:
@@ -48,23 +51,18 @@ class AdiabaticMoore:
     I_end: float
 
     @classmethod
-    def build(
-        cls,
-        pair: TrajectoryPair,
-        panels: int = 4096,
-        endpoint_tol: float = 1e-10,
-        max_doublings: int = 6,
-    ) -> "AdiabaticMoore":
+    def build(cls, pair: TrajectoryPair, panels: int = 4096) -> "AdiabaticMoore":
         """Tabulate I(t) = t_lo/d0 + int_{t_lo}^t ds/(R-L) over the motion window.
 
-        Panel count doubles until the window-end value moves by less than
-        `endpoint_tol`; the integrand is smooth, so one doubling normally
-        settles it.
+        `panels` is the starting panel count.  It doubles until the
+        window-end value moves by at most `_ENDPOINT_TOL`; the integrand is
+        smooth, so one doubling normally settles it, and the default 4096
+        builds an 8192-panel table.
         """
         t_lo, t_hi = pair.motion_start, pair.motion_end
         n = int(panels)
         prev_end = None
-        for _ in range(max_doublings + 1):
+        for _ in range(_MAX_DOUBLINGS + 1):
             nodes = np.linspace(t_lo, t_hi, n + 1)
             g_nodes = 1.0 / pair.gap(nodes)
             g_mid = 1.0 / pair.gap(0.5 * (nodes[:-1] + nodes[1:]))
@@ -75,14 +73,14 @@ class AdiabaticMoore:
             np.cumsum(inc, out=I[1:])
             I[1:] += I[0]
             end = I[-1]
-            if prev_end is not None and abs(end - prev_end) <= endpoint_tol:
+            if prev_end is not None and abs(end - prev_end) <= _ENDPOINT_TOL:
                 break
             prev_end = end
             n *= 2
         else:
             raise ConvergenceError(
-                f"advance integral did not settle to {endpoint_tol} "
-                f"after {max_doublings} doublings"
+                f"advance integral did not settle to {_ENDPOINT_TOL} "
+                f"after {_MAX_DOUBLINGS} doublings"
             )
         dx = np.diff(nodes)
         slope = np.diff(I) / dx
@@ -96,17 +94,11 @@ class AdiabaticMoore:
     def advance(self, z):
         """I(z): Hermite rows inside the motion window, exact linear outside."""
         z = np.asarray(z, dtype=float)
-        scalar = z.ndim == 0
-        zz = np.atleast_1d(z)
         t_lo, t_hi = self.pair.motion_start, self.pair.motion_end
-        out = np.empty(zz.shape)
-        below = zz < t_lo
-        above = zz > t_hi
-        inner = ~(below | above)
-        out[inner] = piecewise_eval(self._nodes, self._rows, zz[inner])
-        out[below] = zz[below] / self.pair.d0
-        out[above] = self.I_end + (zz[above] - t_hi) / self.pair.df
-        return float(out[0]) if scalar else out
+        out = piecewise_eval(self._nodes, self._rows, z)
+        out = np.where(z < t_lo, z / self.pair.d0, out)
+        out = np.where(z > t_hi, self.I_end + (z - t_hi) / self.pair.df, out)
+        return float(out) if out.ndim == 0 else out
 
     def _q_jet(self, z, order: int):
         """Jets to `order` of (R+L)/(R-L) and, one order lower, of 1/(R-L)

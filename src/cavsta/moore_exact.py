@@ -61,7 +61,7 @@ class ExactMoore:
     ``jet(t, order)`` (the tuple of orders 0..order).
     """
 
-    def __init__(self, pair, tol: float = 1e-13):
+    def __init__(self, pair):
         for side in ("left", "right"):
             speed = getattr(pair, side).max_speed()
             if speed >= 1.0:
@@ -70,7 +70,6 @@ class ExactMoore:
                     "the maps t +- X(t) are not invertible"
                 )
         self.pair = pair
-        self.tol = float(tol)
         self._maps = {side: _map_tables(getattr(pair, side)) for side in ("left", "right")}
         self._gap_min = pair.gap_min()
         self._start = pair.motion_start
@@ -132,7 +131,7 @@ class ExactMoore:
             t[inner] = b + u
         jet = path.jet(t, order)
         f = t + sign * jet[0] - target
-        bad = ~np.isfinite(f) | (np.abs(f) > np.maximum(self.tol, 1e-12 * scale))
+        bad = ~np.isfinite(f) | (np.abs(f) > 1e-12 * scale)
         if np.any(bad):
             raise ConvergenceError(
                 f"map inversion stalled at residual {np.max(np.abs(f[bad])):.3e}"

@@ -21,7 +21,7 @@ import configparser
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,6 +35,9 @@ from .trajectory import MirrorPath, TrajectoryPair, make_reference
 __all__ = ["RunConfig", "load_config", "run", "sweep_tau", "RunResult", "SweepResult"]
 
 _FMT = "%.17g"
+_CSV = ("trajectories", "moore", "energy")
+_BOOLEAN = configparser.ConfigParser.BOOLEAN_STATES
+_NO_RESCALE = "sweep and critical search rescale tau; custom tables cannot"
 
 # hard in-run checks (always enforced); strict mode adds realizability
 _EXACT_RESIDUAL_MAX = 1e-6
@@ -52,13 +55,12 @@ class RunConfig:
     temperatures: tuple = (0.0,)
     time_step: float | None = None  # None -> tau/64
     spatial_points: int = 2001  # Simpson panels per Moore map (energy record)
-    moore_panels: int = 4096
-    effective_step: float | None = None  # None -> tau/512
+    moore_panels: int = 4096  # starting panel count of the advance integral
+    effective_step: float | None = None  # None -> build_effective's default
     effective_refine_tol: float = 1e-8
-    root_tol: float = 1e-13
     window: tuple | None = None  # None -> [-(R0+tau), tau + 3(Rf-Lf)]
     out_dir: str = "out"
-    csv: tuple = ("trajectories", "moore", "energy")
+    csv: tuple = _CSV
     tau_list: tuple = ()
     critical: bool = False
     tau_min: float = 0.2
@@ -77,88 +79,108 @@ def _parse_window(text: str) -> tuple:
     return (lo, hi)
 
 
+def _parse_rows(text: str) -> tuple:
+    return tuple(tuple(row) for row in json.loads(text))
+
+
+def _parse_csv(text: str) -> tuple:
+    names = tuple(s.strip() for s in text.split(",") if s.strip())
+    if not set(names) <= set(_CSV):
+        raise ValueError(text)
+    return names
+
+
 def _auto(parse):
     """Parser where `auto` means the RunConfig default (None)."""
     return lambda text: None if text.strip() == "auto" else parse(text)
 
 
-# every accepted [numerics] key and its parser
-_NUMERICS = {
-    "temperatures": _parse_floats,
-    "spatial_points": int,
-    "moore_panels": int,
-    "effective_refine_tol": float,
-    "root_tol": float,
-    "time_step": _auto(float),
-    "effective_step": _auto(float),
-    "window": _auto(_parse_window),
+# every accepted key, per section, with the RunConfig field it sets and its
+# parser; keys are lower case, as configparser folds them.  A custom mirror
+# table is one field given by two keys, its breaks and then its rows.
+_KEYS = {
+    "geometry": {
+        "family": ("family", str.strip),
+        "l0": ("L0", float),
+        "lf": ("Lf", float),
+        "r0": ("R0", float),
+        "eps": ("eps", float),
+        "tau": ("tau", float),
+        "left_breaks": ("custom_left", _parse_floats),
+        "left_coeffs": ("custom_left", _parse_rows),
+        "right_breaks": ("custom_right", _parse_floats),
+        "right_coeffs": ("custom_right", _parse_rows),
+    },
+    "numerics": {
+        "temperatures": ("temperatures", _parse_floats),
+        "time_step": ("time_step", _auto(float)),
+        "spatial_points": ("spatial_points", int),
+        "moore_panels": ("moore_panels", int),
+        "effective_step": ("effective_step", _auto(float)),
+        "effective_refine_tol": ("effective_refine_tol", float),
+        "window": ("window", _auto(_parse_window)),
+    },
+    "outputs": {
+        "dir": ("out_dir", str.strip),
+        "csv": ("csv", _parse_csv),
+    },
+    "sweep": {
+        "tau_list": ("tau_list", _parse_floats),
+        "critical": ("critical", lambda text: _BOOLEAN[text.lower()]),
+        "tau_min": ("tau_min", float),
+        "tau_max": ("tau_max", float),
+    },
 }
 
 
 def load_config(path: str) -> RunConfig:
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise CavstaError(f"config file not found or unreadable: {path}")
+    """RunConfig from an INI file.  An unknown section or key, half a custom
+    table, or a value that does not parse raises CavstaError."""
+    # no default section: a [DEFAULT] is an unknown section like any other
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
+    try:
+        if not cp.read(path):
+            raise CavstaError(f"config file not found or unreadable: {path}")
+    except configparser.Error as exc:
+        raise CavstaError(f"cannot parse {path}: {' '.join(str(exc).split())}") from None
     kw = {}
-    geo = cp["geometry"] if cp.has_section("geometry") else {}
-    for key in ("L0", "R0", "eps", "tau"):
-        if key in geo:
-            kw[key] = float(geo[key])
-    if "Lf" in geo:
-        kw["Lf"] = float(geo["Lf"])
-    if "family" in geo:
-        kw["family"] = geo["family"].strip()
-    for side in ("left", "right"):
-        bk, ck = f"{side}_breaks", f"{side}_coeffs"
-        if bk in geo and ck in geo:
-            kw[f"custom_{side}"] = (
-                _parse_floats(geo[bk]),
-                tuple(tuple(row) for row in json.loads(geo[ck])),
-            )
-    num = cp["numerics"] if cp.has_section("numerics") else {}
-    unknown = sorted(set(num) - set(_NUMERICS))
-    if unknown:
-        raise CavstaError(f"unknown [numerics] keys: {', '.join(unknown)}")
-    for key, parse in _NUMERICS.items():
-        if key in num:
-            kw[key] = parse(num[key])
-    out = cp["outputs"] if cp.has_section("outputs") else {}
-    if "dir" in out:
-        kw["out_dir"] = out["dir"].strip()
-    if "csv" in out:
-        kw["csv"] = tuple(s.strip() for s in out["csv"].split(",") if s.strip())
-    if cp.has_section("sweep"):
-        sw = cp["sweep"]
-        if "tau_list" in sw:
-            kw["tau_list"] = _parse_floats(sw["tau_list"])
-        if "critical" in sw:
-            kw["critical"] = sw.getboolean("critical")
-        for key in ("tau_min", "tau_max"):
-            if key in sw:
-                kw[key] = float(sw[key])
+    for section in cp.sections():
+        if section not in _KEYS:
+            raise CavstaError(f"unknown section [{section}]")
+        keys, items = _KEYS[section], cp[section]
+        unknown = sorted(set(items) - set(keys))
+        if unknown:
+            raise CavstaError(f"unknown [{section}] keys: {', '.join(unknown)}")
+        given = {}  # field -> {key: parsed value}
+        for key, (name, parse) in keys.items():
+            if key in items:
+                try:
+                    given.setdefault(name, {})[key] = parse(items[key])
+                except (KeyError, TypeError, ValueError):
+                    raise CavstaError(f"[{section}] {key}: cannot parse {items[key]!r}") from None
+        for name, values in given.items():
+            want = [k for k, (n, _) in keys.items() if n == name]
+            if len(values) < len(want):
+                raise CavstaError(f"[{section}] {' and '.join(want)} go together")
+            kw[name] = tuple(values.values()) if len(want) > 1 else values[want[0]]
     return RunConfig(**kw)
 
 
-def _build_pair(cfg: RunConfig, tau: float | None = None) -> TrajectoryPair:
-    if cfg.family == "custom" and (tau is not None or cfg.critical):
-        raise CavstaError("sweep and critical search rescale tau; custom tables cannot")
-    tau = cfg.tau if tau is None else tau
+def _build_pair(cfg: RunConfig) -> TrajectoryPair:
     if cfg.family == "custom":
         if cfg.custom_left is None or cfg.custom_right is None:
             raise CavstaError("custom family needs left/right breaks and coeffs")
         left = MirrorPath(np.asarray(cfg.custom_left[0]), np.asarray(cfg.custom_left[1]))
         right = MirrorPath(np.asarray(cfg.custom_right[0]), np.asarray(cfg.custom_right[1]))
-        return TrajectoryPair(left, right, tau)
+        return TrajectoryPair(left, right, cfg.tau)
     return make_reference(
-        cfg.family, L0=cfg.L0, Lf=cfg.Lf, R0=cfg.R0, eps=cfg.eps, tau=tau
+        cfg.family, L0=cfg.L0, Lf=cfg.Lf, R0=cfg.R0, eps=cfg.eps, tau=cfg.tau
     )
 
 
-def _time_grid(cfg: RunConfig, pair: TrajectoryPair, tau: float | None = None):
-    tau = cfg.tau if tau is None else tau
+def _time_grid(cfg: RunConfig, pair: TrajectoryPair):
     lo, hi = cfg.window if cfg.window is not None else sta.default_window(pair)
-    dt = cfg.time_step if cfg.time_step is not None else tau / 64.0
+    dt = cfg.time_step if cfg.time_step is not None else cfg.tau / 64.0
     n = max(2, int(round((hi - lo) / dt)))
     return np.linspace(lo, hi, n + 1)
 
@@ -213,21 +235,14 @@ def _write_summary(path: str, sections: dict) -> None:
         f.write(buf.getvalue())
 
 
-def _scenario(cfg: RunConfig, tau: float | None = None):
+def _scenario(cfg: RunConfig):
     """Build everything one scenario needs; shared by run and sweep."""
-    pair = _build_pair(cfg, tau)
+    pair = _build_pair(cfg)
     am = AdiabaticMoore.build(pair, cfg.moore_panels)
-    times = _time_grid(cfg, pair, tau)
+    times = _time_grid(cfg, pair)
     t_lo, t_hi = float(times[0]), float(times[-1])
-    eff_step = cfg.effective_step
-    if eff_step is None:
-        eff_step = (cfg.tau if tau is None else tau) / 512.0
-    eff = tuple(
-        sta.build_effective(
-            am, side, t_lo, t_hi, step=eff_step, refine_tol=cfg.effective_refine_tol
-        )
-        for side in ("left", "right")
-    )
+    num = dict(step=cfg.effective_step, refine_tol=cfg.effective_refine_tol)
+    eff = tuple(sta.build_effective(am, side, t_lo, t_hi, **num) for side in ("left", "right"))
     lim = sta.limit_trajectory(pair.L0, pair.Lf, pair.R0, pair.Rf)
     return pair, am, times, eff, lim
 
@@ -244,21 +259,23 @@ def _critical_tau(cfg: RunConfig):
         return f"not found: {exc}"
 
 
-def _try_exact(pair, tol: float, notes: list, label: str):
+def _try_exact(pair, notes: list, label: str):
     try:
-        return ExactMoore(pair, tol=tol)
+        return ExactMoore(pair)
     except SuperluminalError as exc:
         notes.append(f"{label}: {exc}")
         return None
 
 
 def run(cfg: RunConfig) -> RunResult:
+    if cfg.critical and cfg.family == "custom":
+        raise CavstaError(_NO_RESCALE)
     result = RunResult(config=cfg)
     pair, am, times, eff, (lim_l, lim_r) = _scenario(cfg)
     eff_pair = TrajectoryPair(*eff)
     notes: list = []
-    exact_ref = _try_exact(pair, cfg.root_tol, notes, "reference pair")
-    exact_eff = _try_exact(eff_pair, cfg.root_tol, notes, "effective pair")
+    exact_ref = _try_exact(pair, notes, "reference pair")
+    exact_eff = _try_exact(eff_pair, notes, "effective pair")
 
     states = [ThermalState(T, pair.d0) for T in cfg.temperatures]
     record = energy_record(
@@ -390,7 +407,6 @@ def run(cfg: RunConfig) -> RunResult:
             "spatial_points": cfg.spatial_points,
             "moore_panels": cfg.moore_panels,
             "effective_refine_tol": cfg.effective_refine_tol,
-            "root_tol": cfg.root_tol,
         },
         "outputs": {"dir": cfg.out_dir, "csv": ", ".join(cfg.csv)},
         "results": results_section,
@@ -418,32 +434,34 @@ def _limit_distance(eff, lim, times, tau: float) -> float:
     return float(np.max(np.abs(eff(times[keep]) - lim(times[keep]))))
 
 
-def _sweep_one(cfg: RunConfig, tau: float) -> dict:
+def _sweep_one(cfg: RunConfig) -> dict:
     # the effective trajectories are read one by one: a sweep row needs no
     # pair, and so no exact gap check
-    _, am, times, (eff_l, eff_r), (lim_l, lim_r) = _scenario(cfg, tau)
+    _, am, times, (eff_l, eff_r), (lim_l, lim_r) = _scenario(cfg)
     res_ad = am.residual(times)
     return {
-        "tau": tau,
+        "tau": cfg.tau,
         "res_ad_L": res_ad[0],
         "res_ad_R": res_ad[1],
         "res_ad_max": max(res_ad),
         "max_eff_speed_left": eff_l.max_speed_sampled,
         "max_eff_speed_right": eff_r.max_speed_sampled,
-        "dist_limit_left": _limit_distance(eff_l, lim_l, times, tau),
-        "dist_limit_right": _limit_distance(eff_r, lim_r, times, tau),
+        "dist_limit_left": _limit_distance(eff_l, lim_l, times, cfg.tau),
+        "dist_limit_right": _limit_distance(eff_r, lim_r, times, cfg.tau),
         "realizable": 1.0 if eff_l.realizable and eff_r.realizable else 0.0,
     }
 
 
-def sweep_tau(cfg: RunConfig, tau_list=None) -> SweepResult:
-    taus = tuple(tau_list) if tau_list is not None else cfg.tau_list
+def sweep_tau(cfg: RunConfig) -> SweepResult:
+    if cfg.family == "custom":
+        raise CavstaError(_NO_RESCALE)
+    taus = cfg.tau_list
     if len(taus) < 3:
         raise CavstaError(f"sweep needs at least 3 tau values, got {len(taus)}")
     if any(t2 <= t1 for t1, t2 in zip(taus, taus[1:])):
         raise CavstaError("tau_list must be sorted ascending")
     result = SweepResult(config=cfg)
-    rows = result.rows = [_sweep_one(cfg, t) for t in taus]
+    rows = result.rows = [_sweep_one(replace(cfg, tau=t)) for t in taus]
 
     keys = list(rows[0].keys())
     os.makedirs(cfg.out_dir, exist_ok=True)

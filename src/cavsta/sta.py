@@ -44,6 +44,7 @@ __all__ = [
 
 _TARGET = {"left": 0.0, "right": 2.0}
 _SLOPE_CAP = 1e3  # keeps the interpolant finite across fold points
+_MAX_REFINE = 5  # bisection rounds of build_effective
 
 
 def default_window(pair) -> tuple[float, float]:
@@ -239,7 +240,6 @@ def build_effective(
     t_hi: float,
     step: float | None = None,
     refine_tol: float = 1e-8,
-    max_refine: int = 5,
 ) -> EffectiveTrajectory:
     """Solve the side's defining equation on [t_lo, t_hi].
 
@@ -261,10 +261,10 @@ def build_effective(
     ref_path = pair.right if side == "right" else pair.left
     positions = _solve_many(am, side, times, ref_path(times), pair.d0)
 
-    for round_ in range(max_refine + 1):
+    for round_ in range(_MAX_REFINE + 1):
         slopes, curvatures = _implicit_jet(am, side, times, positions)
         rows = _quintic_rows(times, positions, slopes, curvatures)
-        if round_ == max_refine:
+        if round_ == _MAX_REFINE:
             break
         mids = 0.5 * (times[:-1] + times[1:])
         predicted = piecewise_eval(times, rows, mids)
@@ -396,10 +396,10 @@ def critical_tau(
 
     Rebuilds the adiabatic Moore functions and both effective trajectories
     per candidate tau and bisects on (max speed - 1); speeds are the exact
-    sup of each interpolant's |dx/dt|.  `step` (default tau/512),
-    `panels` and `refine_tol` are passed to AdiabaticMoore.build and
-    build_effective.  Raises BracketError when the range does not straddle
-    the crossing ("all candidate tau physical" / "none physical").
+    sup of each interpolant's |dx/dt|.  `panels` is passed to
+    AdiabaticMoore.build, `step` and `refine_tol` to build_effective.
+    Raises BracketError when the range does not straddle the crossing
+    ("all candidate tau physical" / "none physical").
     """
     if not 0 < tau_lo < tau_hi:
         raise ValueError(f"need 0 < tau_lo < tau_hi, got ({tau_lo}, {tau_hi})")
@@ -408,9 +408,8 @@ def critical_tau(
         pair = make_reference(family, L0=L0, Lf=Lf, R0=R0, eps=eps, tau=tau)
         am = AdiabaticMoore.build(pair, panels)
         lo, hi = default_window(pair)
-        s = step if step is not None else tau / 512.0
         return max(
-            build_effective(am, side, lo, hi, step=s, refine_tol=refine_tol).max_speed_sampled
+            build_effective(am, side, lo, hi, step=step, refine_tol=refine_tol).max_speed_sampled
             for side in ("left", "right")
         )
 

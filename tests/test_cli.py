@@ -89,6 +89,20 @@ def test_sweep_subcommand(tmp_path, capsys):
     assert "sweep.csv" in out.out
 
 
+def test_config_typo_is_one_error_line(tmp_path):
+    """A slip in the config stops the run with exit code 1 and one line on
+    stderr, not a traceback."""
+    cfg = write_config(tmp_path, tmp_path / "out", extra="[sweep]\ncritcal = yes\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cavsta.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-m", "cavsta.cli", "run", cfg], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 1
+    assert out.stderr.splitlines() == ["error: unknown [sweep] keys: critcal"]
+    assert "Traceback" not in out.stdout + out.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_subcommand_required():
     with pytest.raises(SystemExit):
         main([])

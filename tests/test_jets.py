@@ -5,6 +5,8 @@ form, so every rule is checked against hand-differentiated expressions.
 """
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cavsta.jets import compose, divide, inverse_derivs, reciprocal
@@ -98,3 +100,45 @@ def test_product_of_jet_and_reciprocal_is_one():
     assert_allclose(p1, 0.0, atol=1e-13)
     assert_allclose(p2, 0.0, atol=1e-12)
     assert_allclose(p3, 0.0, atol=1e-12)
+
+
+def _signed(lo: float):
+    return st.floats(lo, 10.0).flatmap(lambda a: st.sampled_from([a, -a]))
+
+
+# random jet entries: 0 or 1e-3 <= |a| <= 10 (no underflow in the products),
+# the leading term bounded away from 0
+_lead = _signed(0.1)
+_entry = st.one_of(st.just(0.0), _signed(1e-3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_entry, _lead, _entry, _entry)
+def test_map_composed_with_its_inverse_is_identity(m0, m1, m2, m3):
+    m = (m0, m1, m2, m3)
+    inv = (0.5, *inverse_derivs(m1, m2, m3))  # the inverse's value is arbitrary
+    # bounds scale with the terms each order sums: m after its inverse,
+    # then the inverse after m
+    sums = (
+        (abs(m2) / m1**2, abs(m3 / m1**3) + m2 * m2 / m1**4),
+        (abs(m2 / m1), abs(m3 / m1) + m2 * m2 / m1**2),
+    )
+    for jet, (s2, s3) in zip((compose(m, inv), compose(inv, m)), sums):
+        assert abs(jet[1] - 1.0) <= 1e-15
+        assert abs(jet[2]) <= 1e-14 * s2
+        assert abs(jet[3]) <= 1e-14 * s3
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lead, _entry, _entry, _entry)
+def test_reciprocal_is_an_involution(v0, v1, v2, v3):
+    v = (v0, v1, v2, v3)
+    back = reciprocal(reciprocal(v))
+    scale = (
+        abs(v0),
+        abs(v1),
+        abs(v2) + v1 * v1 / abs(v0),
+        abs(v3) + abs(v1 * v2 / v0) + abs(v1) ** 3 / v0**2,
+    )
+    for k in range(4):
+        assert abs(back[k] - v[k]) <= 1e-14 * scale[k], k

@@ -1,13 +1,15 @@
 """Scenario runner: config parsing, artifacts, reproducibility, exit codes."""
 
+import dataclasses
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cavsta import sta
 from cavsta.errors import CavstaError
-from cavsta.runner import RunConfig, load_config, run, sweep_tau
+from cavsta.runner import _KEYS, RunConfig, load_config, run, sweep_tau
 
 # coarse numerics keep these tests fast; physics accuracy is covered elsewhere
 FAST = dict(
@@ -153,14 +155,76 @@ def test_config_auto_markers(tmp_path):
     assert cfg.window is None
 
 
-def test_unknown_numerics_keys_rejected(tmp_path):
-    ini = tmp_path / "old.ini"
-    ini.write_text(
-        "[geometry]\nfamily = contraction\nLf = 0.3\neps = 0.3\ntau = 1.2\n"
-        "[numerics]\nquad_rtol = 1e-8\nspatial_point = 301\ntime_step = auto\n"
-    )
-    with pytest.raises(CavstaError, match="quad_rtol, spatial_point"):
+_GEOMETRY = "[geometry]\nfamily = contraction\nLf = 0.3\neps = 0.3\n"
+
+# (config text, what the error must name); each is one slip in an otherwise
+# valid config
+_BAD_CONFIGS = {
+    "old_numerics_keys": (
+        _GEOMETRY + "tau = 1.2\n"
+        "[numerics]\nquad_rtol = 1e-8\nspatial_point = 301\ntime_step = auto\n",
+        "quad_rtol, spatial_point",
+    ),
+    "geometry_key_typo": (_GEOMETRY + "tau = 1.2\nesp = 0.3\n", r"\[geometry\] keys: esp"),
+    "section_typo": (_GEOMETRY + "tau = 1.2\n[numeric]\ntime_step = 0.1\n", r"\[numeric\]"),
+    "outputs_key_typo": (_GEOMETRY + "tau = 1.2\n[outputs]\ncsvs = energy\n", r"\[outputs\] keys: csvs"),
+    "unknown_csv_name": (
+        _GEOMETRY + "tau = 1.2\n[outputs]\ncsv = energy, trajectory\n",
+        r"\[outputs\] csv: cannot parse 'energy, trajectory'",
+    ),
+    "sweep_key_typo": (_GEOMETRY + "tau = 1.2\n[sweep]\ncritcal = yes\n", r"\[sweep\] keys: critcal"),
+    "deleted_root_tol": (
+        _GEOMETRY + "tau = 1.2\n[numerics]\nroot_tol = 1e-13\n", r"\[numerics\] keys: root_tol"
+    ),
+    "half_custom_table": (
+        "[geometry]\nfamily = custom\nleft_breaks = 0 1\n"
+        "right_breaks = 0 1\nright_coeffs = [[1,0,0,0,0,0,0,0]]\n",
+        r"\[geometry\] left_breaks and left_coeffs",
+    ),
+    "default_section": (_GEOMETRY + "[DEFAULT]\ntau = 1.2\n", r"\[DEFAULT\]"),
+    "unparsable_value": (_GEOMETRY + "tau = 1,2\n", r"\[geometry\] tau: cannot parse '1,2'"),
+}
+
+
+@pytest.mark.parametrize("text, culprit", _BAD_CONFIGS.values(), ids=list(_BAD_CONFIGS))
+def test_unknown_numerics_keys_rejected(tmp_path, text, culprit):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    with pytest.raises(CavstaError, match=culprit):
         load_config(str(ini))
+
+
+def test_config_keys_match_run_config_and_readme():
+    """The key table, RunConfig and the README config reference agree."""
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    keys_of = {}
+    for section in _KEYS.values():
+        for key, (name, _) in section.items():
+            assert name in fields, key
+            keys_of.setdefault(name, []).append(key)
+    assert set(keys_of) == fields - {"strict"}
+    for name, keys in keys_of.items():
+        if name.startswith("custom_"):
+            # a custom mirror table is one field given by two keys
+            side = name[len("custom_"):]
+            assert keys == [f"{side}_breaks", f"{side}_coeffs"]
+        else:
+            assert len(keys) == 1, (name, keys)
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    reference = readme[readme.index("### Config reference"):].lower()
+    for section, keys in _KEYS.items():
+        assert f"`[{section}]`" in reference
+        for key in keys:
+            assert f"`{key}`" in reference, key
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n")[1].split("```")[0]
+    ini = tmp_path / "readme.ini"
+    ini.write_text(example)
+    cfg = load_config(str(ini))
+    assert (cfg.family, cfg.tau, cfg.temperatures) == ("contraction", 1.2, (0.0, 1.0))
 
 
 def test_missing_config_rejected(tmp_path):
