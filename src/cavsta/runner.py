@@ -69,6 +69,23 @@ class RunConfig:
     custom_right: tuple | None = None
     strict: bool = False
 
+    def __post_init__(self):
+        """CavstaError naming section and key for a value that parses but
+        makes no sense, so no work starts on it."""
+        for name, (want, ok) in _LIMITS.items():
+            value = getattr(self, name)
+            if value is not None and not ok(value):
+                raise CavstaError(f"{_keys_of(name)}: {want}, got {value!r}")
+        if not 0 < self.tau_min < self.tau_max:
+            raise CavstaError(
+                f"[sweep] tau_min and tau_max: need 0 < tau_min < tau_max, "
+                f"got {self.tau_min!r} and {self.tau_max!r}"
+            )
+        if self.family != "custom":
+            for name in ("custom_left", "custom_right"):
+                if getattr(self, name) is not None:
+                    raise CavstaError(f"{_keys_of(name)}: need family = custom, got {self.family}")
+
 
 def _parse_floats(text: str) -> tuple:
     return tuple(float(v) for v in text.replace(",", " ").split())
@@ -133,9 +150,31 @@ _KEYS = {
 }
 
 
+# what each value that parses must also satisfy, by RunConfig field; None
+# (`auto`) always passes
+_LIMITS = {
+    "temperatures": ("must all be >= 0", lambda v: all(T >= 0 for T in v)),
+    "time_step": ("must be > 0", lambda v: v > 0),
+    "spatial_points": ("must be >= 1", lambda v: v >= 1),
+    "moore_panels": ("must be >= 1", lambda v: v >= 1),
+    "effective_step": ("must be > 0", lambda v: v > 0),
+    "window": ("must have start < end", lambda v: v[0] < v[1]),
+}
+
+
+def _keys_of(name: str) -> str:
+    """'[section] key' (or 'key and key') that sets a RunConfig field."""
+    for section, keys in _KEYS.items():
+        found = [k for k, (n, _) in keys.items() if n == name]
+        if found:
+            return f"[{section}] {' and '.join(found)}"
+    raise KeyError(name)
+
+
 def load_config(path: str) -> RunConfig:
     """RunConfig from an INI file.  An unknown section or key, half a custom
-    table, or a value that does not parse raises CavstaError."""
+    table, a value that does not parse or one out of range raises
+    CavstaError."""
     # no default section: a [DEFAULT] is an unknown section like any other
     cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:

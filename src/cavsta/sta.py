@@ -240,6 +240,8 @@ def build_effective(
     t_hi: float,
     step: float | None = None,
     refine_tol: float = 1e-8,
+    *,
+    stop_above_light: bool = False,
 ) -> EffectiveTrajectory:
     """Solve the side's defining equation on [t_lo, t_hi].
 
@@ -249,6 +251,14 @@ def build_effective(
     until Hermite interpolation reproduces midpoint solves to `refine_tol`,
     or the refinement budget is spent (which happens only for superluminal
     curves near fold points, where the solved branch genuinely jumps).
+
+    With `stop_above_light`, refinement also stops at the first round where
+    a node slope exceeds 1 in magnitude, and that round's interpolant is
+    returned.  Only whether the curve is superluminal is then exact: a node
+    slope is the constant term of its segment's velocity row, so it is a
+    candidate of `max_speed_sampled`, and refinement keeps every node, so
+    the fully refined curve's max speed is above 1 too.  Curves whose node
+    slopes all stay within [-1, 1] come out as without the flag.
     """
     if side not in _TARGET:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -265,6 +275,9 @@ def build_effective(
         slopes, curvatures = _implicit_jet(am, side, times, positions)
         rows = _quintic_rows(times, positions, slopes, curvatures)
         if round_ == _MAX_REFINE:
+            break
+        # the last node starts no segment, so its slope is no row's constant
+        if stop_above_light and np.any(np.abs(slopes[:-1]) > 1.0):
             break
         mids = 0.5 * (times[:-1] + times[1:])
         predicted = piecewise_eval(times, rows, mids)
@@ -394,24 +407,34 @@ def critical_tau(
 ) -> float:
     """Timescale where the max effective-trajectory speed crosses 1.
 
-    Rebuilds the adiabatic Moore functions and both effective trajectories
-    per candidate tau and bisects on (max speed - 1); speeds are the exact
-    sup of each interpolant's |dx/dt|.  `panels` is passed to
-    AdiabaticMoore.build, `step` and `refine_tol` to build_effective.
-    Raises BracketError when the range does not straddle the crossing
-    ("all candidate tau physical" / "none physical").
+    Rebuilds the adiabatic Moore functions per candidate tau and bisects on
+    the sign of (max speed - 1); speeds are the exact sup of each
+    interpolant's |dx/dt|.  Bisection reads only that sign, so each
+    candidate builds the left effective trajectory with `stop_above_light`,
+    which ends its refinement once a node speed exceeds 1, and builds the
+    right one only when the left stayed subluminal.  The signs, and so the
+    result, are those of fully refined builds of both mirrors.  `panels` is
+    passed to AdiabaticMoore.build, `step` and `refine_tol` to
+    build_effective.  Raises BracketError when the range does not straddle
+    the crossing ("all candidate tau physical" / "none physical").
     """
     if not 0 < tau_lo < tau_hi:
         raise ValueError(f"need 0 < tau_lo < tau_hi, got ({tau_lo}, {tau_hi})")
 
     def v_max(tau: float) -> float:
+        """Max speed of both mirrors when at most 1, else some speed above 1."""
         pair = make_reference(family, L0=L0, Lf=Lf, R0=R0, eps=eps, tau=tau)
         am = AdiabaticMoore.build(pair, panels)
         lo, hi = default_window(pair)
-        return max(
-            build_effective(am, side, lo, hi, step=step, refine_tol=refine_tol).max_speed_sampled
-            for side in ("left", "right")
-        )
+        v = 0.0
+        for side in ("left", "right"):
+            eff = build_effective(
+                am, side, lo, hi, step=step, refine_tol=refine_tol, stop_above_light=True
+            )
+            v = max(v, eff.max_speed_sampled)
+            if v > 1.0:
+                break
+        return v
 
     f_lo = v_max(tau_lo) - 1.0
     f_hi = v_max(tau_hi) - 1.0

@@ -103,6 +103,26 @@ def test_config_typo_is_one_error_line(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_reversed_critical_window_is_one_error_line(tmp_path):
+    """The critical search window is checked before any sweep row is built."""
+    cfg = write_config(
+        tmp_path, tmp_path / "out",
+        extra="[sweep]\ntau_list = 2.0 4.0 8.0\ncritical = yes\ntau_min = 1.2\ntau_max = 0.2\n",
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cavsta.__file__))}
+    for command in ("run", "sweep"):
+        out = subprocess.run(
+            [sys.executable, "-m", "cavsta.cli", command, cfg],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 1
+        assert out.stderr.splitlines() == [
+            "error: [sweep] tau_min and tau_max: need 0 < tau_min < tau_max, got 1.2 and 0.2"
+        ]
+        assert "Traceback" not in out.stdout + out.stderr
+        assert not (tmp_path / "out").exists()
+
+
 def test_subcommand_required():
     with pytest.raises(SystemExit):
         main([])

@@ -6,10 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from cavsta import sta
-from cavsta.errors import CavstaError
+from cavsta.errors import CavstaError, GeometryError
 from cavsta.runner import _KEYS, RunConfig, load_config, run, sweep_tau
+from cavsta.trajectory import MirrorPath, _poly_derivative, piecewise_extremes
+
+from test_tables import flat_c3_tables
 
 # coarse numerics keep these tests fast; physics accuracy is covered elsewhere
 FAST = dict(
@@ -183,6 +187,37 @@ _BAD_CONFIGS = {
     ),
     "default_section": (_GEOMETRY + "[DEFAULT]\ntau = 1.2\n", r"\[DEFAULT\]"),
     "unparsable_value": (_GEOMETRY + "tau = 1,2\n", r"\[geometry\] tau: cannot parse '1,2'"),
+    "zero_time_step": (
+        _GEOMETRY + "tau = 1.2\n[numerics]\ntime_step = 0\n", r"\[numerics\] time_step: must be > 0"
+    ),
+    "zero_moore_panels": (
+        _GEOMETRY + "tau = 1.2\n[numerics]\nmoore_panels = 0\n",
+        r"\[numerics\] moore_panels: must be >= 1",
+    ),
+    "negative_effective_step": (
+        _GEOMETRY + "tau = 1.2\n[numerics]\neffective_step = -1\n",
+        r"\[numerics\] effective_step: must be > 0",
+    ),
+    "zero_spatial_points": (
+        _GEOMETRY + "tau = 1.2\n[numerics]\nspatial_points = 0\n",
+        r"\[numerics\] spatial_points: must be >= 1",
+    ),
+    "negative_temperature": (
+        _GEOMETRY + "tau = 1.2\n[numerics]\ntemperatures = 0 -1\n",
+        r"\[numerics\] temperatures: must all be >= 0",
+    ),
+    "reversed_window": (
+        _GEOMETRY + "tau = 1.2\n[numerics]\nwindow = 2.2 -1.5\n",
+        r"\[numerics\] window: must have start < end",
+    ),
+    "reversed_critical_window": (
+        _GEOMETRY + "tau = 1.2\n[sweep]\ncritical = yes\ntau_min = 1.2\ntau_max = 0.2\n",
+        r"\[sweep\] tau_min and tau_max: need 0 < tau_min < tau_max",
+    ),
+    "custom_table_without_custom_family": (
+        _GEOMETRY + "tau = 1.2\nleft_breaks = 0 1\nleft_coeffs = [[0,0,0,0,0,0,0,0]]\n",
+        r"\[geometry\] left_breaks and left_coeffs: need family = custom",
+    ),
 }
 
 
@@ -299,13 +334,15 @@ def test_critical_search_uses_configured_numerics(tmp_path, monkeypatch):
     )
     res = run(cfg)
     assert isinstance(res.summary["results"]["critical_tau"], float)
-    # two builds for the scenario itself, the rest for the critical search
+    # two builds for the scenario itself, the rest for the critical search,
+    # which needs only the sign of each max speed - 1
     assert len(seen) > 2
-    for panels, kw in seen:
+    for i, (panels, kw) in enumerate(seen):
         # panel counts double from the configured start; 4096 * 2^k never
         # has the factor 375 of 6000
         assert panels % 6000 == 0
-        assert kw == {"step": cfg.effective_step, "refine_tol": 1e-7}
+        sign_only = {} if i < 2 else {"stop_above_light": True}
+        assert kw == {"step": cfg.effective_step, "refine_tol": 1e-7, **sign_only}
 
 
 def test_sweep_needs_three_ascending_taus(tmp_path):
@@ -331,3 +368,51 @@ def test_sweep_artifacts_and_slope(tmp_path):
     header, data = read_csv(str(tmp_path / "sweep.csv"))
     assert header[0] == "tau"
     assert data.shape[0] == 3
+
+
+def _mirror_table(table, x0, reach=0.2, speed=0.15):
+    """(breaks, rows) of x0 + b (p(t) - p(start)) for a flat-ended C^3
+    table p, with b <= 1 as large as keeps the path within `reach` of x0 and
+    no faster than `speed`."""
+    breaks, rows = table
+    rows = rows.copy()
+    rows[:, 0] -= rows[0, 0]
+    _, values = piecewise_extremes(breaks, rows)
+    _, speeds = piecewise_extremes(breaks, _poly_derivative(rows, 1))
+    b = 1.0
+    for bound, size in ((reach, np.max(np.abs(values))), (speed, np.max(np.abs(speeds)))):
+        if size > bound:
+            b = min(b, bound / size)
+    rows *= b
+    rows[:, 0] += x0
+    return tuple(breaks), tuple(map(tuple, rows))
+
+
+@settings(max_examples=25, deadline=None)
+@given(flat_c3_tables(), flat_c3_tables())
+def test_custom_subluminal_protocols_have_exact_moore_residuals(tmp_path_factory, left, right):
+    """Random smooth, slow custom protocols run end to end, and their exact
+    Moore functions solve the boundary conditions to roundoff."""
+    custom_left, custom_right = _mirror_table(left, 0.0), _mirror_table(right, 1.0)
+    start = min(custom_left[0][0], custom_right[0][0])
+    end = max(custom_left[0][-1], custom_right[0][-1])
+    cfg = RunConfig(
+        family="custom", custom_left=custom_left, custom_right=custom_right,
+        window=(start - 1.5, end + 1.5), time_step=0.25, spatial_points=301,
+        effective_step=0.05, temperatures=(0.0,), csv=(),
+        out_dir=str(tmp_path_factory.mktemp("custom")),
+    )
+    (L0, Lf), (R0, Rf) = (MirrorPath(*table).edges for table in (custom_left, custom_right))
+    try:
+        sta.limit_trajectory(L0, Lf, R0, Rf)
+    except GeometryError:
+        # a rigid shift toward -x has no limit curve, and the run stops on it
+        with pytest.raises(GeometryError, match="limit trajectory degenerate"):
+            run(cfg)
+        return
+    res = run(cfg)
+    assert res.exit_code == 0, res.hard_failures
+    results = res.summary["results"]
+    assert results["exact_reference_available"] is True
+    assert results["exact_residual_L"] <= 1e-10
+    assert results["exact_residual_R"] <= 1e-10

@@ -1,5 +1,6 @@
 """Effective trajectories, limit curves, and the critical timescale."""
 
+from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from cavsta.moore_adiabatic import AdiabaticMoore
 from cavsta.sta import (
     _solve_many,
     EffectivePair,
+    EffectiveTrajectory,
     build_effective,
     continuity_check,
     critical_tau,
@@ -19,7 +21,7 @@ from cavsta.sta import (
     effective_position,
     limit_trajectory,
 )
-from cavsta.trajectory import _merged_gap_coeffs, make_reference, piecewise_extremes
+from cavsta.trajectory import MirrorPath, _merged_gap_coeffs, make_reference, piecewise_extremes
 
 
 def test_effective_solves_defining_equations(contraction12):
@@ -235,6 +237,139 @@ def test_limit_continuity_criterion():
 def test_critical_timescale_brackets_speed_crossing():
     tc = critical_tau("contraction", 0.0, 0.3, 1.0, 0.3, 0.8, 1.2, tol=1e-2)
     assert 0.9 < tc < 1.1
+
+
+# -- sign-only builds for the critical search ----------------------------------
+
+_README = dict(L0=0.0, Lf=0.3, R0=1.0, eps=0.3)  # the README contraction
+
+
+class _CountingMoore:
+    """Adiabatic Moore functions that count the points asked of `jet`."""
+
+    def __init__(self, am):
+        self.am, self.pair, self.points = am, am.pair, 0
+
+    def jet(self, which, z, order=3):
+        self.points += np.size(z)
+        return self.am.jet(which, z, order)
+
+
+@cache
+def _readme_builds(tau):
+    """Adiabatic Moore functions, default window, and the full build of each
+    mirror with the points it asked of `jet`, for the README geometry."""
+    pair = make_reference("contraction", tau=tau, **_README)
+    am = AdiabaticMoore.build(pair)
+    window = default_window(pair)
+    full = {}
+    for side in ("left", "right"):
+        counting = _CountingMoore(am)
+        full[side] = (build_effective(counting, side, *window), counting.points)
+    return am, window, full
+
+
+@pytest.mark.parametrize(
+    "tau, superluminal",
+    [(0.2, True), (0.7, True), (1.0125, True), (1.0164, False), (1.2, False)],
+)
+def test_early_stop_keeps_the_superluminal_verdict(tau, superluminal):
+    """tau_c of this geometry is about 1.0159: the two middle values sit on
+    either side of it, one bisection step apart at tol 1e-3."""
+    am, window, full = _readme_builds(tau)
+    verdicts = []
+    for side in ("left", "right"):
+        whole = full[side][0]
+        early = build_effective(am, side, *window, stop_above_light=True)
+        assert (early.max_speed_sampled > 1.0) == (whole.max_speed_sampled > 1.0)
+        verdicts.append(whole.max_speed_sampled > 1.0)
+        if not early.max_speed_sampled > 1.0:
+            # nothing stops a subluminal build early
+            assert np.array_equal(early.times, whole.times)
+            assert early.max_speed_sampled == whole.max_speed_sampled
+    assert any(verdicts) == superluminal
+
+
+def test_early_stopped_curve_is_an_unrealizable_effective_trajectory():
+    am, window, full = _readme_builds(0.2)
+    whole = full["left"][0]
+    early = build_effective(am, "left", *window, stop_above_light=True)
+    assert isinstance(early, EffectiveTrajectory)
+    assert early.realizable is False
+    assert len(early.times) < len(whole.times)
+    # the nodes are solved samples whichever round the build stopped in
+    assert early.residual_sup <= 1e-9
+
+
+class _LuminalMoore(_StubMoore):
+    """Stub with G(z) = z^3 and F(w) = w.  The left solution has speed
+    (1 - 3u^2) / (1 + 3u^2) with u = t + x: at most 1, and exactly 1 at the
+    node t = 0, where x = 0."""
+
+    pair = SimpleNamespace(
+        L0=0.0, Lf=0.0, R0=1.0, Rf=1.0, d0=1.0,
+        left=MirrorPath(np.array([0.0, 1.0]), np.zeros((1, 8))),
+    )
+
+    def G(self, z, order=0):
+        z = np.asarray(z, dtype=float)
+        return (z**3, 3.0 * z**2, 6.0 * z, np.full_like(z, 6.0))[order]
+
+    def F(self, w, order=0):
+        w = np.asarray(w, dtype=float)
+        return (w, np.ones_like(w), np.zeros_like(w), np.zeros_like(w))[order]
+
+
+def test_node_speed_of_exactly_one_does_not_stop_refinement():
+    am = _LuminalMoore()
+    full = build_effective(am, "left", -1.0, 1.0, step=0.25)
+    early = build_effective(am, "left", -1.0, 1.0, step=0.25, stop_above_light=True)
+    assert len(full.times) > 9  # refined beyond the starting grid
+    assert full.max_speed_sampled == 1.0
+    assert np.array_equal(early.times, full.times)
+    assert early.max_speed_sampled == 1.0
+
+
+def test_critical_tau_equals_bisection_on_full_builds():
+    lo, hi, tol = 0.95, 1.1, 1e-2
+
+    def superluminal(tau):
+        pair = make_reference("contraction", tau=tau, **_README)
+        am = AdiabaticMoore.build(pair)
+        window = default_window(pair)
+        v = max(build_effective(am, side, *window).max_speed_sampled for side in ("left", "right"))
+        return v > 1.0
+
+    assert superluminal(lo) and not superluminal(hi)
+    a, b = lo, hi
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if superluminal(mid) else (a, mid)
+    tc = critical_tau("contraction", *_README.values(), lo, hi, tol=tol)
+    assert tc == 0.5 * (a + b)
+
+
+def test_superluminal_candidate_builds_only_its_left_mirror(monkeypatch):
+    """The tau = 0.2 probe stops the left build early and skips the right."""
+    points, sides = {}, {}
+    jet, build = AdiabaticMoore.jet, sta.build_effective
+
+    def counting_jet(self, which, z, order=3):
+        points[self.pair.tau] = points.get(self.pair.tau, 0) + np.size(z)
+        return jet(self, which, z, order)
+
+    def recording_build(am, side, *args, **kw):
+        assert kw["stop_above_light"] is True
+        sides.setdefault(am.pair.tau, []).append(side)
+        return build(am, side, *args, **kw)
+
+    monkeypatch.setattr(AdiabaticMoore, "jet", counting_jet)
+    monkeypatch.setattr(sta, "build_effective", recording_build)
+    # a tolerance wider than the window: the two end probes and no bisection
+    critical_tau("contraction", *_README.values(), 0.2, 1.2, tol=2.0)
+    assert sides == {0.2: ["left"], 1.2: ["left", "right"]}
+    full = _readme_builds(0.2)[2]
+    assert points[0.2] < (full["left"][1] + full["right"][1]) / 5
 
 
 def test_critical_timescale_needs_a_crossing():
