@@ -266,8 +266,8 @@ class ExactMoore:
         """Arguments in (lo, hi) where F/G lose higher-order smoothness.
 
         Only the paths' C^3 breaks `path.breaks` launch kinks (an effective
-        trajectory reports its window ends there; its interior nodes are
-        C^2 joints of the interpolant, not tracked).  Every forward
+        trajectory reports the ends of its motion window there; its interior
+        nodes are C^2 joints of the interpolant, not tracked).  Every forward
         reflection maps an F-argument kink to a G-argument kink and back:
         left-mirror events seed w = b - L(b), right-mirror events
         z = b + R(b), then w -> z off the right mirror and z -> w off the

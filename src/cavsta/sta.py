@@ -198,18 +198,38 @@ def _quintic_rows(times, positions, slopes, curvatures) -> np.ndarray:
     return np.stack([positions[:-1], s0, 0.5 * k0, c3, c4, c5], axis=1)
 
 
+def _motion_nodes(t_lo, t_hi, n, on, off):
+    """Nodes of the uniform n-step grid on [t_lo, t_hi] that span [on, off]:
+    from the last node at or below `on` to the first at or above `off`.
+
+    Where [t_lo, t_hi] does not cover [on, off], the grid runs on past its
+    ends by whole steps, t_lo + k*h.  Nodes inside the window are bitwise
+    those of np.linspace(t_lo, t_hi, n + 1).  Since on < off, at least one
+    segment is kept.
+    """
+    h = (t_hi - t_lo) / n
+    k = np.arange(np.floor((on - t_lo) / h) - 1.0, np.ceil((off - t_lo) / h) + 2.0)
+    grid = k * h + t_lo
+    grid[k == n] = t_hi
+    first = np.searchsorted(grid, on, side="right") - 1
+    last = np.searchsorted(grid, off, side="left")
+    return grid[first : last + 1]
+
+
 class EffectiveTrajectory(PiecewisePath):
     """Solved effective trajectory for one mirror, with its interpolant.
 
     `times` are the solved samples, the knots of a C^2 quintic Hermite
     interpolant that matches the solved positions and the exact
-    implicit-function slopes and curvatures there.  Outside the sample
-    window the trajectory is the pre/post constant.  `breaks` reports only
-    the window ends: the interior nodes are not C^3 breaks that the exact
-    Moore functions need to track.  `max_speed_sampled` is the exact sup
-    of |dx/dt| over the interpolant; `realizable` is False when it reaches
-    the speed of light (protocol faster than the critical timescale), and
-    such curves remain usable for plotting and limit-curve comparison.
+    implicit-function slopes and curvatures there.  They span the mirror's
+    effective motion window (see `build_effective`); outside it the
+    trajectory equals its exact edge values, the reference mirror's initial
+    and final positions.  `breaks` reports only the ends of that window:
+    the interior nodes are not C^3 breaks that the exact Moore functions
+    need to track.  `max_speed_sampled` is the exact sup of |dx/dt| over
+    the interpolant; `realizable` is False when it reaches the speed of
+    light (protocol faster than the critical timescale), and such curves
+    remain usable for plotting and limit-curve comparison.
     """
 
     def __init__(self, side, times, rows, before, after, residual_sup):
@@ -243,14 +263,25 @@ def build_effective(
     *,
     stop_above_light: bool = False,
 ) -> EffectiveTrajectory:
-    """Solve the side's defining equation on [t_lo, t_hi].
+    """Solve the side's defining equation where the effective mirror moves.
 
-    Starts from a uniform grid (default step tau/512) seeded with the
-    reference mirror positions (the effective trajectory approaches the
-    reference as the protocol slows down), then bisects sample intervals
-    until Hermite interpolation reproduces midpoint solves to `refine_tol`,
-    or the refinement budget is spent (which happens only for superluminal
-    curves near fold points, where the solved branch genuinely jumps).
+    The reference mirror's edge values (x0, xf) solve the equation exactly
+    up to on = motion_start - |x0| and from off = motion_end + |xf| on, with
+    the reference pair's motion_start and motion_end: there both Moore
+    arguments t +- x lie outside the reference motion, where the adiabatic
+    Moore functions are their static closed forms.  So only [on, off] is
+    solved, on the nodes of the uniform grid on [t_lo, t_hi] (default step
+    tau/512) from the last at or below `on` to the first at or above `off`;
+    where the window does not cover [on, off], that grid runs on past its
+    ends by whole steps.  The curve holds x0 before its first knot and xf
+    after its last.
+
+    The solve is seeded with the reference mirror positions (the effective
+    trajectory approaches the reference as the protocol slows down), then
+    bisects sample intervals until Hermite interpolation reproduces
+    midpoint solves to `refine_tol`, or the refinement budget is spent
+    (which happens only for superluminal curves near fold points, where
+    the solved branch genuinely jumps).
 
     With `stop_above_light`, refinement also stops at the first round where
     a node slope exceeds 1 in magnitude, and that round's interpolant is
@@ -266,9 +297,10 @@ def build_effective(
     if step is None:
         step = pair.tau / 512.0
     n = max(2, int(np.ceil((t_hi - t_lo) / step)))
-    times = np.linspace(t_lo, t_hi, n + 1)
-
     ref_path = pair.right if side == "right" else pair.left
+    x0, xf = ref_path.edges
+    on, off = pair.motion_start - abs(x0), pair.motion_end + abs(xf)
+    times = _motion_nodes(t_lo, t_hi, n, on, off)
     positions = _solve_many(am, side, times, ref_path(times), pair.d0)
 
     for round_ in range(_MAX_REFINE + 1):

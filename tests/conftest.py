@@ -37,6 +37,12 @@ def contraction12():
 
 
 @pytest.fixture(scope="session")
+def contraction40():
+    """The same contraction slowed to tau=40: few, deep backward traces."""
+    return Scenario("contraction", L0=0.0, Lf=0.3, R0=1.0, eps=0.3, tau=40.0)
+
+
+@pytest.fixture(scope="session")
 def trio12(contraction12):
     """The three protocol families at tau=1.2, all subluminal."""
     return {

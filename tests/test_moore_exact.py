@@ -133,6 +133,18 @@ def test_effective_pair_accepted(contraction12):
     assert max(res_l, res_r) < 1e-12
 
 
+def test_effective_traces_stop_where_the_reference_traces_do(contraction40):
+    """The effective pair's motion starts about one light-crossing before the
+    reference pair's, not at the window start, so its backward walks reach
+    the static closed form within a bounce or two of the reference's."""
+    s = contraction40
+    t = s.times(400)
+    for which in ("G", "F"):
+        ref = s.exact_ref.trace_depth(t, which)[0].max()
+        eff = s.exact_eff.trace_depth(t, which)[0].max()
+        assert eff <= ref + 2
+
+
 def test_scalar_interface(contraction12):
     moore = contraction12.exact_ref
     out = moore.solve_G(0.37)

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 
 from cavsta import sta
 from cavsta.errors import CavstaError, GeometryError
+from cavsta.moore_adiabatic import AdiabaticMoore
 from cavsta.runner import _KEYS, RunConfig, load_config, run, sweep_tau
-from cavsta.trajectory import MirrorPath, _poly_derivative, piecewise_extremes
+from cavsta.trajectory import MirrorPath, _poly_derivative, make_reference, piecewise_extremes
 
 from test_tables import flat_c3_tables
 
@@ -123,6 +124,49 @@ def test_superluminal_scenario_reported_not_fatal(tmp_path):
         RunConfig(**{**cfg.__dict__, "strict": True, "out_dir": str(tmp_path / "s")})
     )
     assert strict.exit_code == 2
+
+
+def _assert_exact_effective_energy(res, out_dir):
+    assert res.exit_code == 0, res.hard_failures
+    assert res.summary["results"]["exact_effective_available"] is True
+    header, data = read_csv(os.path.join(str(out_dir), "energy.csv"))
+    for T in ("0", "1"):
+        assert np.all(np.isfinite(data[:, header.index(f"E_eff_T{T}")]))
+
+
+@pytest.mark.parametrize("window", [(-0.5, 0.8), (-10.0, -5.0)])
+def test_window_that_cuts_the_effective_motion(tmp_path, window):
+    """A window that ends while the effective mirrors move, or before they
+    start, still gets their whole motion: no jump to the final edge value
+    at the window end, so the exact effective solve runs."""
+    cfg = RunConfig(
+        family="contraction", L0=0.0, Lf=0.3, R0=1.0, eps=0.3, tau=1.2,
+        window=window, temperatures=(0.0, 1.0), out_dir=str(tmp_path),
+    )
+    _assert_exact_effective_energy(run(cfg), tmp_path)
+
+
+def test_default_window_ending_before_the_effective_motion(tmp_path):
+    """Lf = 0.8, eps = 0, tau = 4: the default window ends at tau + 3 df =
+    4.6, but the right effective mirror moves until about tau + Rf = 5."""
+    geometry = dict(family="contraction", L0=0.0, Lf=0.8, R0=1.0, eps=0.0, tau=4.0)
+    cut = tmp_path / "cut"
+    res = run(RunConfig(temperatures=(0.0, 1.0), out_dir=str(cut), **geometry))
+    _assert_exact_effective_energy(res, cut)
+    # the right mirror at the window end is its solved position, still moving
+    header, data = read_csv(str(cut / "trajectories.csv"))
+    t_end, r_end = data[-1, 0], data[-1, header.index("R_eff")]
+    am = AdiabaticMoore.build(make_reference(**geometry))
+    assert r_end == pytest.approx(sta.effective_position(am, "right", t_end), abs=1e-9)
+    assert r_end < 0.999
+    # past the effective motion, Q_eff settles to 1
+    whole = tmp_path / "whole"
+    res = run(
+        RunConfig(window=(-5.0, 5.2), temperatures=(0.0, 1.0), out_dir=str(whole), **geometry)
+    )
+    _assert_exact_effective_energy(res, whole)
+    for T in ("0", "1"):
+        assert abs(res.summary["results"][f"q_eff_final_T{T}"] - 1.0) <= 1e-9
 
 
 def test_config_file_round_trip(tmp_path):

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cavsta import sta
@@ -21,7 +23,16 @@ from cavsta.sta import (
     effective_position,
     limit_trajectory,
 )
-from cavsta.trajectory import MirrorPath, _merged_gap_coeffs, make_reference, piecewise_extremes
+from cavsta.trajectory import (
+    MirrorPath,
+    TrajectoryPair,
+    _merged_gap_coeffs,
+    make_reference,
+    piecewise_extremes,
+)
+
+from test_runner import _mirror_table
+from test_tables import flat_c3_tables
 
 
 def test_effective_solves_defining_equations(contraction12):
@@ -307,7 +318,7 @@ class _LuminalMoore(_StubMoore):
     node t = 0, where x = 0."""
 
     pair = SimpleNamespace(
-        L0=0.0, Lf=0.0, R0=1.0, Rf=1.0, d0=1.0,
+        L0=0.0, Lf=0.0, R0=1.0, Rf=1.0, d0=1.0, motion_start=-1.0, motion_end=1.0,
         left=MirrorPath(np.array([0.0, 1.0]), np.zeros((1, 8))),
     )
 
@@ -370,6 +381,69 @@ def test_superluminal_candidate_builds_only_its_left_mirror(monkeypatch):
     assert sides == {0.2: ["left"], 1.2: ["left", "right"]}
     full = _readme_builds(0.2)[2]
     assert points[0.2] < (full["left"][1] + full["right"][1]) / 5
+
+
+def _motion_window(pair, side):
+    """[on, off] of one side: before on, and after off, both Moore arguments
+    t +- x of the side's edge value x lie outside the reference motion."""
+    x0, xf = getattr(pair, side).edges
+    return pair.motion_start - abs(x0), pair.motion_end + abs(xf)
+
+
+def _assert_solves_to_edge(am, side, t, edge):
+    ref = getattr(am.pair, side)
+    x = _solve_many(am, side, t, ref(t), am.pair.d0)
+    assert np.max(np.abs(x - edge)) <= 1e-14 * max(1.0, abs(edge))
+
+
+@pytest.mark.parametrize("scenario", ["contraction12", "contraction40"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_effective_build_drops_only_static_nodes(request, scenario, side):
+    """The build keeps the default grid's nodes across [on, off], bitwise;
+    the nodes it drops would solve to the reference edge values."""
+    s = request.getfixturevalue(scenario)
+    pair, (lo, hi) = s.pair, s.window
+    times = getattr(s.eff_pair, side).times
+    on, off = _motion_window(pair, side)
+    assert times[0] <= on < times[1]
+    assert times[-2] < off <= times[-1]
+    grid = np.linspace(lo, hi, int(np.ceil((hi - lo) / (pair.tau / 512.0))) + 1)
+    kept = (grid >= times[0]) & (grid <= times[-1])
+    assert np.isin(grid[kept], times).all()
+    edges = getattr(pair, side).edges
+    for dropped, edge in zip((grid < times[0], grid > times[-1]), edges):
+        assert dropped.any()
+        _assert_solves_to_edge(s.am, side, grid[dropped], edge)
+
+
+@settings(max_examples=40, deadline=None)
+@given(flat_c3_tables(), flat_c3_tables(), st.sampled_from(["left", "right"]), st.data())
+def test_effective_edges_exact_on_staggered_custom_motion(left, right, side, data):
+    """Custom mirrors that start and stop moving at different times: outside
+    [on, off] the defining equation solves to the edge values, and a build
+    on any window spans [on, off] with nodes of that window's grid."""
+    pair = TrajectoryPair(
+        MirrorPath(*_mirror_table(left, 0.0)), MirrorPath(*_mirror_table(right, 1.0))
+    )
+    am = AdiabaticMoore.build(pair, 512)
+    on, off = _motion_window(pair, side)
+    gaps = st.lists(st.floats(0.0, 3.0), min_size=1, max_size=8)
+    edges = getattr(pair, side).edges
+    _assert_solves_to_edge(am, side, on - np.array(data.draw(gaps)), edges[0])
+    _assert_solves_to_edge(am, side, off + np.array(data.draw(gaps)), edges[1])
+
+    t_lo = data.draw(st.floats(on - 3.0, off + 3.0))
+    t_hi = t_lo + data.draw(st.floats(0.1, 4.0))
+    times = build_effective(am, side, t_lo, t_hi, step=0.05).times
+    # the end knots are the grid nodes next to on and off, outside them
+    # (up to rounding in the node arithmetic); refinement may add midpoints
+    # of the end segments, so times[1] and times[-2] need not be grid nodes
+    h = (t_hi - t_lo) / max(2, int(np.ceil((t_hi - t_lo) / 0.05)))
+    slack = 1e-9 * h
+    assert times[0] <= on < times[0] + h + slack
+    assert times[-1] - h - slack < off <= times[-1]
+    k = (times[[0, -1]] - t_lo) / h
+    assert_allclose(k, np.round(k), atol=1e-6)
 
 
 def test_critical_timescale_needs_a_crossing():
