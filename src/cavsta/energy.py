@@ -26,6 +26,12 @@ Simpson pass on nodes and midpoints then gives every E(t_j) as a difference
 of node values.  Anomaly and kinetic primitives stay separate because the
 thermal weight multiplies only the kinetic one, so one pass serves every
 temperature.
+
+The sample endpoints are the cavity ends t + L, t + R (G) and t - R, t - L
+(F), so the map values kept at those nodes give the mirror residuals of
+`moore_exact.mirror_residuals`.  The reference run's Moore samples at the
+times themselves ride in the same batch, after the nodes and midpoints, so
+a run traces each map of each pair once.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DensityError
+from .moore_exact import mirror_residuals
 
 __all__ = [
     "thermal_Z",
@@ -130,19 +137,23 @@ def density(moore, x, t: float, state: ThermalState):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _map_parts(moore, which: int, lo, hi, points):
+def _map_parts(moore, which: int, lo, hi, points, at):
     """(anomaly, kinetic) integrals of one Moore map's density pieces over
-    [lo[j], hi[j]] for every j; `which` is 0 for G, 1 for F.
+    [lo[j], hi[j]] for every j, then the map's values at lo, at hi and at
+    `at`; `which` is 0 for G, 1 for F.
 
     The grid has `points` panels across [min lo, max hi], and every endpoint
     and kink argument is a node, so each integral is a difference of node
-    values of the cumulative primitives."""
+    values of the cumulative primitives.  `at` is traced in the same batch
+    after the nodes and midpoints, and only those feed the quadrature."""
     a, b = float(np.min(lo)), float(np.max(hi))
     kinks = moore.kink_args(a, b)[which]
     nodes = np.unique(np.concatenate([np.linspace(a, b, points + 1), lo, hi, kinks]))
     n = nodes.size
+    m = 2 * n - 1
     jet = moore.G_jet if which == 0 else moore.F_jet
-    _, h1, h2, _ = jet(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))
+    h0, h1, h2, _ = jet(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:]), at]))
+    h1, h2 = h1[:m], h2[:m]
     r = _slope_ratio(h1, h2)
     width = np.diff(nodes) / 6.0
 
@@ -154,22 +165,23 @@ def _map_parts(moore, which: int, lo, hi, points):
     rr, kk = primitive(r * r), primitive(h1 * h1)
     i, j = np.searchsorted(nodes, lo), np.searchsorted(nodes, hi)
     anom = -((r[j] - r[i]) - 0.5 * (rr[j] - rr[i])) / (24.0 * np.pi)
-    return anom, 0.5 * (kk[j] - kk[i])
+    return anom, 0.5 * (kk[j] - kk[i]), (h0[i], h0[j], h0[m:])
 
 
-def _energy_parts(moore, pair, times, points):
+def _energy_parts(moore, pair, times, points, at=np.empty(0)):
     """(anomaly, kinetic) cavity integrals at every time in `times`: G runs
-    over t + [L, R], F over t - [R, L]."""
+    over t + [L, R], F over t - [R, L].  From the same traces come F and G
+    at `at` and the two mirror residuals over `times`."""
     L, R = pair.left(times), pair.right(times)
-    anom_g, kin_g = _map_parts(moore, 0, times + L, times + R, points)
-    anom_f, kin_f = _map_parts(moore, 1, times - R, times - L, points)
-    return anom_g + anom_f, kin_g + kin_f
+    anom_g, kin_g, (g_l, g_r, G) = _map_parts(moore, 0, times + L, times + R, points, at)
+    anom_f, kin_f, (f_r, f_l, F) = _map_parts(moore, 1, times - R, times - L, points, at)
+    return anom_g + anom_f, kin_g + kin_f, F, G, mirror_residuals(g_l, g_r, f_l, f_r)
 
 
 def total_energy(moore, pair, t: float, state: ThermalState, points: int = 2001) -> float:
     """Total field energy at time t: the density integrated across the cavity,
     with `points` Simpson panels per Moore map."""
-    anom, kin = _energy_parts(moore, pair, np.array([float(t)]), points)
+    anom, kin, *_ = _energy_parts(moore, pair, np.array([float(t)]), points)
     return float(anom[0] + state.kinetic_weight * kin[0])
 
 
@@ -217,8 +229,10 @@ class EnergyRecord:
 
     Arrays are (n_temperatures, n_times); Q rows satisfy Q = E/E_ad of the
     same run (the effective run's E_ad follows the effective cavity length).
-    Runs that could not be computed (superluminal pair refused by the exact
-    solver) hold NaN.
+    `F_ref`, `G_ref` are the reference run's exact Moore functions at the
+    times, and `residual_ref` its two mirror residual sups over them (as
+    `ExactMoore.residuals`).  Runs that could not be computed (superluminal
+    pair refused by the exact solver) hold NaN.
     """
 
     times: np.ndarray
@@ -229,19 +243,24 @@ class EnergyRecord:
     E_ad_eff: np.ndarray
     Q_ref: np.ndarray
     Q_eff: np.ndarray
+    F_ref: np.ndarray
+    G_ref: np.ndarray
+    residual_ref: tuple
 
 
-def _run_series(moore, pair, times, states, points):
-    """(E, E_ad) arrays of shape (nT, nt) for one run; NaN when moore is None."""
+def _run_series(moore, pair, times, states, points, at=np.empty(0)):
+    """(E, E_ad) arrays of shape (nT, nt) for one run, then its F and G at
+    `at` and its two mirror residuals; NaN when moore is None."""
     nan = np.full((len(states), len(times)), np.nan)
+    missing = np.full(at.shape, np.nan), np.full(at.shape, np.nan), (np.nan, np.nan)
     if pair is None:
-        return nan, nan.copy()
+        return nan, nan.copy(), *missing
     weight = np.array([st.kinetic_weight for st in states])[:, None]
     E_ad = weight / pair.gap(times)  # adiabatic_energy at every sample
     if moore is None:
-        return nan, E_ad
-    anom, kin = _energy_parts(moore, pair, times, points)
-    return anom + weight * kin, E_ad
+        return nan, E_ad, *missing
+    anom, kin, *moore_values = _energy_parts(moore, pair, times, points, at)
+    return anom + weight * kin, E_ad, *moore_values
 
 
 def energy_record(
@@ -258,10 +277,16 @@ def energy_record(
     The exact Moore solutions enter through `moore_ref`/`moore_eff`; passing
     None for a run leaves its columns NaN (reported, not fatal, so sweeps
     can cross the superluminal regime).  `points` is the number of Simpson
-    panels per Moore map across the arguments the run needs."""
+    panels per Moore map across the arguments the run needs.
+
+    Each Moore map of each run is traced once.  The reference run's F and G
+    at `times` ride in its energy batch, and its mirror residuals are read
+    off the cavity-end nodes, so a caller needs no further trace for them."""
     times = np.asarray(times, dtype=float)
-    E_ref, E_ad_ref = _run_series(moore_ref, pair_ref, times, states, points)
-    E_eff, E_ad_eff = _run_series(moore_eff, pair_eff, times, states, points)
+    E_ref, E_ad_ref, F_ref, G_ref, residual_ref = _run_series(
+        moore_ref, pair_ref, times, states, points, times
+    )
+    E_eff, E_ad_eff, *_ = _run_series(moore_eff, pair_eff, times, states, points)
     with np.errstate(divide="ignore", invalid="ignore"):
         Q_ref = E_ref / E_ad_ref
         Q_eff = E_eff / E_ad_eff
@@ -274,4 +299,7 @@ def energy_record(
         E_ad_eff=E_ad_eff,
         Q_ref=Q_ref,
         Q_eff=Q_eff,
+        F_ref=F_ref,
+        G_ref=G_ref,
+        residual_ref=residual_ref,
     )

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from cavsta import sta
 from cavsta.errors import CavstaError, GeometryError
 from cavsta.moore_adiabatic import AdiabaticMoore
+from cavsta.moore_exact import ExactMoore
 from cavsta.runner import _KEYS, RunConfig, load_config, run, sweep_tau
 from cavsta.trajectory import MirrorPath, _poly_derivative, make_reference, piecewise_extremes
 
@@ -107,6 +108,40 @@ def test_csv_selection(tmp_path):
     assert names == ["energy.csv", "summary.txt"]
 
 
+def test_one_trace_per_moore_map(tmp_path, monkeypatch):
+    """A run traces each map of each pair once: the energy batch carries
+    the moore.csv samples and the mirror residual arguments too."""
+    traces = {}
+    trace = ExactMoore._trace
+
+    def counting(self, args, which):
+        traces[id(self), which] = traces.get((id(self), which), 0) + 1
+        return trace(self, args, which)
+
+    monkeypatch.setattr(ExactMoore, "_trace", counting)
+    res = run(contraction_cfg(tmp_path))
+    assert res.exit_code == 0
+    assert sorted(which for _, which in traces) == ["F", "F", "G", "G"]
+    assert list(traces.values()) == [1, 1, 1, 1]
+
+
+def test_run_moore_values_are_the_standalone_solve(tmp_path):
+    """moore.csv's exact columns and the summary's exact residuals, read off
+    the energy traces, equal a fresh solver's own solve and residuals."""
+    cfg = contraction_cfg(tmp_path)
+    res = run(cfg)
+    header, data = read_csv(os.path.join(str(tmp_path), "moore.csv"))
+    times = data[:, header.index("z")]
+    moore = ExactMoore(make_reference(
+        cfg.family, L0=cfg.L0, Lf=cfg.Lf, R0=cfg.R0, eps=cfg.eps, tau=cfg.tau
+    ))
+    assert np.array_equal(data[:, header.index("F_exact")], moore.solve_F(times)[0])
+    assert np.array_equal(data[:, header.index("G_exact")], moore.solve_G(times)[0])
+    results = res.summary["results"]
+    residuals = (results["exact_residual_L"], results["exact_residual_R"])
+    assert residuals == moore.residuals(times)
+
+
 def test_superluminal_scenario_reported_not_fatal(tmp_path):
     cfg = RunConfig(
         family="rigid", L0=0.0, Lf=0.4, R0=1.0, eps=-0.4, tau=0.4,
@@ -119,6 +154,11 @@ def test_superluminal_scenario_reported_not_fatal(tmp_path):
     assert res.summary["results"]["exact_reference_available"] is False
     header, data = read_csv(os.path.join(str(tmp_path), "energy.csv"))
     assert np.all(np.isnan(data[:, header.index("Q_ref_T0")]))
+    header, data = read_csv(os.path.join(str(tmp_path), "moore.csv"))
+    assert np.all(np.isnan(data[:, header.index("F_exact")]))
+    assert np.all(np.isnan(data[:, header.index("G_exact")]))
+    assert np.isnan(res.summary["results"]["exact_residual_L"])
+    assert np.isnan(res.summary["results"]["exact_residual_R"])
 
     strict = run(
         RunConfig(**{**cfg.__dict__, "strict": True, "out_dir": str(tmp_path / "s")})
