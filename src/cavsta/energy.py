@@ -137,21 +137,20 @@ def density(moore, x, t: float, state: ThermalState):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _map_parts(moore, which: int, lo, hi, points, at):
+def _map_parts(jet, kinks, lo, hi, points, at):
     """(anomaly, kinetic) integrals of one Moore map's density pieces over
     [lo[j], hi[j]] for every j, then the map's values at lo, at hi and at
-    `at`; `which` is 0 for G, 1 for F.
+    `at`; `jet` is the map's jet function, `kinks` its kink arguments.
 
     The grid has `points` panels across [min lo, max hi], and every endpoint
-    and kink argument is a node, so each integral is a difference of node
-    values of the cumulative primitives.  `at` is traced in the same batch
-    after the nodes and midpoints, and only those feed the quadrature."""
+    and kink argument inside it is a node, so each integral is a difference
+    of node values of the cumulative primitives.  `at` is traced in the same
+    batch after the nodes and midpoints, and only those feed the quadrature."""
     a, b = float(np.min(lo)), float(np.max(hi))
-    kinks = moore.kink_args(a, b)[which]
+    kinks = kinks[(kinks > a) & (kinks < b)]
     nodes = np.unique(np.concatenate([np.linspace(a, b, points + 1), lo, hi, kinks]))
     n = nodes.size
     m = 2 * n - 1
-    jet = moore.G_jet if which == 0 else moore.F_jet
     h0, h1, h2, _ = jet(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:]), at]))
     h1, h2 = h1[:m], h2[:m]
     r = _slope_ratio(h1, h2)
@@ -171,10 +170,16 @@ def _map_parts(moore, which: int, lo, hi, points, at):
 def _energy_parts(moore, pair, times, points, at=np.empty(0)):
     """(anomaly, kinetic) cavity integrals at every time in `times`: G runs
     over t + [L, R], F over t - [R, L].  From the same traces come F and G
-    at `at` and the two mirror residuals over `times`."""
+    at `at` and the two mirror residuals over `times`.  One `kink_args`
+    call covers both maps' arguments, t - R up to t + R."""
     L, R = pair.left(times), pair.right(times)
-    anom_g, kin_g, (g_l, g_r, G) = _map_parts(moore, 0, times + L, times + R, points, at)
-    anom_f, kin_f, (f_r, f_l, F) = _map_parts(moore, 1, times - R, times - L, points, at)
+    z_kinks, w_kinks = moore.kink_args(float(np.min(times - R)), float(np.max(times + R)))
+    anom_g, kin_g, (g_l, g_r, G) = _map_parts(
+        moore.G_jet, z_kinks, times + L, times + R, points, at
+    )
+    anom_f, kin_f, (f_r, f_l, F) = _map_parts(
+        moore.F_jet, w_kinks, times - R, times - L, points, at
+    )
     return anom_g + anom_f, kin_g + kin_f, F, G, mirror_residuals(g_l, g_r, f_l, f_r)
 
 

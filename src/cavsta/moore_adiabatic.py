@@ -8,7 +8,9 @@ The leading adiabatic solution of Moore's equations is
 with I(t) the advance integral of 1/(R-L).  The anchoring constants are
 cF = -1/2, cG = +1/2, fixed by matching the static pre-motion branch
 (t +- L0)/d0; with that choice G_ad - F_ad = 1 - (R+L)/(R-L) exactly, which
-encodes both boundary conditions.
+encodes both boundary conditions.  Both maps are I + s (R+L)/(R-L) - s, with
+s = +1/2 for F and -1/2 for G, so one pass can evaluate both: `mirror_jets`
+gives G_ad(t + x) and F_ad(t - x), the two sides of the mirror conditions.
 
 Only the order-0 evaluation touches the quadrature table (and only inside
 the motion window, where I is not elementary); derivatives 1..3 are closed
@@ -22,12 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from . import jets
 from .errors import ConvergenceError
+from .moore_exact import mirror_residuals
 from .trajectory import TrajectoryPair, _check_order, piecewise_eval
 
-__all__ = ["AdiabaticMoore", "adiabatic_residual"]
+__all__ = ["AdiabaticMoore", "adiabatic_residual", "mirror_jets"]
 
-_CF = -0.5
-_CG = +0.5
+_SIGN = {"F": +0.5, "G": -0.5}  # s of each map; its anchoring constant is -s
 
 _ENDPOINT_TOL = 1e-10  # settling test of the advance-integral table
 _MAX_DOUBLINGS = 6
@@ -110,32 +112,31 @@ class AdiabaticMoore:
         return jets.divide(u, v), jets.reciprocal(v[:order]) if order else ()
 
     def jet(self, which: str, z, order: int = 3):
-        """(value, d1, ..., d_order) of F_ad or G_ad at z; vectorized."""
-        if which == "F":
-            s, c = +0.5, _CF
-        elif which == "G":
-            s, c = -0.5, _CG
-        else:
-            raise ValueError(f"which must be 'F' or 'G', got {which!r}")
+        """(value, d1, ..., d_order) of F_ad or G_ad at z; vectorized.
+
+        `which` = "GF" evaluates G_ad on the first half of the 1-D array z
+        and F_ad on the second half, in one pass over all of z."""
+        s = _SIGN.get(which)
+        if which == "GF" and np.size(z) % 2 == 0:
+            s = np.repeat([_SIGN["G"], _SIGN["F"]], np.size(z) // 2)
+        if s is None:
+            raise ValueError(f"which must be F, G or GF (even size), got {which!r}")
         _check_order(order)
         scalar = np.ndim(z) == 0
         zz = np.atleast_1d(np.asarray(z, dtype=float))
         q, r = self._q_jet(zz, order)
-        out = (self.advance(zz) + s * q[0] + c,) + tuple(
+        out = (self.advance(zz) + s * q[0] - s,) + tuple(
             r[k - 1] + s * q[k] for k in range(1, order + 1)
         )
         if scalar:
             return tuple(float(a[0]) for a in out)
         return out
 
-    def eval(self, which: str, z, order: int = 0):
-        return self.jet(which, z, order)[order]
-
     def F(self, z, order: int = 0):
-        return self.eval("F", z, order)
+        return self.jet("F", z, order)[order]
 
     def G(self, z, order: int = 0):
-        return self.eval("G", z, order)
+        return self.jet("G", z, order)[order]
 
     def F_jet(self, z):
         return self.jet("F", z)
@@ -152,12 +153,17 @@ class AdiabaticMoore:
 
     def residual(self, times):
         """Sup over `times` of both Moore-equation residuals (res_L, res_R)."""
-        t = np.asarray(times, dtype=float)
-        L = self.pair.left(t)
-        R = self.pair.right(t)
-        res_l = np.max(np.abs(self.eval("G", t + L) - self.eval("F", t - L)))
-        res_r = np.max(np.abs(self.eval("G", t + R) - self.eval("F", t - R) - 2.0))
-        return float(res_l), float(res_r)
+        t = np.atleast_1d(np.asarray(times, dtype=float))
+        x = np.concatenate([self.pair.left(t), self.pair.right(t)])
+        (g,), (f,) = mirror_jets(self, np.concatenate([t, t]), x, 0)
+        return mirror_residuals(*np.split(g, 2), *np.split(f, 2))
+
+
+def mirror_jets(am: AdiabaticMoore, t, x, order: int):
+    """Jets to `order` of G_ad at t + x and of F_ad at t - x, the two Moore
+    functions of the mirror conditions, from one `am.jet("GF", ...)` pass."""
+    both = am.jet("GF", np.concatenate([t + x, t - x]), order)
+    return tuple(zip(*(np.split(a, 2) for a in both)))
 
 
 def adiabatic_residual(am: AdiabaticMoore, times):

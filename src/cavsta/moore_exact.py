@@ -88,7 +88,6 @@ class ExactMoore:
             "G": self._start + float(pair.right(self._start)),
             "F": self._start - float(pair.left(self._start)),
         }
-        self._kink_cache = None
 
     # -- monotone map inversion ------------------------------------------------
 
@@ -280,31 +279,32 @@ class ExactMoore:
         reflection maps an F-argument kink to a G-argument kink and back:
         left-mirror events seed w = b - L(b), right-mirror events
         z = b + R(b), then w -> z off the right mirror and z -> w off the
-        left mirror, each hop advancing by roughly twice the cavity length.
+        left mirror.  A hop changes the argument by 2R (w -> z) or -2L
+        (z -> w), and two hops advance it by at least the shortest cavity
+        length, half the per-bounce advance `_max_bounces` assumes.  So a
+        front and its child both above hi have no descendant at or below it,
+        and each loop round hops every front once: at most four rounds per
+        bounce of that bound.
         """
-        cached = self._kink_cache
-        if cached is not None and cached[0] >= hi:
-            z_all, w_all = cached[1], cached[2]
+        left, right = self.pair.left, self.pair.right
+        w_front = left.breaks - left(left.breaks)
+        z_front = right.breaks + right(right.breaks)
+        z_list, w_list = [], []
+        for _ in range(4 * self._max_bounces(hi)):
+            w_list.append(w_front)
+            z_list.append(z_front)
+            if w_front.size == 0 and z_front.size == 0:
+                break
+            t, (X,) = self._invert("right", -1.0, w_front, 0)
+            z_next = t + X
+            t, (X,) = self._invert("left", 1.0, z_front, 0)
+            w_next = t - X
+            z_front, w_front = (
+                z_next[(z_next <= hi) | (w_front <= hi)],
+                w_next[(w_next <= hi) | (z_front <= hi)],
+            )
         else:
-            left, right = self.pair.left, self.pair.right
-            w_front = left.breaks - left(left.breaks)
-            z_front = right.breaks + right(right.breaks)
-            z_list, w_list = [], []
-            for _ in range(self._max_bounces(hi) + 1):
-                w_list.append(w_front)
-                z_list.append(z_front)
-                w_keep = w_front[w_front <= hi]
-                z_keep = z_front[z_front <= hi]
-                if w_keep.size == 0 and z_keep.size == 0:
-                    break
-                t, (X,) = self._invert("right", -1.0, w_keep, 0)
-                z_front = t + X
-                t, (X,) = self._invert("left", 1.0, z_keep, 0)
-                w_front = t - X
-            z_all = np.unique(np.concatenate(z_list))
-            w_all = np.unique(np.concatenate(w_list))
-            self._kink_cache = (hi, z_all, w_all)
-        return (
-            z_all[(z_all > lo) & (z_all < hi)],
-            w_all[(w_all > lo) & (w_all < hi)],
-        )
+            raise ConvergenceError("kink fronts exceeded their bounce bound")
+        z_all = np.unique(np.concatenate(z_list))
+        w_all = np.unique(np.concatenate(w_list))
+        return z_all[(z_all > lo) & (z_all < hi)], w_all[(w_all > lo) & (w_all < hi)]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdiabaticOrderError, BracketError, GeometryError
-from .moore_adiabatic import AdiabaticMoore
+from .moore_adiabatic import AdiabaticMoore, mirror_jets
 from .trajectory import PiecewisePath, TrajectoryPair, make_reference, piecewise_eval
 
 __all__ = [
@@ -48,9 +48,13 @@ _MAX_REFINE = 5  # bisection rounds of build_effective
 
 
 def default_window(pair) -> tuple[float, float]:
-    """Run window [-(R0 + tau), tau + 3(Rf - Lf)]: one light-crossing before
-    motion onset, three after, so post-motion relaxation is visible."""
-    return (-(pair.R0 + pair.tau), pair.tau + 3.0 * (pair.Rf - pair.Lf))
+    """Run window [-(R0 + tau), tau + max(3 df, max(|Lf|, |Rf|) + df)]: one
+    light-crossing before motion onset; after it, three light-crossings, or
+    one after the effective mirrors stop (at tau + |xf|) if that is later,
+    so post-motion relaxation is visible."""
+    df = pair.Rf - pair.Lf
+    settled = max(abs(pair.Lf), abs(pair.Rf)) + df
+    return (-(pair.R0 + pair.tau), pair.tau + max(3.0 * df, settled))
 
 
 def _default_bracket(am: AdiabaticMoore) -> tuple[float, float]:
@@ -72,14 +76,13 @@ def _solve(am, side, t, lo, hi, rounds):
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
 
-    def h_ends(tv, lov, hiv):
-        # both bracket ends in one evaluation of each map
-        tt, xx = np.concatenate([tv, tv]), np.concatenate([lov, hiv])
-        hv = am.jet("G", tt + xx, 0)[0] - am.jet("F", tt - xx, 0)[0] - target
-        return np.split(hv, 2)
-
-    flo, fhi = h_ends(t, lo, hi)
+    flo, fhi = np.empty(t.shape), np.empty(t.shape)
+    i = np.arange(t.size)
     for round_ in range(rounds + 1):
+        # both bracket ends of the samples still searching, in one pass
+        tt, xx = np.concatenate([t[i], t[i]]), np.concatenate([lo[i], hi[i]])
+        (g,), (f,) = mirror_jets(am, tt, xx, 0)
+        flo[i], fhi[i] = np.split(g - f - target, 2)
         ok = ((flo < 0.0) & (fhi > 0.0)) | (flo == 0.0) | (fhi == 0.0)
         i = np.flatnonzero(~ok)
         if i.size == 0 or round_ == rounds:
@@ -87,7 +90,6 @@ def _solve(am, side, t, lo, hi, rounds):
         half = 0.5 * (hi[i] - lo[i])
         lo[i] -= half
         hi[i] += half
-        flo[i], fhi[i] = h_ends(t[i], lo[i], hi[i])
 
     x = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, 0.5 * (lo + hi)))
     active = np.flatnonzero(ok & (flo != 0.0) & (fhi != 0.0))
@@ -95,8 +97,7 @@ def _solve(am, side, t, lo, hi, rounds):
         if active.size == 0:
             break
         ti, xi, loi, hii = t[active], x[active], lo[active], hi[active]
-        g, g1 = am.jet("G", ti + xi, 1)
-        fv, f1 = am.jet("F", ti - xi, 1)
+        (g, g1), (fv, f1) = mirror_jets(am, ti, xi, 1)
         f = g - fv - target
         scale = np.maximum(1.0, np.maximum(np.abs(g), np.abs(fv)))
         conv = np.abs(f) <= 2e-14 * scale
@@ -124,16 +125,17 @@ def effective_position(am: AdiabaticMoore, side: str, t: float, bracket=None) ->
     if side not in _TARGET:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     lo, hi = bracket if bracket is not None else _default_bracket(am)
-    x, ok = _solve(am, side, np.array([float(t)]), [float(lo)], [float(hi)], 40)
+    tt = np.array([float(t)])
+    x, ok = _solve(am, side, tt, [float(lo)], [float(hi)], 40)
     if not ok[0]:
         raise BracketError(f"no physical effective position for side={side} at t={t}")
-    x = float(x[0])
-    slope = am.jet("G", t + x, 1)[1] + am.jet("F", t - x, 1)[1]
+    (_, g1), (_, f1) = mirror_jets(am, tt, x, 1)
+    slope = float(g1[0] + f1[0])
     if not slope > 0.0:
         raise AdiabaticOrderError(
             f"defining equation not increasing at its root (h' = {slope:.3g})"
         )
-    return x
+    return float(x[0])
 
 
 def _solve_many(am, side, times, guesses, d0):
@@ -170,8 +172,7 @@ def _implicit_jet(am, side, times, positions):
         d2x/dt2 = [F''(1-dx/dt)^2 - G''(1+dx/dt)^2] / (F' + G').
 
     Both are capped where F' + G' changes sign (fold of the branch)."""
-    _, G1, G2 = am.jet("G", times + positions, 2)
-    _, F1, F2 = am.jet("F", times - positions, 2)
+    (_, G1, G2), (_, F1, F2) = mirror_jets(am, times, positions, 2)
     denom = G1 + F1
     safe = np.where(np.abs(denom) < 1e-12, 1e-12, denom)
     slopes = np.clip((F1 - G1) / safe, -_SLOPE_CAP, _SLOPE_CAP)
@@ -322,13 +323,8 @@ def build_effective(
         order = np.argsort(times)
         times, positions = times[order], positions[order]
 
-    residual = np.max(
-        np.abs(
-            am.jet("G", times + positions, 0)[0]
-            - am.jet("F", times - positions, 0)[0]
-            - _TARGET[side]
-        )
-    )
+    (g,), (f,) = mirror_jets(am, times, positions, 0)
+    residual = np.max(np.abs(g - f - _TARGET[side]))
     return EffectiveTrajectory(side, times, rows, *ref_path.edges, residual)
 
 

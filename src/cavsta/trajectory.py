@@ -196,14 +196,6 @@ class PiecewisePath:
     def motion_end(self) -> float:
         return float(self._knots[-1])
 
-    @property
-    def initial_value(self) -> float:
-        return self.edges[0]
-
-    @property
-    def final_value(self) -> float:
-        return self.edges[1]
-
     def table(self):
         """(knots, rows, before, after) of the position polynomial."""
         return self._knots, self._dcoeffs[0], *self.edges
@@ -356,10 +348,9 @@ class TrajectoryPair:
     def __post_init__(self):
         if self.tau is not None and not self.tau > 0:
             raise GeometryError(f"motion duration must be positive, got {self.tau}")
-        object.__setattr__(self, "L0", self.left.initial_value)
-        object.__setattr__(self, "Lf", self.left.final_value)
-        object.__setattr__(self, "R0", self.right.initial_value)
-        object.__setattr__(self, "Rf", self.right.final_value)
+        edges = (*self.left.edges, *self.right.edges)
+        for name, value in zip(("L0", "Lf", "R0", "Rf"), edges):
+            object.__setattr__(self, name, value)
         breaks, rows = _merged_gap_coeffs(self.left.table(), self.right.table())
         _, vals = piecewise_extremes(breaks, rows)
         object.__setattr__(self, "_gap_min", min(self.d0, self.df, float(vals.min())))

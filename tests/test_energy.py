@@ -145,6 +145,33 @@ def test_energy_record_handles_missing_solver(contraction12):
     assert np.all(np.isnan(rec.E_ad_eff))
 
 
+@pytest.mark.parametrize("scenario", ["contraction12", "contraction40"])
+def test_one_kink_search_per_exact_moore(request, scenario, monkeypatch):
+    """The energy record asks each exact Moore pair for its kinks once, over
+    both maps' arguments; a window's kinks are a wider window's, filtered."""
+    s = request.getfixturevalue(scenario)
+    calls = []
+    kink_args = ExactMoore.kink_args
+
+    def counting_kink_args(self, lo, hi):
+        calls.append(self)
+        return kink_args(self, lo, hi)
+
+    monkeypatch.setattr(ExactMoore, "kink_args", counting_kink_args)
+    moore_ref, moore_eff = ExactMoore(s.pair), ExactMoore(s.eff_pair)
+    states = [ThermalState(0.0, 1.0)]
+    energy_record(s.times(40), states, moore_ref, s.pair, moore_eff, s.eff_pair, points=201)
+    assert len(calls) == 2
+    assert calls[0] is moore_ref and calls[1] is moore_eff
+    lo, hi = s.window
+    for moore in (moore_ref, moore_eff):
+        wide = kink_args(moore, lo - 5.0, hi + 20.0)
+        assert wide[0].size and wide[1].size
+        for a, b in ((lo, hi), (lo - 1.0, hi + 1.0), (0.0, 0.5 * hi)):
+            for k, all_k in zip(kink_args(moore, a, b), wide):
+                assert np.array_equal(k, all_k[(all_k > a) & (all_k < b)])
+
+
 def test_energy_record_independent_of_discretization(contraction12):
     s = contraction12
     times = s.times(65)

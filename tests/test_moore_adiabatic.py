@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from cavsta.moore_adiabatic import AdiabaticMoore, adiabatic_residual
+from cavsta.moore_adiabatic import AdiabaticMoore, adiabatic_residual, mirror_jets
 from cavsta.trajectory import make_reference
 
+from test_tables import _same, _some, arguments
 from util import drop_near, fd_jets
 
 
@@ -87,9 +90,32 @@ def test_kink_arguments_are_trajectory_breaks(contraction12):
 def test_invalid_requests_rejected(contraction12):
     am = contraction12.am
     with pytest.raises(ValueError):
-        am.eval("H", 0.0)
+        am.jet("H", 0.0)
     with pytest.raises(ValueError):
-        am.eval("G", 0.0, order=4)
+        am.G(0.0, order=4)
     for order in (-1, 4):
         with pytest.raises(ValueError):
             am.jet("F", 0.0, order)
+    # "GF" splits its arguments in two halves
+    with pytest.raises(ValueError):
+        am.jet("GF", np.zeros(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mirror_jets_are_the_single_map_jets(contraction12, data):
+    """One "GF" pass gives G_ad at t + x and F_ad at t - x bit for bit, and
+    the residual read off such a pass is the four-call formula."""
+    am = contraction12.am
+    t = np.atleast_1d(data.draw(arguments(_some(am._nodes))))
+    offsets = st.one_of(st.just(0.0), st.floats(-1.0, 2.0))
+    x = np.array(data.draw(st.lists(offsets, min_size=t.size, max_size=t.size)))
+    for k in range(4):
+        g, f = mirror_jets(am, t, x, k)
+        assert _same(g, am.jet("G", t + x, k))
+        assert _same(f, am.jet("F", t - x, k))
+    G, F = (lambda z: am.jet("G", z, 0)[0]), (lambda w: am.jet("F", w, 0)[0])
+    L, R = am.pair.left(t), am.pair.right(t)
+    res_l = np.max(np.abs(G(t + L) - F(t - L)))
+    res_r = np.max(np.abs(G(t + R) - F(t - R) - 2.0))
+    assert am.residual(t) == (float(res_l), float(res_r))

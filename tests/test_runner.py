@@ -187,11 +187,14 @@ def test_window_that_cuts_the_effective_motion(tmp_path, window):
 
 
 def test_default_window_ending_before_the_effective_motion(tmp_path):
-    """Lf = 0.8, eps = 0, tau = 4: the default window ends at tau + 3 df =
-    4.6, but the right effective mirror moves until about tau + Rf = 5."""
+    """Lf = 0.8, eps = 0, tau = 4: tau + 3 df = 4.6, but the right effective
+    mirror moves until about tau + Rf = 5.  A window cut there still runs;
+    the default window ends one light-crossing later, at 5.2."""
     geometry = dict(family="contraction", L0=0.0, Lf=0.8, R0=1.0, eps=0.0, tau=4.0)
     cut = tmp_path / "cut"
-    res = run(RunConfig(temperatures=(0.0, 1.0), out_dir=str(cut), **geometry))
+    res = run(
+        RunConfig(window=(-5.0, 4.6), temperatures=(0.0, 1.0), out_dir=str(cut), **geometry)
+    )
     _assert_exact_effective_energy(res, cut)
     # the right mirror at the window end is its solved position, still moving
     header, data = read_csv(str(cut / "trajectories.csv"))
@@ -199,11 +202,11 @@ def test_default_window_ending_before_the_effective_motion(tmp_path):
     am = AdiabaticMoore.build(make_reference(**geometry))
     assert r_end == pytest.approx(sta.effective_position(am, "right", t_end), abs=1e-9)
     assert r_end < 0.999
-    # past the effective motion, Q_eff settles to 1
+    # the default window runs past the effective motion, where Q_eff settles to 1
+    window = sta.default_window(make_reference(**geometry))
+    assert window == pytest.approx((-5.0, 5.2), abs=1e-12)
     whole = tmp_path / "whole"
-    res = run(
-        RunConfig(window=(-5.0, 5.2), temperatures=(0.0, 1.0), out_dir=str(whole), **geometry)
-    )
+    res = run(RunConfig(temperatures=(0.0, 1.0), out_dir=str(whole), **geometry))
     _assert_exact_effective_energy(res, whole)
     for T in ("0", "1"):
         assert abs(res.summary["results"][f"q_eff_final_T{T}"] - 1.0) <= 1e-9

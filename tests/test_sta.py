@@ -103,12 +103,15 @@ def test_effective_jet_orders_outside_0_to_3_rejected(contraction12):
 
 def test_effective_build_asks_for_no_third_order(contraction12, monkeypatch):
     """The solver needs value and slope, the implicit jet curvature; a
-    full third-order adiabatic jet anywhere in the build is wasted work."""
-    orders, rounds = [], []
+    full third-order adiabatic jet anywhere in the build is wasted work.
+    Every evaluation is one joint pass over both maps, so each implicit-jet
+    round asks for one second-order jet."""
+    orders, whiches, rounds = [], [], []
     jet, implicit_jet = AdiabaticMoore.jet, sta._implicit_jet
 
     def recording_jet(self, which, z, order=3):
         orders.append(order)
+        whiches.append(which)
         return jet(self, which, z, order)
 
     def counting_implicit_jet(*args):
@@ -121,7 +124,8 @@ def test_effective_build_asks_for_no_third_order(contraction12, monkeypatch):
     build_effective(s.am, "right", *s.window)
     assert rounds and orders
     assert 3 not in orders
-    assert orders.count(2) <= 2 * len(rounds)
+    assert set(whiches) == {"GF"}
+    assert orders.count(2) <= len(rounds)
 
 
 def test_effective_position_scalar_matches_curve(contraction12):
@@ -143,10 +147,14 @@ def test_superluminal_protocol_flagged():
 
 
 class _StubMoore:
-    """Stub Moore pair: `jet` is assembled from the stub's own G and F."""
+    """Stub Moore pair: `jet` is assembled from the stub's own G and F, for
+    the one request the solver makes, G on the first half of z, F on the
+    second."""
 
     def jet(self, which, z, order=3):
-        return tuple(getattr(self, which)(z, k) for k in range(order + 1))
+        assert which == "GF"
+        g, f = np.split(np.asarray(z, dtype=float), 2)
+        return tuple(np.concatenate([self.G(g, k), self.F(f, k)]) for k in range(order + 1))
 
 
 class _DecreasingMoore(_StubMoore):

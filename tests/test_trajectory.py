@@ -147,7 +147,7 @@ def test_edge_pin_must_match_polynomial():
     with pytest.raises(ContinuityError):
         MirrorPath(breaks, coeffs, edges=(0.2, 0.7))
     path = MirrorPath(breaks, coeffs, edges=(0.2, 0.2))
-    assert path.initial_value == 0.2 and path.final_value == 0.2
+    assert path.edges == (0.2, 0.2)
 
 
 def test_bad_tables_rejected():
