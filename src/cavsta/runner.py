@@ -158,6 +158,7 @@ _LIMITS = {
     "spatial_points": ("must be >= 1", lambda v: v >= 1),
     "moore_panels": ("must be >= 1", lambda v: v >= 1),
     "effective_step": ("must be > 0", lambda v: v > 0),
+    "effective_refine_tol": ("must be > 0", lambda v: v > 0),
     "window": ("must have start < end", lambda v: v[0] < v[1]),
 }
 

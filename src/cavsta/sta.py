@@ -16,8 +16,8 @@ form: constants joined by a uniform-velocity segment of slope
 
 negative for contractions, positive for expansions, zero for rigid motion.
 Below a critical timescale tau_c the effective trajectories exceed the
-speed of light; they are still returned, flagged, so callers can compare
-them against the limit curves.
+speed of light; they are still returned, flagged and unrefined, so callers
+can compare them against the limit curves.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ __all__ = [
 
 _TARGET = {"left": 0.0, "right": 2.0}
 _SLOPE_CAP = 1e3  # keeps the interpolant finite across fold points
-_MAX_REFINE = 5  # bisection rounds of build_effective
+_MAX_REFINE = 5  # bisection rounds of a subluminal build_effective
 
 
 def default_window(pair) -> tuple[float, float]:
@@ -230,7 +230,10 @@ class EffectiveTrajectory(PiecewisePath):
     need to track.  `max_speed_sampled` is the exact sup of |dx/dt| over
     the interpolant; `realizable` is False when it reaches the speed of
     light (protocol faster than the critical timescale), and such curves
-    remain usable for plotting and limit-curve comparison.
+    remain usable for plotting and limit-curve comparison.  A superluminal
+    curve is the interpolant of the round where refinement stopped, so its
+    `max_speed_sampled` shows only that the branch folds (speed above 1):
+    its size depends on the grid that resolved the fold.
     """
 
     def __init__(self, side, times, rows, before, after, residual_sup):
@@ -261,8 +264,6 @@ def build_effective(
     t_hi: float,
     step: float | None = None,
     refine_tol: float = 1e-8,
-    *,
-    stop_above_light: bool = False,
 ) -> EffectiveTrajectory:
     """Solve the side's defining equation where the effective mirror moves.
 
@@ -280,17 +281,13 @@ def build_effective(
     The solve is seeded with the reference mirror positions (the effective
     trajectory approaches the reference as the protocol slows down), then
     bisects sample intervals until Hermite interpolation reproduces
-    midpoint solves to `refine_tol`, or the refinement budget is spent
-    (which happens only for superluminal curves near fold points, where
-    the solved branch genuinely jumps).
-
-    With `stop_above_light`, refinement also stops at the first round where
-    a node slope exceeds 1 in magnitude, and that round's interpolant is
-    returned.  Only whether the curve is superluminal is then exact: a node
-    slope is the constant term of its segment's velocity row, so it is a
-    candidate of `max_speed_sampled`, and refinement keeps every node, so
-    the fully refined curve's max speed is above 1 too.  Curves whose node
-    slopes all stay within [-1, 1] come out as without the flag.
+    midpoint solves to `refine_tol`.  Refinement stops at the first round
+    where a node slope exceeds 1 in magnitude, and that round's interpolant
+    is returned: a node slope is the constant term of its segment's
+    velocity row, so it is a candidate of `max_speed_sampled`, and further
+    rounds would keep every node, so the curve is superluminal whatever
+    they add.  Near such a fold the solved branch jumps, and no refinement
+    resolves it.
     """
     if side not in _TARGET:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -307,10 +304,8 @@ def build_effective(
     for round_ in range(_MAX_REFINE + 1):
         slopes, curvatures = _implicit_jet(am, side, times, positions)
         rows = _quintic_rows(times, positions, slopes, curvatures)
-        if round_ == _MAX_REFINE:
-            break
         # the last node starts no segment, so its slope is no row's constant
-        if stop_above_light and np.any(np.abs(slopes[:-1]) > 1.0):
+        if round_ == _MAX_REFINE or np.any(np.abs(slopes[:-1]) > 1.0):
             break
         mids = 0.5 * (times[:-1] + times[1:])
         predicted = piecewise_eval(times, rows, mids)
@@ -343,7 +338,8 @@ class LimitTrajectory:
     (an expanding left mirror) the consistent mixed branch of the defining
     equations has slope -v_lim instead, and the joints follow from
     continuity; `slope` records the actual segment slope, `v_lim` the
-    geometry invariant.
+    geometry invariant.  For rigid motion (v_lim = 0) the reversed window
+    becomes (-|x0|, |xf|), the mirror image of a shift toward +x.
     """
 
     side: str
@@ -374,14 +370,13 @@ def _limit_side(side, x0, xf, intercept, v):
     if x0 == xf:
         # no net motion of this mirror in the limit: constant curve
         return LimitTrajectory(side, x0, xf, x0, 0.0, v, -x0, -x0)
-    if t_on >= t_off:
+    if t_on >= t_off and v == 0.0:
+        # printed branch vacuous in rigid motion, where the defining
+        # equations are odd under L -> -L: mirror the +x shift's window
+        t_on, t_off = -abs(x0), abs(xf)
+    elif t_on >= t_off:
         # printed branch vacuous; mirrored branch with continuous joints
         slope = -v
-        if slope == 0.0:
-            raise GeometryError(
-                f"limit trajectory degenerate for side={side}: empty middle "
-                "window with zero limit velocity"
-            )
         t_on = (x0 - intercept) / slope
         t_off = (xf - intercept) / slope
     return LimitTrajectory(side, x0, xf, intercept, slope, v, t_on, t_off)
@@ -438,13 +433,11 @@ def critical_tau(
     Rebuilds the adiabatic Moore functions per candidate tau and bisects on
     the sign of (max speed - 1); speeds are the exact sup of each
     interpolant's |dx/dt|.  Bisection reads only that sign, so each
-    candidate builds the left effective trajectory with `stop_above_light`,
-    which ends its refinement once a node speed exceeds 1, and builds the
-    right one only when the left stayed subluminal.  The signs, and so the
-    result, are those of fully refined builds of both mirrors.  `panels` is
-    passed to AdiabaticMoore.build, `step` and `refine_tol` to
-    build_effective.  Raises BracketError when the range does not straddle
-    the crossing ("all candidate tau physical" / "none physical").
+    candidate builds the right effective trajectory only when the left one
+    stayed subluminal.  `panels` is passed to AdiabaticMoore.build, `step`
+    and `refine_tol` to build_effective.  Raises BracketError when the range
+    does not straddle the crossing ("all candidate tau physical" / "none
+    physical").
     """
     if not 0 < tau_lo < tau_hi:
         raise ValueError(f"need 0 < tau_lo < tau_hi, got ({tau_lo}, {tau_hi})")
@@ -456,9 +449,7 @@ def critical_tau(
         lo, hi = default_window(pair)
         v = 0.0
         for side in ("left", "right"):
-            eff = build_effective(
-                am, side, lo, hi, step=step, refine_tol=refine_tol, stop_above_light=True
-            )
+            eff = build_effective(am, side, lo, hi, step=step, refine_tol=refine_tol)
             v = max(v, eff.max_speed_sampled)
             if v > 1.0:
                 break

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 
 from cavsta import sta
-from cavsta.errors import CavstaError, GeometryError
+from cavsta.errors import CavstaError
 from cavsta.moore_adiabatic import AdiabaticMoore
 from cavsta.moore_exact import ExactMoore
 from cavsta.runner import _KEYS, RunConfig, load_config, run, sweep_tau
-from cavsta.trajectory import MirrorPath, _poly_derivative, make_reference, piecewise_extremes
+from cavsta.trajectory import _poly_derivative, _reference_path, make_reference, piecewise_extremes
 
 from test_tables import flat_c3_tables
 
@@ -281,6 +281,18 @@ _BAD_CONFIGS = {
         _GEOMETRY + "tau = 1.2\n[numerics]\nmoore_panels = 0\n",
         r"\[numerics\] moore_panels: must be >= 1",
     ),
+    "negative_effective_refine_tol": (
+        _GEOMETRY + "tau = 1.2\n[numerics]\neffective_refine_tol = -1\n",
+        r"\[numerics\] effective_refine_tol: must be > 0",
+    ),
+    "zero_effective_refine_tol": (
+        _GEOMETRY + "tau = 1.2\n[numerics]\neffective_refine_tol = 0\n",
+        r"\[numerics\] effective_refine_tol: must be > 0",
+    ),
+    "nan_effective_refine_tol": (
+        _GEOMETRY + "tau = 1.2\n[numerics]\neffective_refine_tol = nan\n",
+        r"\[numerics\] effective_refine_tol: must be > 0",
+    ),
     "negative_effective_step": (
         _GEOMETRY + "tau = 1.2\n[numerics]\neffective_step = -1\n",
         r"\[numerics\] effective_step: must be > 0",
@@ -347,6 +359,15 @@ def test_readme_example_config_loads(tmp_path):
     ini.write_text(example)
     cfg = load_config(str(ini))
     assert (cfg.family, cfg.tau, cfg.temperatures) == ("contraction", 1.2, (0.0, 1.0))
+
+
+def test_readme_library_example_runs():
+    """The README's "Library use" block runs as written and ends adiabatic."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("## Library use\n")[1].split("```python\n")[1].split("```")[0]
+    scope = {}
+    exec(example, scope)
+    assert abs(scope["Q_final"] - 1.0) <= 1e-9
 
 
 def test_missing_config_rejected(tmp_path):
@@ -424,12 +445,11 @@ def test_critical_search_uses_configured_numerics(tmp_path, monkeypatch):
     # two builds for the scenario itself, the rest for the critical search,
     # which needs only the sign of each max speed - 1
     assert len(seen) > 2
-    for i, (panels, kw) in enumerate(seen):
+    for panels, kw in seen:
         # panel counts double from the configured start; 4096 * 2^k never
         # has the factor 375 of 6000
         assert panels % 6000 == 0
-        sign_only = {} if i < 2 else {"stop_above_light": True}
-        assert kw == {"step": cfg.effective_step, "refine_tol": 1e-7, **sign_only}
+        assert kw == {"step": cfg.effective_step, "refine_tol": 1e-7}
 
 
 def test_sweep_needs_three_ascending_taus(tmp_path):
@@ -489,17 +509,23 @@ def test_custom_subluminal_protocols_have_exact_moore_residuals(tmp_path_factory
         effective_step=0.05, temperatures=(0.0,), csv=(),
         out_dir=str(tmp_path_factory.mktemp("custom")),
     )
-    (L0, Lf), (R0, Rf) = (MirrorPath(*table).edges for table in (custom_left, custom_right))
-    try:
-        sta.limit_trajectory(L0, Lf, R0, Rf)
-    except GeometryError:
-        # a rigid shift toward -x has no limit curve, and the run stops on it
-        with pytest.raises(GeometryError, match="limit trajectory degenerate"):
-            run(cfg)
-        return
     res = run(cfg)
     assert res.exit_code == 0, res.hard_failures
     results = res.summary["results"]
     assert results["exact_reference_available"] is True
     assert results["exact_residual_L"] <= 1e-10
     assert results["exact_residual_R"] <= 1e-10
+
+
+def test_custom_rigid_shift_toward_minus_x_runs(tmp_path):
+    """Both mirrors shifted by -0.2 together: the limit curves exist, and
+    the run ends like any other."""
+    left, right = (_reference_path(x0, x0 - 0.2, 1.2) for x0 in (0.0, 1.0))
+    tables = [(tuple(p.breaks), tuple(map(tuple, p.coeffs))) for p in (left, right)]
+    cfg = RunConfig(
+        family="custom", custom_left=tables[0], custom_right=tables[1],
+        out_dir=str(tmp_path), csv=(), **FAST,
+    )
+    res = run(cfg)
+    assert res.exit_code == 0, res.hard_failures
+    assert res.summary["results"]["exact_residual_L"] <= 1e-10

@@ -27,6 +27,7 @@ from cavsta.trajectory import (
     MirrorPath,
     TrajectoryPair,
     _merged_gap_coeffs,
+    _reference_path,
     make_reference,
     piecewise_extremes,
 )
@@ -246,6 +247,22 @@ def test_limit_velocity_zero_for_rigid_motion():
     assert not np.signbit(lim_r.v_lim)
 
 
+@pytest.mark.parametrize("s", [0.2, 0.4])
+def test_rigid_shift_toward_minus_x_mirrors_the_plus_x_one(s):
+    """In a rigid motion the left defining equation reads
+    x = [L(t+x) + L(t-x)] / 2, odd under L -> -L: shifts by -s and +s have
+    opposite left limit curves and opposite left effective curves."""
+    t = np.linspace(-1.5, 3.0, 451)
+    minus, plus = (limit_trajectory(0.0, d, 1.0, 1.0 + d)[0] for d in (-s, s))
+    assert np.array_equal(minus(t), -plus(t))
+    for tau in (0.05, 0.4, 1.2):
+        curves = []
+        for d in (-s, s):
+            pair = TrajectoryPair(_reference_path(0.0, d, tau), _reference_path(1.0, 1.0 + d, tau), tau)
+            curves.append(build_effective(AdiabaticMoore.build(pair), "left", -1.5, 3.0))
+        assert_allclose(curves[0](t), -curves[1](t), rtol=0.0, atol=1e-13)
+
+
 def test_limit_continuity_criterion():
     # continuous exactly when Lf R0 = L0 Rf
     assert continuity_check(0.0, 0.0, 1.0, 0.7)
@@ -276,16 +293,24 @@ class _CountingMoore:
 
 @cache
 def _readme_builds(tau):
-    """Adiabatic Moore functions, default window, and the full build of each
-    mirror with the points it asked of `jet`, for the README geometry."""
+    """Adiabatic Moore functions and, per mirror, its build on the default
+    window, the points it asked of `jet` and the times of each `_solve_many`
+    call, for the README geometry."""
     pair = make_reference("contraction", tau=tau, **_README)
     am = AdiabaticMoore.build(pair)
     window = default_window(pair)
-    full = {}
+    builds = {}
     for side in ("left", "right"):
-        counting = _CountingMoore(am)
-        full[side] = (build_effective(counting, side, *window), counting.points)
-    return am, window, full
+        counting, solves = _CountingMoore(am), []
+
+        def recording(am_, side_, times, *args):
+            solves.append(times)
+            return _solve_many(am_, side_, times, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sta, "_solve_many", recording)
+            builds[side] = (build_effective(counting, side, *window), counting.points, solves)
+    return am, builds
 
 
 @pytest.mark.parametrize(
@@ -294,30 +319,36 @@ def _readme_builds(tau):
 )
 def test_early_stop_keeps_the_superluminal_verdict(tau, superluminal):
     """tau_c of this geometry is about 1.0159: the two middle values sit on
-    either side of it, one bisection step apart at tol 1e-3."""
-    am, window, full = _readme_builds(tau)
+    either side of it, one bisection step apart at tol 1e-3.  Each build's
+    verdict, however early its refinement stopped, is that of the exact
+    implicit slopes on a dense grid of solved samples."""
+    am, builds = _readme_builds(tau)
     verdicts = []
     for side in ("left", "right"):
-        whole = full[side][0]
-        early = build_effective(am, side, *window, stop_above_light=True)
-        assert (early.max_speed_sampled > 1.0) == (whole.max_speed_sampled > 1.0)
-        verdicts.append(whole.max_speed_sampled > 1.0)
-        if not early.max_speed_sampled > 1.0:
-            # nothing stops a subluminal build early
-            assert np.array_equal(early.times, whole.times)
-            assert early.max_speed_sampled == whole.max_speed_sampled
+        eff = builds[side][0]
+        t = np.linspace(eff.times[0], eff.times[-1], 4001)
+        slopes, _ = sta._implicit_jet(am, side, t, _solve_many(am, side, t, eff(t), am.pair.d0))
+        assert (eff.max_speed_sampled > 1.0) == (np.max(np.abs(slopes)) > 1.0)
+        verdicts.append(eff.max_speed_sampled > 1.0)
     assert any(verdicts) == superluminal
 
 
+@pytest.mark.parametrize("tau, solves", [(0.3, 1), (1.2, 2)])
+def test_superluminal_build_stops_on_its_starting_grid(tau, solves):
+    """A superluminal build returns the starting grid's interpolant after
+    its one solve; a subluminal one still solves its verification round."""
+    for side in ("left", "right"):
+        eff, _, calls = _readme_builds(tau)[1][side]
+        assert len(calls) == solves
+        assert np.array_equal(eff.times, calls[0])
+
+
 def test_early_stopped_curve_is_an_unrealizable_effective_trajectory():
-    am, window, full = _readme_builds(0.2)
-    whole = full["left"][0]
-    early = build_effective(am, "left", *window, stop_above_light=True)
-    assert isinstance(early, EffectiveTrajectory)
-    assert early.realizable is False
-    assert len(early.times) < len(whole.times)
+    eff = _readme_builds(0.2)[1]["left"][0]
+    assert isinstance(eff, EffectiveTrajectory)
+    assert eff.realizable is False
     # the nodes are solved samples whichever round the build stopped in
-    assert early.residual_sup <= 1e-9
+    assert eff.residual_sup <= 1e-9
 
 
 class _LuminalMoore(_StubMoore):
@@ -340,16 +371,12 @@ class _LuminalMoore(_StubMoore):
 
 
 def test_node_speed_of_exactly_one_does_not_stop_refinement():
-    am = _LuminalMoore()
-    full = build_effective(am, "left", -1.0, 1.0, step=0.25)
-    early = build_effective(am, "left", -1.0, 1.0, step=0.25, stop_above_light=True)
-    assert len(full.times) > 9  # refined beyond the starting grid
-    assert full.max_speed_sampled == 1.0
-    assert np.array_equal(early.times, full.times)
-    assert early.max_speed_sampled == 1.0
+    eff = build_effective(_LuminalMoore(), "left", -1.0, 1.0, step=0.25)
+    assert len(eff.times) > 9  # refined beyond the starting grid
+    assert eff.max_speed_sampled == 1.0
 
 
-def test_critical_tau_equals_bisection_on_full_builds():
+def test_critical_tau_equals_bisection_on_max_speed():
     lo, hi, tol = 0.95, 1.1, 1e-2
 
     def superluminal(tau):
@@ -369,7 +396,7 @@ def test_critical_tau_equals_bisection_on_full_builds():
 
 
 def test_superluminal_candidate_builds_only_its_left_mirror(monkeypatch):
-    """The tau = 0.2 probe stops the left build early and skips the right."""
+    """The tau = 0.2 probe builds the left mirror and skips the right."""
     points, sides = {}, {}
     jet, build = AdiabaticMoore.jet, sta.build_effective
 
@@ -378,7 +405,6 @@ def test_superluminal_candidate_builds_only_its_left_mirror(monkeypatch):
         return jet(self, which, z, order)
 
     def recording_build(am, side, *args, **kw):
-        assert kw["stop_above_light"] is True
         sides.setdefault(am.pair.tau, []).append(side)
         return build(am, side, *args, **kw)
 
@@ -387,8 +413,10 @@ def test_superluminal_candidate_builds_only_its_left_mirror(monkeypatch):
     # a tolerance wider than the window: the two end probes and no bisection
     critical_tau("contraction", *_README.values(), 0.2, 1.2, tol=2.0)
     assert sides == {0.2: ["left"], 1.2: ["left", "right"]}
-    full = _readme_builds(0.2)[2]
-    assert points[0.2] < (full["left"][1] + full["right"][1]) / 5
+    probe = points[0.2]
+    monkeypatch.undo()
+    # the probe asks `jet` for the points of one left build, and no more
+    assert probe == _readme_builds(0.2)[1]["left"][1]
 
 
 def _motion_window(pair, side):
