@@ -25,7 +25,7 @@ import numpy as np
 from . import jets
 from .errors import ConvergenceError
 from .moore_exact import mirror_residuals
-from .trajectory import TrajectoryPair, _check_order, piecewise_eval
+from .trajectory import TrajectoryPair, _check_order, _horner_at, _locate
 
 __all__ = ["AdiabaticMoore", "adiabatic_residual", "mirror_jets"]
 
@@ -40,16 +40,17 @@ class AdiabaticMoore:
     """Evaluable adiabatic Moore pair for one TrajectoryPair.
 
     The advance integral I is tabulated on the motion window by cumulative
-    composite Simpson and interpolated by cubic Hermite rows (ascending
-    coefficients, one per panel of `_nodes`) whose node slopes are the exact
-    integrand 1/(R-L); outside the window I is linear and evaluated in
-    closed form.
+    composite Simpson and interpolated by cubic Hermite polynomials, one per
+    panel of `_nodes`, whose node slopes are the exact integrand 1/(R-L);
+    `_cols` holds their ascending coefficients as four contiguous columns
+    (`_cols[j][i]`: coefficient j of panel i).  Outside the window I is
+    linear and evaluated in closed form.
     """
 
     pair: TrajectoryPair
     panels: int
     _nodes: np.ndarray = field(repr=False, compare=False)
-    _rows: np.ndarray = field(repr=False, compare=False)
+    _cols: np.ndarray = field(repr=False, compare=False)
     I_end: float
 
     @classmethod
@@ -88,16 +89,16 @@ class AdiabaticMoore:
         slope = np.diff(I) / dx
         bend = (g_nodes[:-1] + g_nodes[1:] - 2.0 * slope) / dx
         c2 = (slope - g_nodes[:-1]) / dx - bend
-        rows = np.stack([I[:-1], g_nodes[:-1], c2, bend / dx], axis=1)
-        return cls(pair=pair, panels=n, _nodes=nodes, _rows=rows, I_end=float(end))
+        cols = np.stack([I[:-1], g_nodes[:-1], c2, bend / dx])
+        return cls(pair=pair, panels=n, _nodes=nodes, _cols=cols, I_end=float(end))
 
     # -- pieces ---------------------------------------------------------------
 
     def advance(self, z):
-        """I(z): Hermite rows inside the motion window, exact linear outside."""
+        """I(z): Hermite cubics inside the motion window, exact linear outside."""
         z = np.asarray(z, dtype=float)
         t_lo, t_hi = self.pair.motion_start, self.pair.motion_end
-        out = piecewise_eval(self._nodes, self._rows, z)
+        out = _horner_at(self._cols, *_locate(self._nodes, z))
         out = np.where(z < t_lo, z / self.pair.d0, out)
         out = np.where(z > t_hi, self.I_end + (z - t_hi) / self.pair.df, out)
         return float(out) if out.ndim == 0 else out

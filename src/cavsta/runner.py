@@ -58,7 +58,7 @@ class RunConfig:
     moore_panels: int = 4096  # starting panel count of the advance integral
     effective_step: float | None = None  # None -> build_effective's default
     effective_refine_tol: float = 1e-8
-    window: tuple | None = None  # None -> [-(R0+tau), tau + 3(Rf-Lf)]
+    window: tuple | None = None  # None -> sta.default_window(pair)
     out_dir: str = "out"
     csv: tuple = _CSV
     tau_list: tuple = ()

@@ -91,28 +91,45 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order must be in 0..3, got {order}")
 
 
+def _horner_at(cols, idx, u):
+    """Ascending coefficient columns (cols[j][i]: coefficient j of segment
+    i) of segments idx evaluated at local variables u.  Each column is
+    gathered once and accumulated in place, in the order of `_horner`."""
+    val = cols[-1].take(idx)
+    for c in cols[-2::-1]:
+        val *= u
+        val += c.take(idx)
+    return val
+
+
 def _locate(breaks: np.ndarray, t):
     """Segment index and local variable u = t - breaks[idx] of each t.
     Arguments outside [breaks[0], breaks[-1]] are clamped to the nearest
     end; at an interior break the segment to the right is used."""
-    tc = np.clip(t, breaks[0], breaks[-1])
-    idx = np.searchsorted(breaks, tc, side="right") - 1
-    idx = np.clip(idx, 0, len(breaks) - 2)
+    tc = np.minimum(np.maximum(t, breaks[0]), breaks[-1])
+    # counting only interior breaks puts the last break (and NaN) in the
+    # last segment
+    idx = np.searchsorted(breaks[1:-1], tc, side="right")
     return idx, tc - breaks[idx]
 
 
 def piecewise_eval(breaks: np.ndarray, rows: np.ndarray, t) -> np.ndarray:
     """Piecewise polynomial with one ascending-coefficient row per segment
     (local variable u = t - breaks[i]) evaluated at t, clamped as `_locate`."""
-    idx, u = _locate(breaks, t)
-    return _horner(rows[idx], u)
+    return _horner_at(rows.T, *_locate(breaks, t))
 
 
 def piecewise_extremes(breaks: np.ndarray, rows: np.ndarray):
     """Candidate extremal points (t, value) of a piecewise polynomial on
     [breaks[0], breaks[-1]]: both ends of every segment and the real roots
-    of the derivative inside each segment, so min/max of the values are the
-    exact extremes, each attained at its argument.
+    of the derivative inside each segment that could hold a value beyond
+    the range [lo, hi] of all segment-end values, so min/max of the values
+    are the exact extremes, each attained at its argument.
+
+    On a segment of span h, |p(u) - p(0)| <= reach = sum_{j>=1} |c_j| h^j.
+    A segment with p(0) - reach >= lo and p(0) + reach <= hi, padded by
+    1e-13 of |p(0)| + reach for Horner rounding, holds no evaluated value
+    beyond [lo, hi], so its roots are not solved.
 
     Derivative terms whose size over their segment stays below 1e-14 of the
     row's largest are dropped, so a vanishing leading coefficient lowers the
@@ -120,19 +137,25 @@ def piecewise_extremes(breaks: np.ndarray, rows: np.ndarray):
     share one batched eigenvalue call.
     """
     spans = np.diff(breaks)
-    ts, vals = [breaks[:-1], breaks[1:]], [rows[:, 0], _horner(rows, spans)]
-    d = rows[:, 1:] * np.arange(1, rows.shape[1])
-    size = np.abs(d) * spans[:, None] ** np.arange(d.shape[1])
+    p0, p1 = rows[:, 0], _horner(rows, spans)
+    ts, vals = [breaks[:-1], breaks[1:]], [p0, p1]
+    lo, hi = min(p0.min(), p1.min()), max(p0.max(), p1.max())
+    w = rows.shape[1]
+    reach = np.sum(np.abs(rows[:, 1:]) * spans[:, None] ** np.arange(1, w), axis=1)
+    pad = 1e-13 * (np.abs(p0) + reach)
+    sel = np.flatnonzero((p0 - reach - pad < lo) | (p0 + reach + pad > hi))
+    d = rows[sel, 1:] * np.arange(1, w)
+    size = np.abs(d) * spans[sel, None] ** np.arange(w - 1)
     keep = size > 1e-14 * np.max(size, axis=1, keepdims=True, initial=0.0)
-    deg = np.max(np.where(keep, np.arange(d.shape[1]), 0), axis=1, initial=0)
+    deg = np.max(np.where(keep, np.arange(w - 1), 0), axis=1, initial=0)
     for k in np.unique(deg[deg > 0]):
-        seg = np.flatnonzero(deg == k)
-        comp = np.zeros((seg.size, k, k))
+        of_k = np.flatnonzero(deg == k)
+        comp = np.zeros((of_k.size, k, k))
         comp[:, np.arange(1, k), np.arange(k - 1)] = 1.0
-        comp[:, :, -1] = -d[seg, :k] / d[seg, k : k + 1]
+        comp[:, :, -1] = -d[of_k, :k] / d[of_k, k : k + 1]
         # the rotated companion matrix, as in numpy's polyroots, is more accurate
         roots = np.linalg.eigvals(comp[:, ::-1, ::-1]).ravel()
-        seg = np.repeat(seg, k)
+        seg = np.repeat(sel[of_k], k)
         u, span = roots.real, spans[seg]
         # a real double root may come back as a pair with a tiny imaginary
         # part; its real part is still a point of the segment
@@ -149,15 +172,28 @@ class PiecewisePath:
     rows in the local variable u = t - knots[i], one per segment, and the
     constant values `edges` = (before, after) that the path holds up to the
     first knot and from the last knot on, where all its derivatives vanish.
-    Rows of derivative orders 0..3 are tabulated once, and every query
-    locates each argument's segment once for all the orders it asks for.
+    Each derivative order k = 0..3 is tabulated once, as w - k contiguous
+    coefficient columns (the zero columns differentiation leaves are
+    dropped), and every query locates each argument's segment once for all
+    the orders it asks for.  Only the order-0 rows are kept besides.
     """
 
     def __init__(self, knots: np.ndarray, rows: np.ndarray, before: float, after: float):
         self._knots = knots
-        self._dcoeffs = tuple(_poly_derivative(rows, k) for k in range(_MAX_ORDER + 1))
+        self._rows = rows.copy()
+        # np.array copies even a one-segment table, whose transpose is
+        # already contiguous
+        cols, d = [np.array(rows.T, order="C")], rows
+        for _ in range(_MAX_ORDER):
+            d = d[:, 1:] * np.arange(1, d.shape[1])
+            c = np.array(d.T, order="C") if d.shape[1] else np.zeros((1, len(rows)))
+            # Horner on a zero-padded row reached the top coefficient as
+            # 0*u + c, which turns a -0.0 into +0.0; keep that
+            c[-1] += 0.0
+            cols.append(c)
+        self._cols = tuple(cols)
         self.edges = (float(before), float(after))
-        _, speeds = piecewise_extremes(knots, self._dcoeffs[1])
+        _, speeds = piecewise_extremes(knots, self._cols[1].T)
         self._max_speed = float(np.max(np.abs(speeds)))
 
     def _eval(self, t: np.ndarray, orders) -> list:
@@ -167,7 +203,7 @@ class PiecewisePath:
         outside = (t < knots[0]) | (t > knots[-1])
         out = []
         for k in orders:
-            val = _horner(self._dcoeffs[k][idx], u)
+            val = _horner_at(self._cols[k], idx, u)
             if k > 0:
                 val = np.where(outside, 0.0, val)
             else:
@@ -198,11 +234,11 @@ class PiecewisePath:
 
     def table(self):
         """(knots, rows, before, after) of the position polynomial."""
-        return self._knots, self._dcoeffs[0], *self.edges
+        return self._knots, self._rows, *self.edges
 
     def bounds(self) -> tuple[float, float]:
         """Exact (min, max) of the position over the whole time axis."""
-        _, vals = piecewise_extremes(self._knots, self._dcoeffs[0])
+        _, vals = piecewise_extremes(self._knots, self._rows)
         return min(*self.edges, float(vals.min())), max(*self.edges, float(vals.max()))
 
     def max_speed(self) -> float:
@@ -270,16 +306,15 @@ class MirrorPath(PiecewisePath):
 
     @property
     def coeffs(self) -> np.ndarray:
-        return self._dcoeffs[0]
+        return self._rows
 
     def _check_c3(self, tol: float):
         """Value and derivatives 1..3 must match at every interior boundary,
         and derivatives 1..3 must vanish at both ends (constant extension)."""
         spans = np.diff(self.breaks)
-        for k in range(_MAX_ORDER + 1):
-            dc = self._dcoeffs[k]
-            left_end = _horner(dc, spans)
-            right_start = dc[:, 0]
+        for k, dc in enumerate(self._cols):
+            left_end = _horner(dc.T, spans)
+            right_start = dc[0]
             if k >= 1:
                 if abs(left_end[-1]) > tol or abs(right_start[0]) > tol:
                     raise ContinuityError(

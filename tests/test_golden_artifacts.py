@@ -1,0 +1,116 @@
+"""Artifacts of two fixed configs stay byte for byte what they were.
+
+Each artifact is hashed with SHA-256 after its `dir = ...` line (the output
+directory, which differs per run) is dropped.  A change that is meant to
+keep every result bitwise (a refactor, a faster kernel with the same
+arithmetic) must pass unchanged.  A change that moves the numerics on
+purpose must regenerate these digests and say so, with the shift of each
+artifact, in its CHANGES.md entry.  To print fresh digests:
+
+    PYTHONPATH=src python tests/test_golden_artifacts.py
+"""
+
+import hashlib
+import os
+import tempfile
+
+import pytest
+
+from cavsta.cli import main
+
+# the minimal config of the README
+README_RUN = """\
+[geometry]
+family = contraction
+L0 = 0.0
+Lf = 0.3
+R0 = 1.0
+eps = 0.3
+tau = 1.2
+
+[numerics]
+temperatures = 0 1
+window = auto
+time_step = auto
+
+[outputs]
+dir = {out}
+csv = trajectories, moore, energy
+"""
+
+# perfbench's sweep_critical workload at seed 0
+SWEEP_CRITICAL = """\
+[geometry]
+family = contraction
+L0 = 0.0
+Lf = 0.3
+R0 = 1.0
+eps = 0.3
+tau = 1.2
+
+[numerics]
+temperatures = 0 1
+window = auto
+time_step = auto
+
+[outputs]
+dir = {out}
+
+[sweep]
+tau_list = 0.3 0.6 1.2 2.4 4.8
+critical = yes
+tau_min = 0.2
+tau_max = 1.2
+"""
+
+CASES = {
+    "readme_run": ("run", README_RUN),
+    "sweep_critical": ("sweep", SWEEP_CRITICAL),
+}
+
+GOLDEN = {
+    "readme_run": {
+        "energy.csv": "220e8bcdc96538593033573c82305d8f63f939316666be0e2043ad434eb83323",
+        "moore.csv": "04004e071ac03fc0bf069e3005b8142b7c0c402bfc05c794edd1138acba35ceb",
+        "summary.txt": "63425ecb05cc6ebf46ca37783836f58de93025c8a4c525b6806bba951d847e64",
+        "trajectories.csv": "3a39d02201181424df568bd7f21dea6e70c07d48cf242d4978970d44f1cc4f45",
+    },
+    "sweep_critical": {
+        "sweep.csv": "19fffac0befd810bd6f4452a62b438399ffba17a322a708ee1acd9c424fa8892",
+        "sweep_summary.txt": "a9ec655b9eb88e795eed570e74698422a416c4ec88cca0cd630c3a6a267eb76c",
+    },
+}
+
+
+def artifact_digests(command: str, ini: str, work: str) -> dict:
+    """{file name: SHA-256 hex digest} of the artifacts `cavsta command`
+    writes for the config text `ini` (output directory under `work`)."""
+    out = os.path.join(work, "out")
+    cfg = os.path.join(work, "cfg.ini")
+    with open(cfg, "w") as fh:
+        fh.write(ini.format(out=out))
+    code = main([command, cfg])
+    assert code == 0
+    digests = {}
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        kept = b"".join(ln for ln in lines if not ln.startswith(b"dir ="))
+        digests[name] = hashlib.sha256(kept).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_artifacts_are_byte_identical(case, tmp_path, capsys):
+    command, ini = CASES[case]
+    assert artifact_digests(command, ini, str(tmp_path)) == GOLDEN[case]
+
+
+if __name__ == "__main__":
+    for case, (command, ini) in sorted(CASES.items()):
+        with tempfile.TemporaryDirectory() as work:
+            digests = artifact_digests(command, ini, work)
+        print(f'    "{case}": {{')
+        for name, digest in digests.items():
+            print(f'        "{name}": "{digest}",')
+        print("    },")

@@ -263,6 +263,26 @@ def test_rigid_shift_toward_minus_x_mirrors_the_plus_x_one(s):
         assert_allclose(curves[0](t), -curves[1](t), rtol=0.0, atol=1e-13)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="rigid limit curve holds s/2 on (s/2, s), where the fast left "
+    "effective curve follows the light line x = t toward s",
+)
+def test_rigid_left_effective_curve_approaches_its_limit():
+    """As tau -> 0 the effective curve should tend to the limit curve away
+    from its breakpoints.  For a rigid +s shift the sup distance on
+    (s/2 + 0.01, s) grows instead: 0.118 at tau = 0.05, 0.142 at 0.01."""
+    s = 0.3
+    lim = limit_trajectory(0.0, s, 1.0, 1.0 + s)[0]
+    t = np.linspace(s / 2 + 0.01, s, 4001)
+    dist = []
+    for tau in (0.05, 0.01):
+        pair = make_reference("rigid", L0=0.0, Lf=s, R0=1.0, eps=-s, tau=tau)
+        eff = build_effective(AdiabaticMoore.build(pair), "left", *default_window(pair))
+        dist.append(np.max(np.abs(eff(t) - lim(t))))
+    assert dist[1] < dist[0]
+
+
 def test_limit_continuity_criterion():
     # continuous exactly when Lf R0 = L0 Rf
     assert continuity_check(0.0, 0.0, 1.0, 0.7)

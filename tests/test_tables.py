@@ -1,7 +1,9 @@
 """Property tests for the shared piecewise-polynomial table code: the one
 evaluator and extremum finder, the C^3 validation `MirrorPath` adds on top
-of the shared path core, the two interpolants built on it, and the
-truncated jets, which must be bit-for-bit prefixes of the full ones."""
+of the shared path core, the two interpolants built on it, the truncated
+jets, which must be bit-for-bit prefixes of the full ones, the extremum
+finder's pruning, which must keep the exact extremes, and the column-form
+evaluation, which must be bit for bit the padded-row arithmetic."""
 
 from math import factorial, perm
 
@@ -18,6 +20,9 @@ from cavsta.moore_adiabatic import AdiabaticMoore
 from cavsta.sta import _quintic_rows
 from cavsta.trajectory import (
     MirrorPath,
+    PiecewisePath,
+    _horner,
+    _merged_gap_coeffs,
     _poly_derivative,
     make_reference,
     piecewise_eval,
@@ -145,7 +150,7 @@ def test_quintic_rows_reproduce_node_jets(data):
 def test_advance_rows_reproduce_integral_and_integrand(eps, Lf, tau, panels):
     pair = make_reference("contraction", L0=0.0, Lf=Lf, R0=1.0, eps=eps, tau=tau)
     am = AdiabaticMoore.build(pair, panels)
-    nodes, rows = am._nodes, am._rows
+    nodes, rows = am._nodes, am._cols.T
     assert am.panels % panels == 0 and len(rows) == am.panels
     I = np.append(rows[:, 0], am.I_end)
     assert I[0] == nodes[0] / pair.d0
@@ -240,3 +245,121 @@ def test_truncated_quotients_are_prefixes(u, v_tail, v0, flip):
         assert _same(jets.divide(u[:n], v), full_q[:n])
         assert _same(jets.divide(u, v[:n]), full_q[:n])
         assert _same(jets.reciprocal(v[:n]), full_r[:n])
+
+
+# -- pruned extremes keep the exact min and max -------------------------------
+
+
+def _segmentwise(breaks, rows):
+    """Candidate values of one-segment calls, one call per segment: with
+    only its own ends to compare with, every segment solves its roots."""
+    return np.concatenate(
+        [piecewise_extremes(breaks[i : i + 2], rows[i : i + 1])[1] for i in range(len(rows))]
+    )
+
+
+def _same_extremes(breaks, rows):
+    _, vals = piecewise_extremes(breaks, rows)
+    full = _segmentwise(breaks, rows)
+    return vals.min() == full.min() and vals.max() == full.max()
+
+
+@settings(max_examples=200, deadline=None)
+@given(continuous_tables())
+def test_pruned_extremes_keep_the_exact_min_and_max(table):
+    assert _same_extremes(*table)
+
+
+def _velocity_table(path):
+    knots, rows, _, _ = path.table()
+    return knots, _poly_derivative(rows, 1)
+
+
+def test_pruned_extremes_exact_on_effective_tables(contraction12):
+    eff = contraction12.eff_pair
+    for path in (eff.left, eff.right):
+        assert _same_extremes(*_velocity_table(path))
+        assert _same_extremes(*path.table()[:2])
+    assert _same_extremes(*_merged_gap_coeffs(eff.left.table(), eff.right.table()))
+
+
+def test_extremes_solve_roots_only_where_an_extreme_can_lie(contraction12, monkeypatch):
+    """Most segments of a fine effective table lie inside the range of the
+    segment-end values, so their companion matrices are never built."""
+    solve, solved = np.linalg.eigvals, []
+
+    def counting(a):
+        solved.append(a.shape[0])
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    breaks, rows = _velocity_table(contraction12.eff_pair.right)
+    piecewise_extremes(breaks, rows)
+    assert 0 < sum(solved) <= len(rows) // 4
+
+
+# -- column evaluation is bit for bit the padded-row arithmetic --------------
+
+
+def _bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _row_form(knots, rows, k, t):
+    """Order k at t as the padded rows evaluated it: clip t to the table,
+    locate its segment, gather the whole order-k row and run Horner over
+    every column, the zero ones differentiation left included."""
+    tc = np.clip(t, knots[0], knots[-1])
+    idx = np.clip(np.searchsorted(knots, tc, side="right") - 1, 0, len(knots) - 2)
+    return _horner(_poly_derivative(rows, k)[idx], tc - knots[idx])
+
+
+def _assert_columns_are_rows(path, t):
+    knots, rows, before, after = path.table()
+    t = np.asarray(t, dtype=float)
+    jet = path.jet(t, 3)
+    for k in range(4):
+        inner = _row_form(knots, rows, k, t)
+        assert _bitwise(piecewise_eval(knots, _poly_derivative(rows, k), t), inner)
+        if k:
+            want = np.where((t < knots[0]) | (t > knots[-1]), 0.0, inner)
+        else:
+            want = np.where(t <= knots[0], before, np.where(t >= knots[-1], after, inner))
+        assert _bitwise(jet[k], want)
+        assert _bitwise(path(t, k), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_c3_tables(), st.data())
+def test_path_columns_evaluate_as_rows(table, data):
+    path = MirrorPath(*table)
+    _assert_columns_are_rows(path, data.draw(arguments(path.breaks)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_effective_columns_evaluate_as_rows(contraction12, data):
+    for path in (contraction12.eff_pair.left, contraction12.eff_pair.right):
+        _assert_columns_are_rows(path, data.draw(arguments(_some(path.times))))
+
+
+def test_effective_columns_evaluate_as_rows_on_knots_and_midpoints(contraction12):
+    for path in (contraction12.eff_pair.left, contraction12.eff_pair.right):
+        knots = path.times
+        _assert_columns_are_rows(path, np.concatenate([knots, 0.5 * (knots[:-1] + knots[1:])]))
+
+
+def test_columns_keep_the_sign_of_zero():
+    """A top coefficient of -0.0 left +0.0 behind the zero columns of a
+    padded derivative row; the column form must give the same zero."""
+    path = PiecewisePath(np.array([0.0, 1.0]), np.array([[1.0, -0.0, -0.0, -0.0]]), 1.0, 1.0)
+    _assert_columns_are_rows(path, np.array([0.0, 0.25, 1.0]))
+    assert not np.signbit(path(0.5, 1)) and not np.signbit(path(0.5, 2))
+
+
+def test_advance_columns_evaluate_as_rows(contraction12):
+    am = contraction12.am
+    nodes = am._nodes
+    z = np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])])
+    assert _bitwise(am.advance(z), _row_form(nodes, am._cols.T, 0, z))
