@@ -60,26 +60,23 @@ class AdiabaticMoore:
         `panels` is the starting panel count.  It doubles until the
         window-end value moves by at most `_ENDPOINT_TOL`; the integrand is
         smooth, so one doubling normally settles it, and the default 4096
-        builds an 8192-panel table.
+        builds an 8192-panel table.  Each round tabulates only the doubled
+        grid, and reads the end value of the undoubled rule off it.
         """
         t_lo, t_hi = pair.motion_start, pair.motion_end
+        I0 = t_lo / pair.d0
         n = int(panels)
-        prev_end = None
-        for _ in range(_MAX_DOUBLINGS + 1):
-            nodes = np.linspace(t_lo, t_hi, n + 1)
+        for _ in range(_MAX_DOUBLINGS):
+            nodes = np.linspace(t_lo, t_hi, 2 * n + 1)
             g_nodes = 1.0 / pair.gap(nodes)
             g_mid = 1.0 / pair.gap(0.5 * (nodes[:-1] + nodes[1:]))
-            h = (t_hi - t_lo) / n
-            inc = (h / 6.0) * (g_nodes[:-1] + 4.0 * g_mid + g_nodes[1:])
-            I = np.empty(n + 1)
-            I[0] = t_lo / pair.d0
-            np.cumsum(inc, out=I[1:])
-            I[1:] += I[0]
-            end = I[-1]
-            if prev_end is not None and abs(end - prev_end) <= _ENDPOINT_TOL:
-                break
-            prev_end = end
+            I = _cumulative_simpson(I0, (t_hi - t_lo) / (2 * n), g_nodes, g_mid)
+            # the n-panel rule on the same grid: its even nodes are the
+            # panel ends, its odd nodes the midpoints
+            coarse = _cumulative_simpson(I0, (t_hi - t_lo) / n, g_nodes[::2], g_nodes[1::2])
             n *= 2
+            if abs(I[-1] - coarse[-1]) <= _ENDPOINT_TOL:
+                break
         else:
             raise ConvergenceError(
                 f"advance integral did not settle to {_ENDPOINT_TOL} "
@@ -90,7 +87,7 @@ class AdiabaticMoore:
         bend = (g_nodes[:-1] + g_nodes[1:] - 2.0 * slope) / dx
         c2 = (slope - g_nodes[:-1]) / dx - bend
         cols = np.stack([I[:-1], g_nodes[:-1], c2, bend / dx])
-        return cls(pair=pair, panels=n, _nodes=nodes, _cols=cols, I_end=float(end))
+        return cls(pair=pair, panels=n, _nodes=nodes, _cols=cols, I_end=float(I[-1]))
 
     # -- pieces ---------------------------------------------------------------
 
@@ -145,27 +142,30 @@ class AdiabaticMoore:
     def G_jet(self, z):
         return self.jet("G", z)
 
-    def kink_args(self, lo: float, hi: float):
-        """Arguments where F_ad/G_ad lose smoothness: the trajectory breaks
-        themselves (F_ad, G_ad are direct functions of their argument)."""
-        b = np.union1d(self.pair.left.breaks, self.pair.right.breaks)
-        b = b[(b > lo) & (b < hi)]
-        return b, b.copy()
-
-    def residual(self, times):
-        """Sup over `times` of both Moore-equation residuals (res_L, res_R)."""
-        t = np.atleast_1d(np.asarray(times, dtype=float))
-        x = np.concatenate([self.pair.left(t), self.pair.right(t)])
-        (g,), (f,) = mirror_jets(self, np.concatenate([t, t]), x, 0)
-        return mirror_residuals(*np.split(g, 2), *np.split(f, 2))
-
 
 def mirror_jets(am: AdiabaticMoore, t, x, order: int):
     """Jets to `order` of G_ad at t + x and of F_ad at t - x, the two Moore
     functions of the mirror conditions, from one `am.jet("GF", ...)` pass."""
     both = am.jet("GF", np.concatenate([t + x, t - x]), order)
-    return tuple(zip(*(np.split(a, 2) for a in both)))
+    n = both[0].size // 2
+    return tuple(a[:n] for a in both), tuple(a[n:] for a in both)
 
 
 def adiabatic_residual(am: AdiabaticMoore, times):
-    return am.residual(times)
+    """Sup over `times` of both Moore-equation residuals (res_L, res_R)."""
+    t = np.atleast_1d(np.asarray(times, dtype=float))
+    x = np.concatenate([am.pair.left(t), am.pair.right(t)])
+    (g,), (f,) = mirror_jets(am, np.concatenate([t, t]), x, 0)
+    n = t.size
+    return mirror_residuals(g[:n], g[n:], f[:n], f[n:])
+
+
+def _cumulative_simpson(start, h, g_nodes, g_mid):
+    """start plus the composite Simpson integral of g up to every node of a
+    uniform grid of step h (g at the nodes and at the panel midpoints)."""
+    inc = (h / 6.0) * (g_nodes[:-1] + 4.0 * g_mid + g_nodes[1:])
+    I = np.empty(inc.size + 1)
+    I[0] = start
+    np.cumsum(inc, out=I[1:])
+    I[1:] += I[0]
+    return I

@@ -145,16 +145,6 @@ class ExactMoore:
             )
         return t, jet
 
-    def invert_advanced(self, mirror: str, z):
-        """t such that t + X(t) = z for the chosen mirror path."""
-        t, _ = self._invert(mirror, 1.0, z, 0)
-        return float(t[0]) if np.ndim(z) == 0 else t
-
-    def invert_retarded(self, mirror: str, w):
-        """t such that t - X(t) = w for the chosen mirror path."""
-        t, _ = self._invert(mirror, -1.0, w, 0)
-        return float(t[0]) if np.ndim(w) == 0 else t
-
     # -- backward traces ---------------------------------------------------------
 
     def _max_bounces(self, arg_max: float) -> int:
@@ -240,11 +230,9 @@ class ExactMoore:
         """(F, F', F'', F''') at w."""
         return self._solve(w, "F")
 
-    def G_jet(self, z):
-        return self.solve_G(z)
-
-    def F_jet(self, w):
-        return self.solve_F(w)
+    # the jet names the energy density reads, shared with AdiabaticMoore
+    G_jet = solve_G
+    F_jet = solve_F
 
     def trace_depth(self, z, which: str = "G"):
         """Bounce counts of the backward walk (diagnostic)."""

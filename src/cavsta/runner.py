@@ -28,7 +28,7 @@ import numpy as np
 from . import sta
 from .energy import ThermalState, energy_record
 from .errors import CavstaError, SuperluminalError
-from .moore_adiabatic import AdiabaticMoore
+from .moore_adiabatic import AdiabaticMoore, adiabatic_residual
 from .moore_exact import ExactMoore
 from .trajectory import MirrorPath, TrajectoryPair, make_reference
 
@@ -328,7 +328,7 @@ def run(cfg: RunConfig) -> RunResult:
         points=cfg.spatial_points,
     )
 
-    res_ad = am.residual(times)
+    res_ad = adiabatic_residual(am, times)
     # read off the energy record's traces; NaN when there is no solver
     res_exact = record.residual_ref
     if exact_ref is not None and max(res_exact) > _EXACT_RESIDUAL_MAX:
@@ -472,7 +472,7 @@ def _sweep_one(cfg: RunConfig) -> dict:
     # the effective trajectories are read one by one: a sweep row needs no
     # pair, and so no exact gap check
     _, am, times, (eff_l, eff_r), (lim_l, lim_r) = _scenario(cfg)
-    res_ad = am.residual(times)
+    res_ad = adiabatic_residual(am, times)
     return {
         "tau": cfg.tau,
         "res_ad_L": res_ad[0],

@@ -45,6 +45,7 @@ __all__ = [
 _TARGET = {"left": 0.0, "right": 2.0}
 _SLOPE_CAP = 1e3  # keeps the interpolant finite across fold points
 _MAX_REFINE = 5  # bisection rounds of a subluminal build_effective
+_GROWTH_ROUNDS = 24  # bracket doublings of `_solve`
 
 
 def default_window(pair) -> tuple[float, float]:
@@ -62,15 +63,21 @@ def _default_bracket(am: AdiabaticMoore) -> tuple[float, float]:
     return (min(p.L0, p.Lf) - p.d0, max(p.R0, p.Rf) + p.d0)
 
 
-def _solve(am, side, t, lo, hi, rounds):
+def _solve(am, side, t, lo, hi):
     """Roots of h(x) = G_ad(t+x) - F_ad(t-x) - target, one per sample.
 
     Each sample's bracket [lo, hi] grows by half its width on each side per
-    round, for at most `rounds` rounds, until it straddles an increasing
-    crossing h(lo) < 0 < h(hi) (or hits a root exactly).  A bracketed
+    round, for at most `_GROWTH_ROUNDS` rounds, until it straddles an
+    increasing crossing h(lo) < 0 < h(hi) (or hits a root exactly).  For an
+    adiabatic Moore pair that always happens: once t + x and t - x both lie
+    outside the motion window, the maps are linear there, and h is linear
+    in x with slope 1/d0 + 1/df > 0, so it rises without bound on both
+    sides and a bracket grown about any guess soon straddles a root.  The
+    half-width doubles each round, to 2^24 times its start: a reach of
+    0.05 d0 * 2^24 = 8.4e5 d0 from `_solve_many`'s guesses.  Raises
+    BracketError for a sample that never straddles one.  A bracketed
     Newton iteration with bisection fallback, started at the bracket
-    midpoint, then polishes the bracketed samples together.  Returns the
-    roots and a mask of the samples that found a bracket.
+    midpoint, then polishes all samples together.
     """
     target = _TARGET[side]
     lo = np.array(lo, dtype=float)
@@ -78,21 +85,25 @@ def _solve(am, side, t, lo, hi, rounds):
 
     flo, fhi = np.empty(t.shape), np.empty(t.shape)
     i = np.arange(t.size)
-    for round_ in range(rounds + 1):
+    for round_ in range(_GROWTH_ROUNDS + 1):
         # both bracket ends of the samples still searching, in one pass
         tt, xx = np.concatenate([t[i], t[i]]), np.concatenate([lo[i], hi[i]])
         (g,), (f,) = mirror_jets(am, tt, xx, 0)
         flo[i], fhi[i] = np.split(g - f - target, 2)
         ok = ((flo < 0.0) & (fhi > 0.0)) | (flo == 0.0) | (fhi == 0.0)
         i = np.flatnonzero(~ok)
-        if i.size == 0 or round_ == rounds:
+        if i.size == 0:
             break
+        if round_ == _GROWTH_ROUNDS:
+            raise BracketError(
+                f"no physical effective position for side={side} at t={t[i[0]]}"
+            )
         half = 0.5 * (hi[i] - lo[i])
         lo[i] -= half
         hi[i] += half
 
     x = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, 0.5 * (lo + hi)))
-    active = np.flatnonzero(ok & (flo != 0.0) & (fhi != 0.0))
+    active = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
     for _ in range(80):
         if active.size == 0:
             break
@@ -112,7 +123,7 @@ def _solve(am, side, t, lo, hi, rounds):
         x[active] = np.where(conv, xi, xn)
         lo[active], hi[active] = loi, hii
         active = active[~(conv | small)]
-    return x, ok
+    return x
 
 
 def effective_position(am: AdiabaticMoore, side: str, t: float, bracket=None) -> float:
@@ -126,9 +137,7 @@ def effective_position(am: AdiabaticMoore, side: str, t: float, bracket=None) ->
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     lo, hi = bracket if bracket is not None else _default_bracket(am)
     tt = np.array([float(t)])
-    x, ok = _solve(am, side, tt, [float(lo)], [float(hi)], 40)
-    if not ok[0]:
-        raise BracketError(f"no physical effective position for side={side} at t={t}")
+    x = _solve(am, side, tt, [float(lo)], [float(hi)])
     (_, g1), (_, f1) = mirror_jets(am, tt, x, 1)
     slope = float(g1[0] + f1[0])
     if not slope > 0.0:
@@ -142,26 +151,13 @@ def _solve_many(am, side, times, guesses, d0):
     """Vectorized solve of the defining equation, one root per time sample.
 
     Each sample starts from a bracket of half-width 0.05 d0 centered on its
-    guess.  Samples that never straddle an increasing crossing locally
-    (near fold points of a too-fast protocol) are solved again from the
-    global default bracket; BracketError if that fails too.
+    guess, which `_solve` grows until it straddles a root: within
+    0.05 d0 * 2^24 = 8.4e5 d0 of the guess, far beyond any guess a caller
+    makes (reference positions, interpolated effective positions).
     """
-    t = np.asarray(times, dtype=float)
     x = np.asarray(guesses, dtype=float)
     w = 0.05 * d0
-    out, ok = _solve(am, side, t, x - w, x + w, 24)
-    miss = np.flatnonzero(~ok)
-    if miss.size:
-        glo, ghi = _default_bracket(am)
-        out[miss], ok = _solve(
-            am, side, t[miss], np.full(miss.size, glo), np.full(miss.size, ghi), 40
-        )
-        if not ok.all():
-            raise BracketError(
-                f"no physical effective position for side={side} "
-                f"at t={t[miss][~ok][0]}"
-            )
-    return out
+    return _solve(am, side, np.asarray(times, dtype=float), x - w, x + w)
 
 
 def _implicit_jet(am, side, times, positions):

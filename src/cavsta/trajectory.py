@@ -236,11 +236,6 @@ class PiecewisePath:
         """(knots, rows, before, after) of the position polynomial."""
         return self._knots, self._rows, *self.edges
 
-    def bounds(self) -> tuple[float, float]:
-        """Exact (min, max) of the position over the whole time axis."""
-        _, vals = piecewise_extremes(self._knots, self._rows)
-        return min(*self.edges, float(vals.min())), max(*self.edges, float(vals.max()))
-
     def max_speed(self) -> float:
         """Exact sup of |velocity|, found at polynomial critical points."""
         return self._max_speed

@@ -1,4 +1,4 @@
-"""Artifacts of two fixed configs stay byte for byte what they were.
+"""Artifacts of three fixed configs stay byte for byte what they were.
 
 Each artifact is hashed with SHA-256 after its `dir = ...` line (the output
 directory, which differs per run) is dropped.  A change that is meant to
@@ -63,8 +63,30 @@ tau_min = 0.2
 tau_max = 1.2
 """
 
+# perfbench's run_slow workload at seed 0: deep backward traces and long
+# kink chains
+RUN_SLOW = """\
+[geometry]
+family = contraction
+L0 = 0.0
+Lf = 0.3
+R0 = 1.0
+eps = 0.3
+tau = 40.0
+
+[numerics]
+temperatures = 0 1
+window = auto
+time_step = 2.0
+
+[outputs]
+dir = {out}
+csv = trajectories, moore, energy
+"""
+
 CASES = {
     "readme_run": ("run", README_RUN),
+    "run_slow": ("run", RUN_SLOW),
     "sweep_critical": ("sweep", SWEEP_CRITICAL),
 }
 
@@ -74,6 +96,12 @@ GOLDEN = {
         "moore.csv": "04004e071ac03fc0bf069e3005b8142b7c0c402bfc05c794edd1138acba35ceb",
         "summary.txt": "63425ecb05cc6ebf46ca37783836f58de93025c8a4c525b6806bba951d847e64",
         "trajectories.csv": "3a39d02201181424df568bd7f21dea6e70c07d48cf242d4978970d44f1cc4f45",
+    },
+    "run_slow": {
+        "energy.csv": "47b5b5e720d2b34ae0607a4fcd3c9310db346ebc84a853c4315fc5abbd2e1686",
+        "moore.csv": "6b2f3db07f024902438b05e39bd716da78cc73e24910feff3039078db3c25652",
+        "summary.txt": "0275824ab9c2627a06c70fdf394bb3d492ce7f4b9d2e8c9df6728c8fa51565ab",
+        "trajectories.csv": "85c33a1213a6670d8283f5a81f033db3d10d817802040ad90d43a68f417cf77e",
     },
     "sweep_critical": {
         "sweep.csv": "19fffac0befd810bd6f4452a62b438399ffba17a322a708ee1acd9c424fa8892",

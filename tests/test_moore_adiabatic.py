@@ -79,14 +79,6 @@ def test_scalar_and_vector_forms(contraction12):
     assert isinstance(am.G(0.4), float)
 
 
-def test_kink_arguments_are_trajectory_breaks(contraction12):
-    zk, wk = contraction12.am.kink_args(-1.0, 2.0)
-    assert_allclose(zk, [0.0, 1.2], atol=0)
-    assert_allclose(wk, [0.0, 1.2], atol=0)
-    zk, _ = contraction12.am.kink_args(0.5, 1.0)
-    assert zk.size == 0
-
-
 def test_invalid_requests_rejected(contraction12):
     am = contraction12.am
     with pytest.raises(ValueError):
@@ -105,7 +97,7 @@ def test_invalid_requests_rejected(contraction12):
 @given(st.data())
 def test_mirror_jets_are_the_single_map_jets(contraction12, data):
     """One "GF" pass gives G_ad at t + x and F_ad at t - x bit for bit, and
-    the residual read off such a pass is the four-call formula."""
+    `adiabatic_residual`, read off such a pass, is the four-call formula."""
     am = contraction12.am
     t = np.atleast_1d(data.draw(arguments(_some(am._nodes))))
     offsets = st.one_of(st.just(0.0), st.floats(-1.0, 2.0))
@@ -118,4 +110,4 @@ def test_mirror_jets_are_the_single_map_jets(contraction12, data):
     L, R = am.pair.left(t), am.pair.right(t)
     res_l = np.max(np.abs(G(t + L) - F(t - L)))
     res_r = np.max(np.abs(G(t + R) - F(t - R) - 2.0))
-    assert am.residual(t) == (float(res_l), float(res_r))
+    assert adiabatic_residual(am, t) == (float(res_l), float(res_r))

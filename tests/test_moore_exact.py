@@ -39,9 +39,9 @@ def test_map_inversion_round_trip(contraction12):
     s = contraction12
     moore = s.exact_ref
     z = np.linspace(-1.0, 3.0, 57)
-    t_adv = moore.invert_advanced("right", z)
+    t_adv, _ = moore._invert("right", 1.0, z, 0)
     assert_allclose(t_adv + s.pair.right(t_adv), z, atol=1e-12)
-    t_ret = moore.invert_retarded("left", z)
+    t_ret, _ = moore._invert("left", -1.0, z, 0)
     assert_allclose(t_ret - s.pair.left(t_ret), z, atol=1e-12)
 
 
@@ -62,19 +62,20 @@ def test_map_inversion_round_trip_on_random_protocols(eps, Lf, tau, mirror, data
     target = st.one_of(st.floats(-2.0, tau + 2.0), st.floats(-1e3, 1e3))
     z = np.array(data.draw(st.lists(target, min_size=1, max_size=16)))
     tol = 1e-12 * np.maximum(1.0, np.abs(z))
-    t = moore.invert_advanced(mirror, z)
+    t, _ = moore._invert(mirror, 1.0, z, 0)
     assert np.all(np.abs(t + path(t) - z) <= tol)
-    t = moore.invert_retarded(mirror, z)
+    t, _ = moore._invert(mirror, -1.0, z, 0)
     assert np.all(np.abs(t - path(t) - z) <= tol)
-    t = moore.invert_advanced(mirror, float(z[0]))
-    assert isinstance(t, float) and abs(t + path(t) - z[0]) <= tol[0]
+    t, _ = moore._invert(mirror, 1.0, float(z[0]), 0)
+    assert t.shape == (1,) and abs(t[0] + path(t[0]) - z[0]) <= tol[0]
 
 
 def test_pre_motion_inversion_is_exact_shift(contraction12):
     moore = contraction12.exact_ref
     # for targets mapping before motion onset the inverse is target - R0
     z = np.array([-2.0, -0.5, 0.3])
-    assert_allclose(moore.invert_advanced("right", z), z - 1.0, atol=1e-13)
+    t, _ = moore._invert("right", 1.0, z, 0)
+    assert_allclose(t, z - 1.0, atol=1e-13)
 
 
 def test_trace_depth_counts_round_trips(static_unit):
@@ -221,8 +222,8 @@ def map_targets(draw, images):
 def test_inversion_round_trips_on_multi_segment_tables(contraction12, data):
     """Effective paths (quintic segments by the thousand) and a five-segment
     re-expansion of a reference path: every target inverts to the round-trip
-    bound, the returned jet is the path's own jet at the root, and the
-    public inverses return the same roots."""
+    bound, the returned jet is the path's own jet at the root, and an
+    order-0 request returns the same roots and positions."""
     assert len(contraction12.eff_pair.right.table()[0]) > 1000
     for moore in (contraction12.exact_eff, _SPLIT):
         mirror = data.draw(st.sampled_from(["left", "right"]))
@@ -235,8 +236,8 @@ def test_inversion_round_trips_on_multi_segment_tables(contraction12, data):
         assert np.all(np.abs(t + sign * path(t) - z) <= tol)
         want = path.jet(t)
         assert len(jet) == 4 and all(np.array_equal(j, w) for j, w in zip(jet, want))
-        invert = moore.invert_advanced if sign > 0 else moore.invert_retarded
-        assert np.array_equal(invert(mirror, z), t if np.ndim(z) else t[0])
+        t0, (x0,) = moore._invert(mirror, sign, z, 0)
+        assert np.array_equal(t0, t) and np.array_equal(x0, jet[0])
 
 
 class _Understated:

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from cavsta import sta
 from cavsta.errors import AdiabaticOrderError, BracketError, CavstaError
-from cavsta.moore_adiabatic import AdiabaticMoore
+from cavsta.moore_adiabatic import AdiabaticMoore, mirror_jets
 from cavsta.sta import (
     _solve_many,
     EffectivePair,
@@ -34,6 +34,7 @@ from cavsta.trajectory import (
 
 from test_runner import _mirror_table
 from test_tables import flat_c3_tables
+from util import path_range
 
 
 def test_effective_solves_defining_equations(contraction12):
@@ -77,7 +78,7 @@ def test_effective_speeds_shrink_with_slower_protocols():
 def test_bounds_cover_all_sampled_positions(contraction12):
     for side in ("left", "right"):
         tr = getattr(contraction12.eff_pair, side)
-        lo, hi = tr.bounds()
+        lo, hi = path_range(tr)
         t = np.linspace(tr.times[0], tr.times[-1], 4001)
         x = tr(t)
         assert np.all(x >= lo) and np.all(x <= hi)
@@ -193,39 +194,29 @@ def test_missing_root_reported():
         effective_position(_RootlessMoore(), "left", 0.0, bracket=(0.0, 1.0))
 
 
-# unit cavity [0, 1] at rest: the default bracket is [-1, 2]
-_UNIT_PAIR = SimpleNamespace(L0=0.0, Lf=0.0, R0=1.0, Rf=1.0, d0=1.0)
+@pytest.mark.parametrize("tau", [1.2, 40.0, 0.3])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_far_guesses_reach_a_root_on_real_pairs(tau, side):
+    """Guesses 1000 d0 off the reference positions still bracket a root: the
+    defining equation rises linearly without bound in x.  Where the branch
+    is single-valued (tau = 1.2, 40) that root is the near-guess one; across
+    the fold of tau = 0.3 it may be another, but it is still a root."""
+    pair = make_reference("contraction", L0=0.0, Lf=0.3, R0=1.0, eps=0.3, tau=tau)
+    am = AdiabaticMoore.build(pair)
+    t = np.linspace(*default_window(pair), 201)
+    ref = getattr(pair, side)(t)
+    near = _solve_many(am, side, t, ref, pair.d0)
+    for shift in (1000.0, -1000.0):
+        far = _solve_many(am, side, t, ref + shift * pair.d0, pair.d0)
+        (g,), (f,) = mirror_jets(am, t, far, 0)
+        assert np.max(np.abs(g - f - (2.0 if side == "right" else 0.0))) <= 1e-12
+        if tau > 1.0:
+            assert np.max(np.abs(far - near)) <= 1e-12
 
 
-class _FarGuessMoore(_StubMoore):
-    """Stub with h(x) = -(x - 0.5)(x + 1.5)(x - 2.5) at t = 0: the only
-    increasing crossing is x = 0.5, and a bracket grown symmetrically about
-    a guess beyond 2.5 or below -1.5 never straddles it."""
-
-    pair = _UNIT_PAIR
-
-    def G(self, z, order=0):
-        z = np.asarray(z, dtype=float)
-        if order == 0:
-            return -(z - 0.5) * (z + 1.5) * (z - 2.5)
-        return -3.0 * z**2 + 3.0 * z + 3.25
-
-    def F(self, w, order=0):
-        return np.zeros_like(np.asarray(w, dtype=float))
-
-
-class _PairedRootlessMoore(_RootlessMoore):
-    pair = _UNIT_PAIR
-
-
-def test_far_guesses_fall_back_to_default_bracket():
-    x = _solve_many(_FarGuessMoore(), "left", np.zeros(3), np.array([10.0, -8.0, 0.45]), 1.0)
-    assert_allclose(x, 0.5, rtol=0, atol=1e-12)
-
-
-def test_fallback_without_crossing_raises():
+def test_local_search_without_crossing_raises():
     with pytest.raises(BracketError):
-        _solve_many(_PairedRootlessMoore(), "left", np.zeros(2), np.array([0.0, 5.0]), 1.0)
+        _solve_many(_RootlessMoore(), "left", np.zeros(2), np.array([0.0, 5.0]), 1.0)
 
 
 def test_limit_velocity_and_intercepts():

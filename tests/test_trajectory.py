@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from cavsta.errors import ContinuityError, GeometryError
 from cavsta.trajectory import MirrorPath, TrajectoryPair, make_reference, smoothstep7
 
-from util import fd_jets
+from util import fd_jets, path_range
 
 
 def test_smoothstep_endpoints_and_flat_jets():
@@ -64,7 +64,7 @@ def test_reference_gap_minimum_at_final_length():
 def test_path_bounds_cover_motion():
     pair = make_reference("contraction", L0=0.0, Lf=0.3, R0=1.0, eps=0.3, tau=1.2)
     for path, (lo, hi) in ((pair.left, (0.0, 0.3)), (pair.right, (0.7, 1.0))):
-        blo, bhi = path.bounds()
+        blo, bhi = path_range(path)
         # bounds must cover the true range; a few ulps of slack are fine
         assert blo <= lo + 1e-12 and bhi >= hi - 1e-12
         assert blo == pytest.approx(lo, abs=1e-12)

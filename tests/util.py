@@ -1,10 +1,10 @@
-"""Finite-difference stencils used to cross-check analytic derivatives, and
-table re-expansion for tests of multi-segment paths."""
+"""Finite-difference stencils used to cross-check analytic derivatives,
+table re-expansion for tests of multi-segment paths, and path ranges."""
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from cavsta.trajectory import MirrorPath
+from cavsta.trajectory import MirrorPath, piecewise_extremes
 
 
 def fd_jets(f, z, h):
@@ -34,3 +34,10 @@ def split_path(path: MirrorPath, cuts) -> MirrorPath:
         c = p(Polynomial([a - path.breaks[0], 1.0])).coef
         rows[i, : len(c)] = c
     return MirrorPath(breaks, rows, edges=path.edges)
+
+
+def path_range(path):
+    """Exact (min, max) of a piecewise path over the whole time axis: the
+    extremes of its polynomial segments and its two constant edges."""
+    _, vals = piecewise_extremes(*path.table()[:2])
+    return min(*path.edges, float(vals.min())), max(*path.edges, float(vals.max()))
