@@ -11,7 +11,6 @@ from .energy import (
     EnergyRecord,
     ThermalState,
     adiabatic_energy,
-    adiabaticity,
     density,
     energy_record,
     eval_mode,
@@ -19,7 +18,6 @@ from .energy import (
     total_energy,
 )
 from .errors import (
-    AdiabaticOrderError,
     BracketError,
     CavstaError,
     ContinuityError,
@@ -39,16 +37,14 @@ from .sta import (
     continuity_check,
     critical_tau,
     default_window,
-    effective_position,
     limit_trajectory,
 )
-from .trajectory import MirrorPath, TrajectoryPair, make_reference, smoothstep7
+from .trajectory import MirrorPath, TrajectoryPair, make_reference
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdiabaticMoore",
-    "AdiabaticOrderError",
     "BracketError",
     "CavstaError",
     "ContinuityError",
@@ -67,20 +63,17 @@ __all__ = [
     "TrajectoryPair",
     "adiabatic_energy",
     "adiabatic_residual",
-    "adiabaticity",
     "build_effective",
     "continuity_check",
     "critical_tau",
     "default_window",
     "density",
-    "effective_position",
     "energy_record",
     "eval_mode",
     "limit_trajectory",
     "load_config",
     "make_reference",
     "run",
-    "smoothstep7",
     "sweep_tau",
     "thermal_Z",
     "total_energy",

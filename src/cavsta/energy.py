@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DensityError
+from .moore_adiabatic import _cumulative_simpson
 from .moore_exact import mirror_residuals
 
 __all__ = [
@@ -49,7 +50,6 @@ __all__ = [
     "density",
     "total_energy",
     "adiabatic_energy",
-    "adiabaticity",
     "eval_mode",
     "EnergyRecord",
     "energy_record",
@@ -157,9 +157,7 @@ def _map_parts(jet, kinks, lo, hi, points, at):
     width = np.diff(nodes) / 6.0
 
     def primitive(f):
-        out = np.zeros(n)
-        np.cumsum(width * (f[: n - 1] + 4.0 * f[n:] + f[1:n]), out=out[1:])
-        return out
+        return _cumulative_simpson(0.0, width, f[:n], f[n:])
 
     rr, kk = primitive(r * r), primitive(h1 * h1)
     i, j = np.searchsorted(nodes, lo), np.searchsorted(nodes, hi)
@@ -199,16 +197,6 @@ def adiabatic_energy(d: float, state: ThermalState) -> float:
     if d <= 0:
         raise ValueError(f"cavity length must be positive, got {d}")
     return state.kinetic_weight / d
-
-
-def adiabaticity(E: float, E_ad: float) -> float:
-    """Q = E/E_ad."""
-    if E_ad == 0.0:
-        raise ZeroDivisionError(
-            "adiabatic energy is zero (Casimir and thermal terms cancel); "
-            "Q undefined at this temperature"
-        )
-    return E / E_ad
 
 
 def eval_mode(moore, k: int, x, t: float):

@@ -21,10 +21,6 @@ class BracketError(CavstaError):
     """A root could not be bracketed; no physical solution in range."""
 
 
-class AdiabaticOrderError(CavstaError):
-    """First-order adiabatic Moore functions are not increasing where probed."""
-
-
 class ConvergenceError(CavstaError):
     """An iterative solve failed to reach its tolerance."""
 

@@ -70,10 +70,10 @@ class AdiabaticMoore:
             nodes = np.linspace(t_lo, t_hi, 2 * n + 1)
             g_nodes = 1.0 / pair.gap(nodes)
             g_mid = 1.0 / pair.gap(0.5 * (nodes[:-1] + nodes[1:]))
-            I = _cumulative_simpson(I0, (t_hi - t_lo) / (2 * n), g_nodes, g_mid)
+            I = _cumulative_simpson(I0, (t_hi - t_lo) / (2 * n) / 6.0, g_nodes, g_mid)
             # the n-panel rule on the same grid: its even nodes are the
             # panel ends, its odd nodes the midpoints
-            coarse = _cumulative_simpson(I0, (t_hi - t_lo) / n, g_nodes[::2], g_nodes[1::2])
+            coarse = _cumulative_simpson(I0, (t_hi - t_lo) / n / 6.0, g_nodes[::2], g_nodes[1::2])
             n *= 2
             if abs(I[-1] - coarse[-1]) <= _ENDPOINT_TOL:
                 break
@@ -160,10 +160,11 @@ def adiabatic_residual(am: AdiabaticMoore, times):
     return mirror_residuals(g[:n], g[n:], f[:n], f[n:])
 
 
-def _cumulative_simpson(start, h, g_nodes, g_mid):
-    """start plus the composite Simpson integral of g up to every node of a
-    uniform grid of step h (g at the nodes and at the panel midpoints)."""
-    inc = (h / 6.0) * (g_nodes[:-1] + 4.0 * g_mid + g_nodes[1:])
+def _cumulative_simpson(start, width, g_nodes, g_mid):
+    """start plus the composite Simpson integral of g up to every node (g at
+    the nodes and at the panel midpoints).  `width` is the panel span / 6:
+    one number for a uniform grid, or one per panel."""
+    inc = width * (g_nodes[:-1] + 4.0 * g_mid + g_nodes[1:])
     I = np.empty(inc.size + 1)
     I[0] = start
     np.cumsum(inc, out=I[1:])

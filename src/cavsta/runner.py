@@ -442,7 +442,7 @@ def run(cfg: RunConfig) -> RunResult:
             "moore_panels": cfg.moore_panels,
             "effective_refine_tol": cfg.effective_refine_tol,
         },
-        "outputs": {"dir": cfg.out_dir, "csv": ", ".join(cfg.csv)},
+        "outputs": {"csv": ", ".join(cfg.csv)},
         "results": results_section,
     }
     result.summary = summary

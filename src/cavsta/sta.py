@@ -26,12 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdiabaticOrderError, BracketError, GeometryError
+from .errors import BracketError, GeometryError
 from .moore_adiabatic import AdiabaticMoore, mirror_jets
 from .trajectory import PiecewisePath, TrajectoryPair, make_reference, piecewise_eval
 
 __all__ = [
-    "effective_position",
     "build_effective",
     "EffectiveTrajectory",
     "EffectivePair",
@@ -56,11 +55,6 @@ def default_window(pair) -> tuple[float, float]:
     df = pair.Rf - pair.Lf
     settled = max(abs(pair.Lf), abs(pair.Rf)) + df
     return (-(pair.R0 + pair.tau), pair.tau + max(3.0 * df, settled))
-
-
-def _default_bracket(am: AdiabaticMoore) -> tuple[float, float]:
-    p = am.pair
-    return (min(p.L0, p.Lf) - p.d0, max(p.R0, p.Rf) + p.d0)
 
 
 def _solve(am, side, t, lo, hi):
@@ -126,27 +120,6 @@ def _solve(am, side, t, lo, hi):
     return x
 
 
-def effective_position(am: AdiabaticMoore, side: str, t: float, bracket=None) -> float:
-    """Mirror position x solving the side's defining equation at time t.
-
-    Default bracket [min(L0,Lf)-d0, max(R0,Rf)+d0], grown geometrically when
-    the root is not straddled.  Raises AdiabaticOrderError when the root
-    lies on a non-increasing branch of h (the first-order adiabatic Moore
-    functions are decreasing at the probed arguments: reference too fast)."""
-    if side not in _TARGET:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    lo, hi = bracket if bracket is not None else _default_bracket(am)
-    tt = np.array([float(t)])
-    x = _solve(am, side, tt, [float(lo)], [float(hi)])
-    (_, g1), (_, f1) = mirror_jets(am, tt, x, 1)
-    slope = float(g1[0] + f1[0])
-    if not slope > 0.0:
-        raise AdiabaticOrderError(
-            f"defining equation not increasing at its root (h' = {slope:.3g})"
-        )
-    return float(x[0])
-
-
 def _solve_many(am, side, times, guesses, d0):
     """Vectorized solve of the defining equation, one root per time sample.
 
@@ -167,14 +140,16 @@ def _implicit_jet(am, side, times, positions):
         dx/dt   = (F' - G') / (F' + G'),
         d2x/dt2 = [F''(1-dx/dt)^2 - G''(1+dx/dt)^2] / (F' + G').
 
-    Both are capped where F' + G' changes sign (fold of the branch)."""
-    (_, G1, G2), (_, F1, F2) = mirror_jets(am, times, positions, 2)
+    Both are capped where F' + G' changes sign (fold of the branch).  The
+    third value is the sup over the samples of |G - F - target|, read off
+    the same pass."""
+    (G0, G1, G2), (F0, F1, F2) = mirror_jets(am, times, positions, 2)
     denom = G1 + F1
     safe = np.where(np.abs(denom) < 1e-12, 1e-12, denom)
     slopes = np.clip((F1 - G1) / safe, -_SLOPE_CAP, _SLOPE_CAP)
     curv = (F2 * (1.0 - slopes) ** 2 - G2 * (1.0 + slopes) ** 2) / safe
     curv = np.clip(curv, -_SLOPE_CAP, _SLOPE_CAP)
-    return slopes, curv
+    return slopes, curv, np.max(np.abs(G0 - F0 - _TARGET[side]))
 
 
 def _quintic_rows(times, positions, slopes, curvatures) -> np.ndarray:
@@ -298,7 +273,7 @@ def build_effective(
     positions = _solve_many(am, side, times, ref_path(times), pair.d0)
 
     for round_ in range(_MAX_REFINE + 1):
-        slopes, curvatures = _implicit_jet(am, side, times, positions)
+        slopes, curvatures, residual = _implicit_jet(am, side, times, positions)
         rows = _quintic_rows(times, positions, slopes, curvatures)
         # the last node starts no segment, so its slope is no row's constant
         if round_ == _MAX_REFINE or np.any(np.abs(slopes[:-1]) > 1.0):
@@ -314,8 +289,6 @@ def build_effective(
         order = np.argsort(times)
         times, positions = times[order], positions[order]
 
-    (g,), (f,) = mirror_jets(am, times, positions, 0)
-    residual = np.max(np.abs(g - f - _TARGET[side]))
     return EffectiveTrajectory(side, times, rows, *ref_path.edges, residual)
 
 

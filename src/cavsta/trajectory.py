@@ -21,7 +21,6 @@ import numpy as np
 from .errors import ContinuityError, GeometryError
 
 __all__ = [
-    "smoothstep7",
     "PiecewisePath",
     "MirrorPath",
     "TrajectoryPair",
@@ -30,43 +29,11 @@ __all__ = [
     "piecewise_extremes",
 ]
 
-# Ascending coefficients of delta and its derivatives; _STEP_POWER[k] is the
-# exponent of the leading monomial so order k evaluates as x**p * poly(x).
-_STEP_COEFFS = {
-    0: np.array([35.0, -84.0, 70.0, -20.0]),
-    1: np.array([140.0, -420.0, 420.0, -140.0]),
-    2: np.array([420.0, -1680.0, 2100.0, -840.0]),
-    3: np.array([840.0, -5040.0, 8400.0, -4200.0]),
-}
-_STEP_POWER = {0: 4, 1: 3, 2: 2, 3: 1}
+# delta's coefficients of x^4 .. x^7
+_STEP = np.array([35.0, -84.0, 70.0, -20.0])
 
 _MAX_ORDER = 3
 _NCOEF = 8  # storage width: polynomial degree <= 7 per segment
-
-
-def smoothstep7(x, order: int = 0):
-    """Seventh-order smoothstep delta(x) or its order-th derivative.
-
-    Clamps outside [0, 1]: order 0 returns 0 (x < 0) or 1 (x > 1), orders
-    1..3 return 0 there.  Accepts scalars or arrays.
-    """
-    if order not in _STEP_COEFFS:
-        raise ValueError(f"order must be in 0..3, got {order}")
-    x = np.asarray(x, dtype=float)
-    inside = (x >= 0.0) & (x <= 1.0)
-    xc = np.where(inside, x, 0.0)
-    c = _STEP_COEFFS[order]
-    poly = c[3]
-    for j in (2, 1, 0):
-        poly = poly * xc + c[j]
-    val = xc ** _STEP_POWER[order] * poly
-    if order == 0:
-        val = np.where(x > 1.0, 1.0, np.where(x < 0.0, 0.0, val))
-    else:
-        val = np.where(inside, val, 0.0)
-    if val.ndim == 0:
-        return float(val)
-    return val
 
 
 def _poly_derivative(coeffs: np.ndarray, order: int) -> np.ndarray:
@@ -421,7 +388,7 @@ def _reference_path(x0: float, xf: float, tau: float) -> MirrorPath:
     """Path x0 + (xf - x0) * delta(t/tau) on [0, tau], constant outside."""
     row = np.zeros(_NCOEF)
     row[0] = x0
-    row[4:8] = (xf - x0) * _STEP_COEFFS[0] / tau ** np.arange(4, 8)
+    row[4:8] = (xf - x0) * _STEP / tau ** np.arange(4, 8)
     return MirrorPath(np.array([0.0, tau]), row[None, :], edges=(x0, xf))
 
 

@@ -8,7 +8,6 @@ from scipy.integrate import simpson
 from cavsta.energy import (
     ThermalState,
     adiabatic_energy,
-    adiabaticity,
     density,
     energy_record,
     eval_mode,
@@ -97,12 +96,6 @@ def test_adiabatic_energy_scales_inversely_with_length():
         adiabatic_energy(0.0, st)
     with pytest.raises(ValueError):
         adiabatic_energy(-1.0, st)
-
-
-def test_adiabaticity_guard():
-    assert adiabaticity(3.0, 1.5) == 2.0
-    with pytest.raises(ZeroDivisionError):
-        adiabaticity(1.0, 0.0)
 
 
 def test_mode_validation(static_unit):

@@ -1,11 +1,11 @@
 """Artifacts of three fixed configs stay byte for byte what they were.
 
-Each artifact is hashed with SHA-256 after its `dir = ...` line (the output
-directory, which differs per run) is dropped.  A change that is meant to
-keep every result bitwise (a refactor, a faster kernel with the same
-arithmetic) must pass unchanged.  A change that moves the numerics on
-purpose must regenerate these digests and say so, with the shift of each
-artifact, in its CHANGES.md entry.  To print fresh digests:
+Each artifact is hashed whole with SHA-256; no artifact echoes the output
+directory, so the digests do not depend on where a run writes.  A change
+that is meant to keep every result bitwise (a refactor, a faster kernel
+with the same arithmetic) must pass unchanged.  A change that moves the
+numerics on purpose must regenerate these digests and say so, with the
+shift of each artifact, in its CHANGES.md entry.  To print fresh digests:
 
     PYTHONPATH=src python tests/test_golden_artifacts.py
 """
@@ -122,9 +122,7 @@ def artifact_digests(command: str, ini: str, work: str) -> dict:
     digests = {}
     for name in sorted(os.listdir(out)):
         with open(os.path.join(out, name), "rb") as fh:
-            lines = fh.read().splitlines(keepends=True)
-        kept = b"".join(ln for ln in lines if not ln.startswith(b"dir ="))
-        digests[name] = hashlib.sha256(kept).hexdigest()
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
     return digests
 
 
@@ -132,6 +130,17 @@ def artifact_digests(command: str, ini: str, work: str) -> dict:
 def test_artifacts_are_byte_identical(case, tmp_path, capsys):
     command, ini = CASES[case]
     assert artifact_digests(command, ini, str(tmp_path)) == GOLDEN[case]
+
+
+def test_artifacts_do_not_depend_on_the_output_path(tmp_path, capsys):
+    """The README run written under two directories whose paths differ in
+    length gives the same bytes in every artifact."""
+    short, long = tmp_path / "a", tmp_path / ("a" * 40)
+    short.mkdir()
+    long.mkdir()
+    assert artifact_digests("run", README_RUN, str(short)) == artifact_digests(
+        "run", README_RUN, str(long)
+    )
 
 
 if __name__ == "__main__":

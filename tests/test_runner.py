@@ -16,6 +16,7 @@ from cavsta.runner import _KEYS, RunConfig, load_config, run, sweep_tau
 from cavsta.trajectory import _poly_derivative, _reference_path, make_reference, piecewise_extremes
 
 from test_tables import flat_c3_tables
+from util import whole_cavity_root
 
 # coarse numerics keep these tests fast; physics accuracy is covered elsewhere
 FAST = dict(
@@ -200,7 +201,7 @@ def test_default_window_ending_before_the_effective_motion(tmp_path):
     header, data = read_csv(str(cut / "trajectories.csv"))
     t_end, r_end = data[-1, 0], data[-1, header.index("R_eff")]
     am = AdiabaticMoore.build(make_reference(**geometry))
-    assert r_end == pytest.approx(sta.effective_position(am, "right", t_end), abs=1e-9)
+    assert r_end == pytest.approx(whole_cavity_root(am, "right", t_end), abs=1e-9)
     assert r_end < 0.999
     # the default window runs past the effective motion, where Q_eff settles to 1
     window = sta.default_window(make_reference(**geometry))

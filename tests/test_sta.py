@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cavsta import sta
-from cavsta.errors import AdiabaticOrderError, BracketError, CavstaError
+from cavsta.errors import BracketError, CavstaError
 from cavsta.moore_adiabatic import AdiabaticMoore, mirror_jets
 from cavsta.sta import (
     _solve_many,
@@ -20,7 +20,6 @@ from cavsta.sta import (
     continuity_check,
     critical_tau,
     default_window,
-    effective_position,
     limit_trajectory,
 )
 from cavsta.trajectory import (
@@ -34,7 +33,7 @@ from cavsta.trajectory import (
 
 from test_runner import _mirror_table
 from test_tables import flat_c3_tables
-from util import path_range
+from util import path_range, whole_cavity_root
 
 
 def test_effective_solves_defining_equations(contraction12):
@@ -130,10 +129,10 @@ def test_effective_build_asks_for_no_third_order(contraction12, monkeypatch):
     assert orders.count(2) <= len(rounds)
 
 
-def test_effective_position_scalar_matches_curve(contraction12):
+def test_whole_cavity_solve_matches_curve(contraction12):
     s = contraction12
     for t in (-0.5, 0.3, 0.8, 1.9):
-        x = effective_position(s.am, "right", t)
+        x = whole_cavity_root(s.am, "right", t)
         assert x == pytest.approx(float(s.eff_pair.right(t)), abs=1e-8)
 
 
@@ -159,18 +158,6 @@ class _StubMoore:
         return tuple(np.concatenate([self.G(g, k), self.F(f, k)]) for k in range(order + 1))
 
 
-class _DecreasingMoore(_StubMoore):
-    """Stub whose defining equation has its root on a decreasing branch."""
-
-    def G(self, z, order=0):
-        z = np.asarray(z, dtype=float)
-        return -(z ** 2) if order == 0 else -2.0 * z
-
-    def F(self, w, order=0):
-        w = np.asarray(w, dtype=float)
-        return w ** 2 if order == 0 else 2.0 * w
-
-
 class _RootlessMoore(_StubMoore):
     """Stub whose defining equation never crosses its target."""
 
@@ -181,17 +168,6 @@ class _RootlessMoore(_StubMoore):
 
     def F(self, w, order=0):
         return np.zeros_like(np.asarray(w, dtype=float))
-
-
-def test_decreasing_root_rejected():
-    # h(x) = -x^2 has its root at x=0 with h' = 0: not a usable branch
-    with pytest.raises(AdiabaticOrderError):
-        effective_position(_DecreasingMoore(), "left", 0.0, bracket=(0.0, 1.0))
-
-
-def test_missing_root_reported():
-    with pytest.raises(BracketError):
-        effective_position(_RootlessMoore(), "left", 0.0, bracket=(0.0, 1.0))
 
 
 @pytest.mark.parametrize("tau", [1.2, 40.0, 0.3])
@@ -338,7 +314,8 @@ def test_early_stop_keeps_the_superluminal_verdict(tau, superluminal):
     for side in ("left", "right"):
         eff = builds[side][0]
         t = np.linspace(eff.times[0], eff.times[-1], 4001)
-        slopes, _ = sta._implicit_jet(am, side, t, _solve_many(am, side, t, eff(t), am.pair.d0))
+        x = _solve_many(am, side, t, eff(t), am.pair.d0)
+        slopes, _, _ = sta._implicit_jet(am, side, t, x)
         assert (eff.max_speed_sampled > 1.0) == (np.max(np.abs(slopes)) > 1.0)
         verdicts.append(eff.max_speed_sampled > 1.0)
     assert any(verdicts) == superluminal

@@ -5,36 +5,40 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cavsta.errors import ContinuityError, GeometryError
-from cavsta.trajectory import MirrorPath, TrajectoryPair, make_reference, smoothstep7
+from cavsta.trajectory import MirrorPath, TrajectoryPair, make_reference
 
 from util import fd_jets, path_range
 
 
+# a left mirror moved from 0 to 1 in unit time is the step delta itself
+DELTA = make_reference("contraction", L0=0.0, Lf=1.0, R0=2.0, eps=0.0, tau=1.0).left
+
+
 def test_smoothstep_endpoints_and_flat_jets():
     for x, want in ((0.0, 0.0), (1.0, 1.0), (0.5, 0.5)):
-        assert smoothstep7(x) == pytest.approx(want, abs=1e-15)
+        assert DELTA(x) == pytest.approx(want, abs=1e-15)
     # constant extension needs three vanishing derivatives at both ends
     for order in (1, 2, 3):
-        assert smoothstep7(0.0, order) == 0.0
-        assert smoothstep7(1.0, order) == 0.0
+        assert DELTA(0.0, order) == 0.0
+        assert DELTA(1.0, order) == 0.0
 
 
 def test_smoothstep_symmetry_and_peak_slope():
     x = np.linspace(0.0, 1.0, 101)
-    assert_allclose(smoothstep7(x) + smoothstep7(1.0 - x), 1.0, atol=1e-14)
+    assert_allclose(DELTA(x) + DELTA(1.0 - x), 1.0, atol=1e-14)
     # slope 140 x^3 (1-x)^3 peaks at the midpoint with value 35/16
-    assert smoothstep7(0.5, 1) == pytest.approx(35.0 / 16.0, abs=1e-14)
-    assert np.max(smoothstep7(x, 1)) <= 35.0 / 16.0 + 1e-12
+    assert DELTA(0.5, 1) == pytest.approx(35.0 / 16.0, abs=1e-14)
+    assert np.max(DELTA(x, 1)) <= 35.0 / 16.0 + 1e-12
 
 
 def test_smoothstep_derivatives_match_fd():
     x = np.linspace(0.05, 0.95, 37)
-    d1, d2, _ = fd_jets(smoothstep7, x, 1e-4)
-    assert_allclose(smoothstep7(x, 1), d1, atol=1e-9)
-    assert_allclose(smoothstep7(x, 2), d2, atol=1e-5)
+    d1, d2, _ = fd_jets(DELTA, x, 1e-4)
+    assert_allclose(DELTA(x, 1), d1, atol=1e-9)
+    assert_allclose(DELTA(x, 2), d2, atol=1e-5)
     # third differences amplify roundoff as h^-3, so step up h
-    _, _, d3 = fd_jets(smoothstep7, x, 2e-3)
-    assert_allclose(smoothstep7(x, 3), d3, atol=5e-2)
+    _, _, d3 = fd_jets(DELTA, x, 2e-3)
+    assert_allclose(DELTA(x, 3), d3, atol=5e-2)
 
 
 def test_reference_contraction_endpoints_exact():

@@ -1,9 +1,11 @@
 """Finite-difference stencils used to cross-check analytic derivatives,
-table re-expansion for tests of multi-segment paths, and path ranges."""
+table re-expansion for tests of multi-segment paths, path ranges, and an
+effective-mirror root solved independently of the pipeline's guesses."""
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
+from cavsta import sta
 from cavsta.trajectory import MirrorPath, piecewise_extremes
 
 
@@ -41,3 +43,12 @@ def path_range(path):
     extremes of its polynomial segments and its two constant edges."""
     _, vals = piecewise_extremes(*path.table()[:2])
     return min(*path.edges, float(vals.min())), max(*path.edges, float(vals.max()))
+
+
+def whole_cavity_root(am, side, t):
+    """The side's effective-mirror root at scalar t, solved from the bracket
+    that spans the whole cavity's range, [min(L0, Lf) - d0, max(R0, Rf) + d0],
+    not from the reference-position guesses `build_effective` starts from."""
+    p = am.pair
+    lo, hi = min(p.L0, p.Lf) - p.d0, max(p.R0, p.Rf) + p.d0
+    return float(sta._solve(am, side, np.array([float(t)]), [lo], [hi])[0])
