@@ -288,12 +288,10 @@ def _scenario(cfg: RunConfig):
 
 
 def _critical_tau(cfg: RunConfig):
-    """Critical timescale with the configured numerics, or why it was not found."""
+    """Critical timescale of the configured geometry, or why it was not found."""
     try:
         return sta.critical_tau(
-            cfg.family, cfg.L0, cfg.Lf, cfg.R0, cfg.eps, cfg.tau_min, cfg.tau_max,
-            step=cfg.effective_step, panels=cfg.moore_panels,
-            refine_tol=cfg.effective_refine_tol,
+            cfg.family, cfg.L0, cfg.Lf, cfg.R0, cfg.eps, cfg.tau_min, cfg.tau_max
         )
     except CavstaError as exc:
         return f"not found: {exc}"

@@ -15,9 +15,18 @@ form: constants joined by a uniform-velocity segment of slope
     v_lim = -(d0 - df) / (d0 + df),
 
 negative for contractions, positive for expansions, zero for rigid motion.
-Below a critical timescale tau_c the effective trajectories exceed the
-speed of light; they are still returned, flagged and unrefined, so callers
-can compare them against the limit curves.
+Differentiating the defining equations gives the effective speed
+(F' - G')/(F' + G'), with F' at t - x and G' at t + x.  The adiabatic
+slopes are F_ad' = (1 + c)/(R - L) and G_ad' = (1 - c)/(R - L), with
+c(t) = (L'R - LR')/(R - L), so an effective speed reaches 1 exactly where
+|c| does.  The arguments t +- x of a subluminal mirror sweep the whole
+line, so both effective mirrors stay subluminal iff sup_t |c| < 1.  Like
+the adiabatic ansatz, c depends on the choice of spatial origin.  The equations are those of arXiv 2211.04969; this criterion is
+derived from them here.  For the tau-scaled families L'R - LR' = K delta',
+K = Lf R0 - L0 Rf, which gives the critical timescale tau_c in closed form
+(`critical_tau`); K = 0 iff `continuity_check` holds.  Below tau_c the
+effective trajectories exceed the speed of light; they are still returned,
+flagged and unrefined, so callers can compare them against the limit curves.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ import numpy as np
 
 from .errors import BracketError, GeometryError
 from .moore_adiabatic import AdiabaticMoore, mirror_jets
-from .trajectory import PiecewisePath, TrajectoryPair, make_reference, piecewise_eval
+from .trajectory import _STEP, PiecewisePath, TrajectoryPair, make_reference, piecewise_eval
 
 __all__ = [
     "build_effective",
@@ -393,52 +402,34 @@ def critical_tau(
     tau_lo: float,
     tau_hi: float,
     tol: float = 1e-3,
-    step: float | None = None,
-    panels: int = 4096,
-    refine_tol: float = 1e-8,
 ) -> float:
-    """Timescale where the max effective-trajectory speed crosses 1.
+    """Timescale tau_c below which the effective trajectories exceed light.
 
-    Rebuilds the adiabatic Moore functions per candidate tau and bisects on
-    the sign of (max speed - 1); speeds are the exact sup of each
-    interpolant's |dx/dt|.  Bisection reads only that sign, so each
-    candidate builds the right effective trajectory only when the left one
-    stayed subluminal.  `panels` is passed to AdiabaticMoore.build, `step`
-    and `refine_tol` to build_effective.  Raises BracketError when the range
-    does not straddle the crossing ("all candidate tau physical" / "none
-    physical").
+    c scales as 1/tau, so tau_c is sup_t |c| at tau = 1 (module docstring):
+    tau_c = |K| max_s delta'(s)/D(s), D = d0 + (df - d0) delta, s in [0, 1],
+    with the maximum at s = 0, 1 or a real root of the degree-12 numerator
+    delta'' D - (df - d0) delta'^2 of its derivative.  K = Lf R0 - L0 Rf is
+    0, and so is tau_c, exactly when `continuity_check` holds.
+    make_reference validates the geometry and supplies the default Lf.  The
+    value is exact, so it meets any `tol` > 0.  Raises BracketError when
+    tau_c <= tau_lo ("all candidate tau physical") or tau_c >= tau_hi ("no
+    candidate tau physical").
     """
     if not 0 < tau_lo < tau_hi:
         raise ValueError(f"need 0 < tau_lo < tau_hi, got ({tau_lo}, {tau_hi})")
-
-    def v_max(tau: float) -> float:
-        """Max speed of both mirrors when at most 1, else some speed above 1."""
-        pair = make_reference(family, L0=L0, Lf=Lf, R0=R0, eps=eps, tau=tau)
-        am = AdiabaticMoore.build(pair, panels)
-        lo, hi = default_window(pair)
-        v = 0.0
-        for side in ("left", "right"):
-            eff = build_effective(am, side, lo, hi, step=step, refine_tol=refine_tol)
-            v = max(v, eff.max_speed_sampled)
-            if v > 1.0:
-                break
-        return v
-
-    f_lo = v_max(tau_lo) - 1.0
-    f_hi = v_max(tau_hi) - 1.0
-    if f_lo <= 0.0 and f_hi <= 0.0:
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    p = make_reference(family, L0=L0, Lf=Lf, R0=R0, eps=eps, tau=1.0)
+    K = 0.0 if continuity_check(p.L0, p.Lf, p.R0, p.Rf) else p.Lf * p.R0 - p.L0 * p.Rf
+    delta = np.polynomial.Polynomial(np.r_[0.0, 0.0, 0.0, 0.0, _STEP])
+    d1, D = delta.deriv(), p.d0 + (p.df - p.d0) * delta
+    roots = (d1.deriv() * D - (p.df - p.d0) * d1**2).roots().real
+    # real parts of complex roots are just more points, which cannot raise
+    # the maximum; a real root with a roundoff imaginary part still counts
+    s = np.concatenate(([0.0, 1.0], roots[(roots > 0.0) & (roots < 1.0)]))
+    tau_c = abs(K) * float(np.max(d1(s) / D(s)))
+    if tau_c <= tau_lo:
         raise BracketError("all candidate tau physical: no speed-of-light crossing")
-    if f_lo >= 0.0 and f_hi >= 0.0:
+    if tau_c >= tau_hi:
         raise BracketError("no candidate tau physical: speed exceeds 1 everywhere")
-    if f_lo < 0.0 < f_hi:
-        raise BracketError(
-            "speed increases with tau in this range; no physical crossing"
-        )
-    lo, hi = tau_lo, tau_hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if v_max(mid) - 1.0 > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return tau_c

@@ -105,7 +105,7 @@ GOLDEN = {
     },
     "sweep_critical": {
         "sweep.csv": "19fffac0befd810bd6f4452a62b438399ffba17a322a708ee1acd9c424fa8892",
-        "sweep_summary.txt": "a9ec655b9eb88e795eed570e74698422a416c4ec88cca0cd630c3a6a267eb76c",
+        "sweep_summary.txt": "9e6066251282b1207977a17c9e91cdcd857d1caa27df9476eda0055300bbebe4",
     },
 }
 

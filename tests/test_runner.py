@@ -429,28 +429,32 @@ def test_critical_search_rejects_custom_family(tmp_path):
 
 
 def test_critical_search_uses_configured_numerics(tmp_path, monkeypatch):
-    seen = []
-    build = sta.build_effective
+    """The critical timescale is closed-form: a run with the search builds
+    only its own scenario, one adiabatic Moore pair and two effective
+    trajectories, and passes them the configured numerics."""
+    builds, moores = [], []
+    build, moore = sta.build_effective, AdiabaticMoore.build
 
     def recording(am, side, lo, hi, **kw):
-        seen.append((am.panels, kw))
+        builds.append(kw)
         return build(am, side, lo, hi, **kw)
 
+    def recording_moore(pair, panels=4096):
+        moores.append(panels)
+        return moore(pair, panels)
+
     monkeypatch.setattr(sta, "build_effective", recording)
+    monkeypatch.setattr(AdiabaticMoore, "build", recording_moore)
     cfg = contraction_cfg(
         tmp_path, csv=(), critical=True, tau_min=0.8, tau_max=1.2,
         moore_panels=6000, effective_refine_tol=1e-7,
     )
     res = run(cfg)
-    assert isinstance(res.summary["results"]["critical_tau"], float)
-    # two builds for the scenario itself, the rest for the critical search,
-    # which needs only the sign of each max speed - 1
-    assert len(seen) > 2
-    for panels, kw in seen:
-        # panel counts double from the configured start; 4096 * 2^k never
-        # has the factor 375 of 6000
-        assert panels % 6000 == 0
-        assert kw == {"step": cfg.effective_step, "refine_tol": 1e-7}
+    assert res.summary["results"]["critical_tau"] == sta.critical_tau(
+        "contraction", 0.0, 0.3, 1.0, 0.3, 0.8, 1.2
+    )
+    assert moores == [6000]
+    assert builds == 2 * [{"step": cfg.effective_step, "refine_tol": 1e-7}]
 
 
 def test_sweep_needs_three_ascending_taus(tmp_path):

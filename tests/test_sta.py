@@ -262,33 +262,105 @@ def test_critical_timescale_brackets_speed_crossing():
     assert 0.9 < tc < 1.1
 
 
-# -- sign-only builds for the critical search ----------------------------------
+# -- the closed-form critical timescale ------------------------------------------
+
+# (family, L0, Lf, R0, eps): tau_c
+_TAU_C = {
+    ("contraction", 0.0, 0.3, 1.0, 0.3): 1.0159397196071898,
+    ("contraction", 0.1, 0.5, 1.2, 0.4): 2.2015970209621720,
+    ("expansion", 0.0, -0.3, 1.0, -0.3): 0.5159233715710769,
+    ("expansion", 0.0, -0.6, 1.0, -0.6): 0.8711364780787286,
+    ("rigid", 0.0, 0.3, 1.0, -0.3): 0.65625,
+    ("rigid", 0.0, 0.6, 1.0, -0.6): 1.3125,
+}
+# Lf R0 = L0 Rf, so K = 0: L = 0 throughout; a contraction that keeps L/R
+# fixed; the same in decimal literals whose Lf R0 - L0 Rf is 1.4e-17 of
+# roundoff.  (family, L0, Lf, R0, eps): |v_lim| = (d0 - df)/(d0 + df)
+_CONTINUOUS = {
+    ("contraction", 0.0, None, 1.0, 0.5): 1.0 / 3.0,
+    ("contraction", 0.2, 0.1, 1.0, 0.5): 1.0 / 3.0,
+    ("contraction", 0.1, 0.07, 1.7, 0.3): 3.0 / 17.0,
+}
+
+
+def _reference(geometry, tau):
+    family, L0, Lf, R0, eps = geometry
+    return make_reference(family, L0=L0, Lf=Lf, R0=R0, eps=eps, tau=tau)
+
+
+def _max_effective_speed(geometry, tau):
+    """Max speed of the two effective mirrors built on the default window."""
+    pair = _reference(geometry, tau)
+    am = AdiabaticMoore.build(pair)
+    window = default_window(pair)
+    return max(build_effective(am, side, *window).max_speed_sampled for side in ("left", "right"))
+
+
+@pytest.mark.parametrize("geometry", list(_TAU_C))
+def test_critical_tau_is_the_speed_crossing(geometry):
+    """The closed form matches its table, and effective builds 0.1 % either
+    side of it are superluminal below and subluminal above."""
+    tc = critical_tau(*geometry, 0.2, 3.0)
+    assert abs(tc - _TAU_C[geometry]) <= 1e-12
+    assert _max_effective_speed(geometry, tc * (1.0 - 1e-3)) > 1.0
+    assert _max_effective_speed(geometry, tc * (1.0 + 1e-3)) < 1.0
+
+
+def test_critical_tau_builds_nothing(monkeypatch):
+    def refuse(*args, **kw):
+        raise AssertionError("critical_tau built a Moore pair or a trajectory")
+
+    monkeypatch.setattr(sta, "build_effective", refuse)
+    monkeypatch.setattr(AdiabaticMoore, "build", refuse)
+    assert critical_tau(*next(iter(_TAU_C)), 0.2, 3.0) > 0.0
+
+
+@pytest.mark.parametrize("geometry", list(_CONTINUOUS))
+def test_continuous_limit_geometry_is_never_superluminal(geometry):
+    """K = 0: every range is all physical, and even a fast protocol moves
+    its effective mirrors no faster than the limit velocity."""
+    for lo, hi in ((1e-300, 1e-299), (0.05, 1.2), (10.0, 1e300)):
+        with pytest.raises(BracketError, match="all candidate tau physical"):
+            critical_tau(*geometry, lo, hi)
+    assert abs(_max_effective_speed(geometry, 0.05) - _CONTINUOUS[geometry]) <= 1e-9
+
+
+@pytest.mark.parametrize("geometry", [*_TAU_C, *_CONTINUOUS])
+def test_critical_tau_vanishes_exactly_with_continuous_limits(geometry):
+    pair = _reference(geometry, 1.0)
+    continuous = continuity_check(pair.L0, pair.Lf, pair.R0, pair.Rf)
+    try:
+        tc = critical_tau(*geometry, 1e-300, 1e300)
+    except BracketError as exc:
+        assert continuous and "all candidate tau physical" in str(exc)
+    else:
+        assert not continuous and tc > 0.0
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_critical_tau_rejects_tolerance_not_positive(tol, monkeypatch):
+    """Checked before any work: make_reference is never reached."""
+    monkeypatch.setattr(sta, "make_reference", None)
+    with pytest.raises(ValueError, match="tol"):
+        critical_tau(*next(iter(_TAU_C)), 0.2, 1.2, tol=tol)
+
+
+# -- early-stopped builds ------------------------------------------------------
 
 _README = dict(L0=0.0, Lf=0.3, R0=1.0, eps=0.3)  # the README contraction
-
-
-class _CountingMoore:
-    """Adiabatic Moore functions that count the points asked of `jet`."""
-
-    def __init__(self, am):
-        self.am, self.pair, self.points = am, am.pair, 0
-
-    def jet(self, which, z, order=3):
-        self.points += np.size(z)
-        return self.am.jet(which, z, order)
 
 
 @cache
 def _readme_builds(tau):
     """Adiabatic Moore functions and, per mirror, its build on the default
-    window, the points it asked of `jet` and the times of each `_solve_many`
-    call, for the README geometry."""
+    window and the times of each `_solve_many` call, for the README
+    geometry."""
     pair = make_reference("contraction", tau=tau, **_README)
     am = AdiabaticMoore.build(pair)
     window = default_window(pair)
     builds = {}
     for side in ("left", "right"):
-        counting, solves = _CountingMoore(am), []
+        solves = []
 
         def recording(am_, side_, times, *args):
             solves.append(times)
@@ -296,7 +368,7 @@ def _readme_builds(tau):
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sta, "_solve_many", recording)
-            builds[side] = (build_effective(counting, side, *window), counting.points, solves)
+            builds[side] = (build_effective(am, side, *window), solves)
     return am, builds
 
 
@@ -305,8 +377,8 @@ def _readme_builds(tau):
     [(0.2, True), (0.7, True), (1.0125, True), (1.0164, False), (1.2, False)],
 )
 def test_early_stop_keeps_the_superluminal_verdict(tau, superluminal):
-    """tau_c of this geometry is about 1.0159: the two middle values sit on
-    either side of it, one bisection step apart at tol 1e-3.  Each build's
+    """tau_c of this geometry is 1.01594: the two middle values sit on
+    either side of it.  Each build's
     verdict, however early its refinement stopped, is that of the exact
     implicit slopes on a dense grid of solved samples."""
     am, builds = _readme_builds(tau)
@@ -326,7 +398,7 @@ def test_superluminal_build_stops_on_its_starting_grid(tau, solves):
     """A superluminal build returns the starting grid's interpolant after
     its one solve; a subluminal one still solves its verification round."""
     for side in ("left", "right"):
-        eff, _, calls = _readme_builds(tau)[1][side]
+        eff, calls = _readme_builds(tau)[1][side]
         assert len(calls) == solves
         assert np.array_equal(eff.times, calls[0])
 
@@ -362,49 +434,6 @@ def test_node_speed_of_exactly_one_does_not_stop_refinement():
     eff = build_effective(_LuminalMoore(), "left", -1.0, 1.0, step=0.25)
     assert len(eff.times) > 9  # refined beyond the starting grid
     assert eff.max_speed_sampled == 1.0
-
-
-def test_critical_tau_equals_bisection_on_max_speed():
-    lo, hi, tol = 0.95, 1.1, 1e-2
-
-    def superluminal(tau):
-        pair = make_reference("contraction", tau=tau, **_README)
-        am = AdiabaticMoore.build(pair)
-        window = default_window(pair)
-        v = max(build_effective(am, side, *window).max_speed_sampled for side in ("left", "right"))
-        return v > 1.0
-
-    assert superluminal(lo) and not superluminal(hi)
-    a, b = lo, hi
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        a, b = (mid, b) if superluminal(mid) else (a, mid)
-    tc = critical_tau("contraction", *_README.values(), lo, hi, tol=tol)
-    assert tc == 0.5 * (a + b)
-
-
-def test_superluminal_candidate_builds_only_its_left_mirror(monkeypatch):
-    """The tau = 0.2 probe builds the left mirror and skips the right."""
-    points, sides = {}, {}
-    jet, build = AdiabaticMoore.jet, sta.build_effective
-
-    def counting_jet(self, which, z, order=3):
-        points[self.pair.tau] = points.get(self.pair.tau, 0) + np.size(z)
-        return jet(self, which, z, order)
-
-    def recording_build(am, side, *args, **kw):
-        sides.setdefault(am.pair.tau, []).append(side)
-        return build(am, side, *args, **kw)
-
-    monkeypatch.setattr(AdiabaticMoore, "jet", counting_jet)
-    monkeypatch.setattr(sta, "build_effective", recording_build)
-    # a tolerance wider than the window: the two end probes and no bisection
-    critical_tau("contraction", *_README.values(), 0.2, 1.2, tol=2.0)
-    assert sides == {0.2: ["left"], 1.2: ["left", "right"]}
-    probe = points[0.2]
-    monkeypatch.undo()
-    # the probe asks `jet` for the points of one left build, and no more
-    assert probe == _readme_builds(0.2)[1]["left"][1]
 
 
 def _motion_window(pair, side):
@@ -471,9 +500,11 @@ def test_effective_edges_exact_on_staggered_custom_motion(left, right, side, dat
 
 
 def test_critical_timescale_needs_a_crossing():
-    # both ends comfortably subluminal: no sign change to bisect
-    with pytest.raises(CavstaError):
+    # tau_c = 1.016 lies below the first range and above the second
+    with pytest.raises(CavstaError, match="all candidate tau physical"):
         critical_tau("contraction", 0.0, 0.3, 1.0, 0.3, 5.0, 9.0)
+    with pytest.raises(CavstaError, match="no candidate tau physical"):
+        critical_tau("contraction", 0.0, 0.3, 1.0, 0.3, 0.2, 0.9)
 
 
 def test_effective_pair_presents_trajectory_protocol(contraction12):
