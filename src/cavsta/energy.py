@@ -19,13 +19,15 @@ difference of one-variable primitives,
 With r = h''/h' the anomaly bracket equals r' - r^2/2 (Schwarzian identity),
 so its primitive is -(1/24 pi) [r - (1/2) int r^2]: the total energy needs
 only h' and h'', and `density` stays the one pointwise consumer of h'''.
-Each Moore map gets one grid across the arguments a call needs, with every
-sample endpoint and every kink argument (null rays launched from trajectory
-breakpoints, where Simpson would lose order) as a node.  One cumulative
-Simpson pass on nodes and midpoints then gives every E(t_j) as a difference
-of node values.  Anomaly and kinetic primitives stay separate because the
-thermal weight multiplies only the kinetic one, so one pass serves every
-temperature.
+Each Moore map gets one uniform grid across the arguments a call needs,
+kept only inside the union of the sample cavities (no sample integrates a
+panel between two disjoint cavities), with every sample endpoint and every
+kink argument (null rays launched from trajectory breakpoints, where Simpson
+would lose order) as a node.  One cumulative Simpson pass per connected part
+of that union, on its nodes and midpoints, then gives every E(t_j) as a
+difference of node values.  Anomaly and kinetic primitives stay separate
+because the thermal weight multiplies only the kinetic one, so one pass
+serves every temperature.
 
 The sample endpoints are the cavity ends t + L, t + R (G) and t - R, t - L
 (F), so the map values kept at those nodes give the mirror residuals of
@@ -137,27 +139,56 @@ def density(moore, x, t: float, state: ThermalState):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _connected_parts(lo, hi):
+    """(starts, ends) of the connected parts of the union of the intervals
+    [lo[j], hi[j]]: sorted by lo, an interval joins the part before it when
+    it starts at or before the running max of the ends so far."""
+    order = np.argsort(lo, kind="stable")
+    starts, ends = lo[order], np.maximum.accumulate(hi[order])
+    first = np.concatenate([[True], starts[1:] > ends[:-1]])
+    last = np.concatenate([first[1:], [True]])
+    return starts[first], ends[last]
+
+
 def _map_parts(jet, kinks, lo, hi, points, at):
     """(anomaly, kinetic) integrals of one Moore map's density pieces over
     [lo[j], hi[j]] for every j, then the map's values at lo, at hi and at
     `at`; `jet` is the map's jet function, `kinks` its kink arguments.
 
-    The grid has `points` panels across [min lo, max hi], and every endpoint
-    and kink argument inside it is a node, so each integral is a difference
-    of node values of the cumulative primitives.  `at` is traced in the same
+    The grid spaces `points` panels evenly across [min lo, max hi] and keeps
+    the nodes inside the union of the intervals; with every endpoint and
+    every kink argument inside it, those are the nodes.  Each connected part
+    of the union gets its own cumulative Simpson pass from zero, so a panel
+    between two parts is neither traced nor summed, and each integral is a
+    difference of node values within one part.  `at` is traced in the same
     batch after the nodes and midpoints, and only those feed the quadrature."""
-    a, b = float(np.min(lo)), float(np.max(hi))
-    kinks = kinks[(kinks > a) & (kinks < b)]
-    nodes = np.unique(np.concatenate([np.linspace(a, b, points + 1), lo, hi, kinks]))
+    starts, ends = _connected_parts(lo, hi)
+    grid = np.concatenate([np.linspace(np.min(lo), np.max(hi), points + 1), kinks])
+    k = np.searchsorted(starts, grid, side="right") - 1
+    inside = (k >= 0) & (grid <= ends[np.maximum(k, 0)])
+    nodes = np.unique(np.concatenate([grid[inside], lo, hi]))
     n = nodes.size
-    m = 2 * n - 1
-    h0, h1, h2, _ = jet(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:]), at]))
+    part = np.searchsorted(starts, nodes, side="right")
+    inner = part[1:] == part[:-1]  # the panels inside one part
+    mids = 0.5 * (nodes[:-1] + nodes[1:])[inner]
+    m = n + mids.size
+    h0, h1, h2, _ = jet(np.concatenate([nodes, mids, at]))
     h1, h2 = h1[:m], h2[:m]
     r = _slope_ratio(h1, h2)
     width = np.diff(nodes) / 6.0
+    cuts = np.flatnonzero(~inner) + 1  # the first node of every later part
 
     def primitive(f):
-        return _cumulative_simpson(0.0, width, f[:n], f[n:])
+        # restarting at zero keeps the rounding of earlier parts' running
+        # sums out of every later sample's difference
+        f_mid = np.zeros(n - 1)
+        f_mid[inner] = f[n:]
+        return np.concatenate(
+            [
+                _cumulative_simpson(0.0, width[s : e - 1], f[s:e], f_mid[s : e - 1])
+                for s, e in zip(np.r_[0, cuts], np.r_[cuts, n])
+            ]
+        )
 
     rr, kk = primitive(r * r), primitive(h1 * h1)
     i, j = np.searchsorted(nodes, lo), np.searchsorted(nodes, hi)
@@ -269,8 +300,9 @@ def energy_record(
 
     The exact Moore solutions enter through `moore_ref`/`moore_eff`; passing
     None for a run leaves its columns NaN (reported, not fatal, so sweeps
-    can cross the superluminal regime).  `points` is the number of Simpson
-    panels per Moore map across the arguments the run needs.
+    can cross the superluminal regime).  `points` sets each Moore map's
+    Simpson panel spacing, (max - min)/`points` across the arguments the run
+    needs; panels outside every sample cavity are skipped.
 
     Each Moore map of each run is traced once.  The reference run's F and G
     at `times` ride in its energy batch, and its mirror residuals are read

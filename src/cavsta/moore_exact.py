@@ -270,27 +270,28 @@ class ExactMoore:
         left mirror.  A hop changes the argument by 2R (w -> z) or -2L
         (z -> w), and two hops advance it by at least the shortest cavity
         length, half the per-bounce advance `_max_bounces` assumes.  So a
-        front and its child both above hi have no descendant at or below it,
-        and each loop round hops every front once: at most four rounds per
+        front and its child both above hi have no descendant at or below it.
+        Each loop round hops the z front off the left mirror, then its w
+        children (with the left-break seeds, in the first round) off the
+        right mirror in one call: two hops per round, at most two rounds per
         bounce of that bound.
         """
         left, right = self.pair.left, self.pair.right
         w_front = left.breaks - left(left.breaks)
         z_front = right.breaks + right(right.breaks)
         z_list, w_list = [], []
-        for _ in range(4 * self._max_bounces(hi)):
-            w_list.append(w_front)
+        for _ in range(2 * self._max_bounces(hi)):
             z_list.append(z_front)
-            if w_front.size == 0 and z_front.size == 0:
+            t, (X,) = self._invert("left", 1.0, z_front, 0)
+            w_next = t - X
+            w_front = np.concatenate([w_front, w_next[(w_next <= hi) | (z_front <= hi)]])
+            w_list.append(w_front)
+            if w_front.size == 0:
                 break
             t, (X,) = self._invert("right", -1.0, w_front, 0)
             z_next = t + X
-            t, (X,) = self._invert("left", 1.0, z_front, 0)
-            w_next = t - X
-            z_front, w_front = (
-                z_next[(z_next <= hi) | (w_front <= hi)],
-                w_next[(w_next <= hi) | (z_front <= hi)],
-            )
+            z_front = z_next[(z_next <= hi) | (w_front <= hi)]
+            w_front = np.empty(0)
         else:
             raise ConvergenceError("kink fronts exceeded their bounce bound")
         z_all = np.unique(np.concatenate(z_list))

@@ -54,7 +54,7 @@ class RunConfig:
     tau: float = 1.0
     temperatures: tuple = (0.0,)
     time_step: float | None = None  # None -> tau/64
-    spatial_points: int = 2001  # Simpson panels per Moore map (energy record)
+    spatial_points: int = 2001  # energy-record panel spacing, span/spatial_points
     moore_panels: int = 4096  # starting panel count of the advance integral
     effective_step: float | None = None  # None -> build_effective's default
     effective_refine_tol: float = 1e-8

@@ -1,11 +1,15 @@
 """Renormalized energy density, cavity energy, and adiabaticity."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
 from cavsta.energy import (
+    _map_parts,
     ThermalState,
     adiabatic_energy,
     density,
@@ -219,3 +223,122 @@ def test_total_energy_matches_density_quadrature(contraction12):
             x = np.linspace(s.pair.left(t), s.pair.right(t), 20001)
             want = simpson(density(s.exact_ref, x, t, st), x=x)
             assert total_energy(s.exact_ref, s.pair, t, st) == pytest.approx(want, rel=1e-6)
+
+
+def _disjoint_samples(s):
+    """42 times a step of 2 apart across the tau = 40 window: every cavity
+    is shorter than 1, so no two sample cavities meet."""
+    return np.linspace(*s.window, 42)
+
+
+def _cavities(pair, times, which):
+    """The arguments [lo, hi] one map integrates over at each time."""
+    L, R = pair.left(times), pair.right(times)
+    return (times + L, times + R) if which == "G" else (times - R, times - L)
+
+
+def test_energy_traces_only_sample_cavities(contraction40, monkeypatch):
+    """With disjoint cavities, every argument the energy record traces lies
+    in some sample cavity of its map or is a Moore sample at the times, and
+    there are under 60 % as many as a full grid's nodes and midpoints."""
+    s = contraction40
+    times = _disjoint_samples(s)
+    points = 2001
+    traced = []
+    for which in ("G", "F"):
+        solve = getattr(ExactMoore, f"solve_{which}")
+
+        def recording(self, args, which=which, solve=solve):
+            traced.append((self, which, np.asarray(args)))
+            return solve(self, args)
+
+        monkeypatch.setattr(ExactMoore, f"{which}_jet", recording)
+    states = [ThermalState(0.0, 1.0)]
+    energy_record(times, states, s.exact_ref, s.pair, s.exact_eff, s.eff_pair, points)
+    assert len(traced) == 4
+    for moore, which, args in traced:
+        if moore is s.exact_ref:  # the reference run's Moore samples ride last
+            assert np.array_equal(args[-times.size :], times)
+            args = args[: -times.size]
+        lo, hi = _cavities(moore.pair, times, which)
+        in_cavity = (args[:, None] >= lo) & (args[:, None] <= hi)
+        assert np.all(in_cavity.any(axis=1))
+        assert args.size < 0.6 * (2 * points + 1)
+
+
+def test_cavity_integrals_sum_only_their_own_panels(contraction40):
+    """Each sample's kinetic and anomaly integrals equal math.fsum of the
+    Simpson increments of the panels inside its own cavity: a cumulative
+    primitive running across earlier cavities would carry their rounding."""
+    s = contraction40
+    times = _disjoint_samples(s)
+    for moore in (s.exact_ref, s.exact_eff):
+        z_kinks, w_kinks = moore.kink_args(-50.0, 50.0)
+        for which, kinks in (("G", z_kinks), ("F", w_kinks)):
+            seen = {}
+
+            def recording(x, jet=getattr(moore, f"{which}_jet")):
+                seen["x"], seen["jet"] = x, jet(x)
+                return seen["jet"]
+
+            lo, hi = _cavities(moore.pair, times, which)
+            kinks = kinks[(kinks > lo[0]) & (kinks < hi[-1])]
+            anom, kin, _ = _map_parts(recording, kinks, lo, hi, 2001, np.empty(0))
+            x = seen["x"]
+            h1, h2 = (dict(zip(x, h)) for h in seen["jet"][1:3])
+            for j in range(times.size):
+                # inside one cavity the traced arguments alternate between
+                # nodes and the midpoints of the panels they bound
+                xs = np.sort(x[(x >= lo[j]) & (x <= hi[j])])
+                nodes, mids = xs[0::2], xs[1::2]
+                assert nodes[0] == lo[j] and nodes[-1] == hi[j]
+                assert np.array_equal(mids, 0.5 * (nodes[:-1] + nodes[1:]))
+                width = np.diff(nodes) / 6.0
+
+                def increments(g):
+                    return width * (g(nodes[:-1]) + 4.0 * g(mids) + g(nodes[1:]))
+
+                def kinetic(v):
+                    return np.array([h1[a] for a in v]) ** 2
+
+                def ratio(v):
+                    return np.array([h2[a] / h1[a] for a in v])
+
+                want_kin = 0.5 * math.fsum(increments(kinetic))
+                assert abs(kin[j] - want_kin) <= 1e-15 * abs(want_kin)
+                dr = ratio(nodes[-1:])[0] - ratio(nodes[:1])[0]
+                rr = 0.5 * math.fsum(increments(lambda v: ratio(v) ** 2))
+                want_anom = -(dr - rr) / (24.0 * np.pi)
+                scale = (abs(dr) + rr) / (24.0 * np.pi)
+                assert abs(anom[j] - want_anom) <= 1e-15 * scale
+
+
+def _stub_moore(zero_lo, zero_hi):
+    """Moore maps with G' = 0 on [zero_lo, zero_hi] and 1 elsewhere, F' = 1,
+    no higher derivatives and no kinks."""
+
+    def jet(x, zero):
+        h1 = np.where((x >= zero[0]) & (x <= zero[1]), 0.0, 1.0)
+        return x, h1, np.zeros_like(x), np.zeros_like(x)
+
+    return SimpleNamespace(
+        G_jet=lambda z: jet(z, (zero_lo, zero_hi)),
+        F_jet=lambda w: jet(w, (np.inf, -np.inf)),
+        kink_args=lambda lo, hi: (np.empty(0), np.empty(0)),
+    )
+
+
+def test_density_guard_sees_every_integrated_argument(contraction40):
+    """A vanishing Moore derivative inside a sample cavity is refused; one in
+    the gap between two disjoint cavities, where nothing is integrated, is
+    never traced.  The first two G cavities are [-41, -40] and about
+    [-39, -38]."""
+    s = contraction40
+    times = _disjoint_samples(s)
+    lo, hi = _cavities(s.pair, times, "G")
+    assert hi[0] == -40.0 and -39.1 < lo[1] < -38.9
+    states = [ThermalState(0.0, 1.0)]
+    with pytest.raises(DensityError):
+        energy_record(times, states, _stub_moore(-40.6, -40.4), s.pair)
+    rec = energy_record(times, states, _stub_moore(-39.6, -39.4), s.pair)
+    assert np.all(np.isfinite(rec.E_ref))

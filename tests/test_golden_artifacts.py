@@ -98,9 +98,9 @@ GOLDEN = {
         "trajectories.csv": "3a39d02201181424df568bd7f21dea6e70c07d48cf242d4978970d44f1cc4f45",
     },
     "run_slow": {
-        "energy.csv": "47b5b5e720d2b34ae0607a4fcd3c9310db346ebc84a853c4315fc5abbd2e1686",
+        "energy.csv": "8f0ee3ce8201be65c274c807253f21bdbd81ba93871b492a15b8571138c0980b",
         "moore.csv": "6b2f3db07f024902438b05e39bd716da78cc73e24910feff3039078db3c25652",
-        "summary.txt": "0275824ab9c2627a06c70fdf394bb3d492ce7f4b9d2e8c9df6728c8fa51565ab",
+        "summary.txt": "163f3281f81b4a93d2068f117d610414516cf11b32199a583fefec28921f2db5",
         "trajectories.csv": "85c33a1213a6670d8283f5a81f033db3d10d817802040ad90d43a68f417cf77e",
     },
     "sweep_critical": {

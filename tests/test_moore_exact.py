@@ -12,7 +12,7 @@ from cavsta.errors import SuperluminalError
 from cavsta.moore_exact import ExactMoore
 from cavsta.trajectory import MirrorPath, TrajectoryPair, make_reference
 
-from util import drop_near, fd_jets, split_path
+from util import drop_near, fd_jets, one_hop_kink_args, split_path
 
 
 def test_static_cavity_moore_is_identity(static_unit):
@@ -238,6 +238,35 @@ def test_inversion_round_trips_on_multi_segment_tables(contraction12, data):
         assert len(jet) == 4 and all(np.array_equal(j, w) for j, w in zip(jet, want))
         t0, (x0,) = moore._invert(mirror, sign, z, 0)
         assert np.array_equal(t0, t) and np.array_equal(x0, jet[0])
+
+
+def test_kink_walk_hops_twice_per_round(contraction12, contraction40, monkeypatch):
+    """Two hops per round give the one-hop walk's kinks bit for bit, on a
+    five-segment table, an effective pair and the tau = 40 pairs, in half
+    the map inversions."""
+    calls = []
+    invert = ExactMoore._invert
+
+    def counting(self, *args, **kw):
+        calls.append(1)
+        return invert(self, *args, **kw)
+
+    monkeypatch.setattr(ExactMoore, "_invert", counting)
+    lo40, hi40 = contraction40.window
+    for moore, lo, hi in (
+        (_SPLIT, -3.0, 8.0),
+        (contraction12.exact_eff, *contraction12.window),
+        (contraction40.exact_ref, lo40 - 2.0, hi40 + 2.0),
+        (contraction40.exact_eff, lo40 - 2.0, hi40 + 2.0),
+    ):
+        calls.clear()
+        got = moore.kink_args(lo, hi)
+        two_hop = len(calls)
+        calls.clear()
+        want = one_hop_kink_args(moore, lo, hi)
+        assert want[0].size and want[1].size
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert two_hop <= len(calls) // 2 + 1
 
 
 class _Understated:

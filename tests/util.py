@@ -1,11 +1,13 @@
 """Finite-difference stencils used to cross-check analytic derivatives,
-table re-expansion for tests of multi-segment paths, path ranges, and an
-effective-mirror root solved independently of the pipeline's guesses."""
+table re-expansion for tests of multi-segment paths, path ranges, an
+effective-mirror root solved independently of the pipeline's guesses, and
+a one-hop-per-round kink walk to check the exact solver's against."""
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
 from cavsta import sta
+from cavsta.errors import ConvergenceError
 from cavsta.trajectory import MirrorPath, piecewise_extremes
 
 
@@ -52,3 +54,31 @@ def whole_cavity_root(am, side, t):
     p = am.pair
     lo, hi = min(p.L0, p.Lf) - p.d0, max(p.R0, p.Rf) + p.d0
     return float(sta._solve(am, side, np.array([float(t)]), [lo], [hi])[0])
+
+
+def one_hop_kink_args(moore, lo, hi):
+    """`ExactMoore.kink_args` walked one hop per round: every round hops the
+    w front off the right mirror and the z front off the left mirror, in two
+    `_invert` calls, with the same seeds, pruning and bounce bound."""
+    left, right = moore.pair.left, moore.pair.right
+    w_front = left.breaks - left(left.breaks)
+    z_front = right.breaks + right(right.breaks)
+    z_list, w_list = [], []
+    for _ in range(4 * moore._max_bounces(hi)):
+        w_list.append(w_front)
+        z_list.append(z_front)
+        if w_front.size == 0 and z_front.size == 0:
+            break
+        t, (X,) = moore._invert("right", -1.0, w_front, 0)
+        z_next = t + X
+        t, (X,) = moore._invert("left", 1.0, z_front, 0)
+        w_next = t - X
+        z_front, w_front = (
+            z_next[(z_next <= hi) | (w_front <= hi)],
+            w_next[(w_next <= hi) | (z_front <= hi)],
+        )
+    else:
+        raise ConvergenceError("kink fronts exceeded their bounce bound")
+    z_all = np.unique(np.concatenate(z_list))
+    w_all = np.unique(np.concatenate(w_list))
+    return z_all[(z_all > lo) & (z_all < hi)], w_all[(w_all > lo) & (w_all < hi)]
