@@ -251,16 +251,16 @@ def eval_mode(moore, k: int, x, t: float):
 class EnergyRecord:
     """Per-temperature time series for a reference and an effective run.
 
-    Arrays are (n_temperatures, n_times); Q rows satisfy Q = E/E_ad of the
-    same run (the effective run's E_ad follows the effective cavity length).
+    Arrays are (n_temperatures, n_times): rows follow the states and
+    columns the times given to `energy_record`, which the record does not
+    repeat.  Q rows satisfy Q = E/E_ad of the same run (the effective run's
+    E_ad follows the effective cavity length).
     `F_ref`, `G_ref` are the reference run's exact Moore functions at the
     times, and `residual_ref` its two mirror residual sups over them (as
     `ExactMoore.residuals`).  Runs that could not be computed (superluminal
     pair refused by the exact solver) hold NaN.
     """
 
-    times: np.ndarray
-    temperatures: tuple
     E_ref: np.ndarray
     E_eff: np.ndarray
     E_ad_ref: np.ndarray
@@ -316,8 +316,6 @@ def energy_record(
         Q_ref = E_ref / E_ad_ref
         Q_eff = E_eff / E_ad_eff
     return EnergyRecord(
-        times=times,
-        temperatures=tuple(st.T for st in states),
         E_ref=E_ref,
         E_eff=E_eff,
         E_ad_ref=E_ad_ref,

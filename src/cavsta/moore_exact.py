@@ -81,13 +81,6 @@ class ExactMoore:
         self._maps = {side: _map_tables(getattr(pair, side)) for side in ("left", "right")}
         self._gap_min = pair.gap_min()
         self._start = pair.motion_start
-        # a backward ray is already static when its argument is at or below
-        # the map image of motion onset (t + X(t) is strictly increasing, so
-        # the comparison is exact and skips the inversion entirely)
-        self._static_arg = {
-            "G": self._start + float(pair.right(self._start)),
-            "F": self._start - float(pair.left(self._start)),
-        }
 
     # -- monotone map inversion ------------------------------------------------
 
@@ -164,12 +157,16 @@ class ExactMoore:
         """Shared backward walk; returns (final static args, jets, bounce counts).
 
         G first inverts the right-mirror map t + R(t), then the left-mirror
-        map t - L(t); F takes the two mirrors in the opposite order.
+        map t - L(t); F takes the two mirrors in the opposite order.  The
+        one onset test is `go`: a ray whose first root lies at or before
+        motion onset is static and stops there.  An argument at or below the
+        first boundary image inverts in closed form, so a ray that is
+        static from the start costs no Newton step.
         """
         first, second = (("right", 1.0), ("left", -1.0))
         if which == "F":
             first, second = second, first
-        arg = np.array(args, dtype=float, copy=True)
+        arg = np.atleast_1d(np.array(args, dtype=float))  # a copy: walked in place
         d1 = np.ones_like(arg)
         d2 = np.zeros_like(arg)
         d3 = np.zeros_like(arg)
@@ -181,15 +178,7 @@ class ExactMoore:
             if not active.any():
                 break
             idx = np.flatnonzero(active)
-            a = arg[idx]
-            stat = a <= self._static_arg[which]
-            if stat.any():
-                active[idx[stat]] = False
-                idx = idx[~stat]
-                a = a[~stat]
-                if idx.size == 0:
-                    continue
-            t1, Xj = self._invert(*first, a)
+            t1, Xj = self._invert(*first, arg[idx])
             go = t1 > self._start
             active[idx[~go]] = False
             cont = idx[go]
@@ -213,8 +202,7 @@ class ExactMoore:
         return arg, (d1, d2, d3), n
 
     def _solve(self, args, which: str):
-        a = np.atleast_1d(np.asarray(args, dtype=float))
-        arg, (d1, d2, d3), n = self._trace(a, which)
+        arg, (d1, d2, d3), n = self._trace(args, which)
         sgn = -1.0 if which == "G" else +1.0
         d0 = self.pair.d0
         out = ((arg + sgn * self.pair.L0) / d0 + 2.0 * n, d1 / d0, d2 / d0, d3 / d0)
@@ -236,8 +224,7 @@ class ExactMoore:
 
     def trace_depth(self, z, which: str = "G"):
         """Bounce counts of the backward walk (diagnostic)."""
-        a = np.atleast_1d(np.asarray(z, dtype=float))
-        arg, _, n = self._trace(a, which)
+        arg, _, n = self._trace(z, which)
         if np.ndim(z) == 0:
             return int(n[0]), float(arg[0])
         return n, arg

@@ -18,7 +18,6 @@ fixed column order: identical configs give byte-identical files.
 from __future__ import annotations
 
 import configparser
-import io
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -36,6 +35,7 @@ __all__ = ["RunConfig", "load_config", "run", "sweep_tau", "RunResult", "SweepRe
 
 _FMT = "%.17g"
 _CSV = ("trajectories", "moore", "energy")
+_ENERGY = ("E_ref", "E_eff", "E_ad", "Q_ref", "Q_eff")  # energy.csv columns per temperature
 _BOOLEAN = configparser.ConfigParser.BOOLEAN_STATES
 _NO_RESCALE = "sweep and critical search rescale tau; custom tables cannot"
 
@@ -153,7 +153,7 @@ _KEYS = {
 # what each value that parses must also satisfy, by RunConfig field; None
 # (`auto`) always passes
 _LIMITS = {
-    "temperatures": ("must all be >= 0", lambda v: all(T >= 0 for T in v)),
+    "temperatures": ("must be one or more values >= 0", lambda v: v and all(T >= 0 for T in v)),
     "time_step": ("must be > 0", lambda v: v > 0),
     "spatial_points": ("must be >= 1", lambda v: v >= 1),
     "moore_panels": ("must be >= 1", lambda v: v >= 1),
@@ -255,24 +255,17 @@ def _t_label(T: float) -> str:
 
 
 def _write_csv(path: str, header: list, columns: list) -> None:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    rows = len(columns[0])
-    for i in range(rows):
-        buf.write(",".join(_FMT % c[i] for c in columns) + "\n")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(buf.getvalue())
+    np.savetxt(path, np.column_stack(columns), fmt=_FMT, delimiter=",",
+               header=",".join(header), comments="", encoding="utf-8")
 
 
 def _write_summary(path: str, sections: dict) -> None:
-    buf = io.StringIO()
-    for name, entries in sections.items():
-        buf.write(f"[{name}]\n")
-        for key, val in entries.items():
-            buf.write(f"{key} = {_fmt(val)}\n")
-        buf.write("\n")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(buf.getvalue())
+        for name, entries in sections.items():
+            f.write(f"[{name}]\n")
+            for key, val in entries.items():
+                f.write(f"{key} = {_fmt(val)}\n")
+            f.write("\n")
 
 
 def _scenario(cfg: RunConfig):
@@ -350,48 +343,28 @@ def run(cfg: RunConfig) -> RunResult:
 
     os.makedirs(cfg.out_dir, exist_ok=True)
 
-    if "trajectories" in cfg.csv:
-        cols = [
-            times,
-            pair.left(times),
-            pair.right(times),
-            eff_pair.left(times),
-            eff_pair.right(times),
-            lim_l(times),
-            lim_r(times),
-        ]
-        path = os.path.join(cfg.out_dir, "trajectories.csv")
-        _write_csv(path, ["t", "L_ref", "R_ref", "L_eff", "R_eff", "L_lim", "R_lim"], cols)
-        result.files.append(path)
-
-    if "moore" in cfg.csv:
-        cols = [times, am.F(times), am.G(times), record.F_ref, record.G_ref]
-        path = os.path.join(cfg.out_dir, "moore.csv")
-        _write_csv(path, ["z", "F_ad", "G_ad", "F_exact", "G_exact"], cols)
-        result.files.append(path)
-
-    if "energy" in cfg.csv:
-        header = ["t"]
-        cols = [times]
-        for i, T in enumerate(cfg.temperatures):
-            lab = _t_label(T)
-            header += [
-                f"E_ref_T{lab}",
-                f"E_eff_T{lab}",
-                f"E_ad_T{lab}",
-                f"Q_ref_T{lab}",
-                f"Q_eff_T{lab}",
-            ]
-            cols += [
-                record.E_ref[i],
-                record.E_eff[i],
-                record.E_ad_ref[i],
-                record.Q_ref[i],
-                record.Q_eff[i],
-            ]
-        path = os.path.join(cfg.out_dir, "energy.csv")
-        _write_csv(path, header, cols)
-        result.files.append(path)
+    # (temperature, _ENERGY column, time)
+    energy = np.stack([record.E_ref, record.E_eff, record.E_ad_ref, record.Q_ref, record.Q_eff], 1)
+    paths = (pair.left, pair.right, eff_pair.left, eff_pair.right, lim_l, lim_r)
+    tables = {  # name: (header, columns)
+        "trajectories": (
+            ["t", "L_ref", "R_ref", "L_eff", "R_eff", "L_lim", "R_lim"],
+            [times] + [x(times) for x in paths],
+        ),
+        "moore": (
+            ["z", "F_ad", "G_ad", "F_exact", "G_exact"],
+            [times, am.F(times), am.G(times), record.F_ref, record.G_ref],
+        ),
+        "energy": (
+            ["t"] + [f"{key}_T{_t_label(T)}" for T in cfg.temperatures for key in _ENERGY],
+            [times, *energy.reshape(-1, times.size)],
+        ),
+    }
+    for name in _CSV:
+        if name in cfg.csv:
+            path = os.path.join(cfg.out_dir, f"{name}.csv")
+            _write_csv(path, *tables[name])
+            result.files.append(path)
 
     results_section = {
         "window_start": float(times[0]),
@@ -504,16 +477,10 @@ def sweep_tau(cfg: RunConfig) -> SweepResult:
     logs = np.log(np.array([r["res_ad_max"] for r in rows]))
     logt = np.log(np.array(taus))
     slope = float(np.polyfit(logt, logs, 1)[0])
+    speeds = [max(r["max_eff_speed_left"], r["max_eff_speed_right"]) for r in rows]
     results_section = {
         "residual_loglog_slope": slope,
-        "speeds_decrease_with_tau": bool(
-            np.all(
-                np.diff(
-                    [max(r["max_eff_speed_left"], r["max_eff_speed_right"]) for r in rows]
-                )
-                <= 1e-9
-            )
-        ),
+        "speeds_decrease_with_tau": bool(np.all(np.diff(speeds) <= 1e-9)),
     }
     if cfg.critical:
         results_section["critical_tau"] = _critical_tau(cfg)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, GeometryError
+from .errors import BracketError, ConvergenceError, GeometryError
 from .moore_adiabatic import AdiabaticMoore, mirror_jets
 from .trajectory import _STEP, PiecewisePath, TrajectoryPair, make_reference, piecewise_eval
 
@@ -267,7 +267,8 @@ def build_effective(
     velocity row, so it is a candidate of `max_speed_sampled`, and further
     rounds would keep every node, so the curve is superluminal whatever
     they add.  Near such a fold the solved branch jumps, and no refinement
-    resolves it.
+    resolves it.  A subluminal curve that still misses a midpoint solve
+    after `_MAX_REFINE` rounds raises ConvergenceError.
     """
     if side not in _TARGET:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -285,14 +286,21 @@ def build_effective(
         slopes, curvatures, residual = _implicit_jet(am, side, times, positions)
         rows = _quintic_rows(times, positions, slopes, curvatures)
         # the last node starts no segment, so its slope is no row's constant
-        if round_ == _MAX_REFINE or np.any(np.abs(slopes[:-1]) > 1.0):
+        if np.any(np.abs(slopes[:-1]) > 1.0):
             break
         mids = 0.5 * (times[:-1] + times[1:])
         predicted = piecewise_eval(times, rows, mids)
         solved = _solve_many(am, side, mids, predicted, pair.d0)
-        bad = np.abs(predicted - solved) > refine_tol
+        miss = np.abs(predicted - solved)
+        bad = miss > refine_tol
         if not bad.any():
             break
+        if round_ == _MAX_REFINE:
+            raise ConvergenceError(
+                f"effective {side} trajectory misses its midpoint solves by "
+                f"{np.max(miss):.3g} after {_MAX_REFINE} refinement rounds "
+                f"(refine_tol {refine_tol:g})"
+            )
         times = np.concatenate([times, mids[bad]])
         positions = np.concatenate([positions, solved[bad]])
         order = np.argsort(times)

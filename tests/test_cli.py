@@ -55,6 +55,20 @@ def test_missing_config_is_an_error(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_unconverged_effective_build_is_an_error(tmp_path, capsys):
+    """effective_step = tau leaves the interpolant off its midpoint solves
+    after every refinement round: one error line, exit 1, also in strict."""
+    cfg = write_config(tmp_path, tmp_path / "out")
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(ini.read_text().replace("effective_step = 0.0125", "effective_step = 1.2"))
+    code = main(["run", cfg, "--strict"])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: effective left trajectory misses")
+
+
 def test_superluminal_warns_without_strict(tmp_path, capsys):
     ini = tmp_path / "fast.ini"
     ini.write_text(

@@ -269,6 +269,24 @@ def test_kink_walk_hops_twice_per_round(contraction12, contraction40, monkeypatc
         assert two_hop <= len(calls) // 2 + 1
 
 
+def test_onset_boundary_rays_are_static(contraction12, contraction40):
+    """At the onset images start + R(start) (G) and start - L(start) (F),
+    and one ulp below them, the backward ray is static: no bounce, and the
+    solve is the static closed form (arg + sgn*L0)/d0 bit for bit."""
+    for s in (contraction12, contraction40):
+        for moore in (s.exact_ref, s.exact_eff):
+            pair = moore.pair
+            start = pair.motion_start
+            for which, image, sgn in (
+                ("G", start + float(pair.right(start)), -1.0),
+                ("F", start - float(pair.left(start)), 1.0),
+            ):
+                for arg in (image, np.nextafter(image, -np.inf)):
+                    assert moore.trace_depth(arg, which) == (0, arg)
+                    want = ((arg + sgn * pair.L0) / pair.d0, 1.0 / pair.d0, 0.0, 0.0)
+                    assert moore._solve(arg, which) == want
+
+
 class _Understated:
     """A path that reports a subluminal top speed it does not have."""
 

@@ -104,9 +104,23 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 def test_csv_selection(tmp_path):
-    res = run(contraction_cfg(tmp_path, csv=("energy",)))
-    names = sorted(os.path.basename(p) for p in res.files)
-    assert names == ["energy.csv", "summary.txt"]
+    """Each CSV a subset run writes is the full run's file byte for byte,
+    its summary differs only in the [outputs] csv line, and an empty
+    selection writes the summary alone."""
+    assert run(contraction_cfg(tmp_path / "all")).exit_code == 0
+    summary = (tmp_path / "all" / "summary.txt").read_text().splitlines()
+    for name in ("trajectories", "moore", "energy", None):
+        csv = (name,) if name else ()
+        out = tmp_path / (name or "none")
+        res = run(contraction_cfg(out, csv=csv))
+        files = [f"{n}.csv" for n in csv] + ["summary.txt"]
+        assert [os.path.basename(p) for p in res.files] == files
+        for f in files[:-1]:
+            assert (out / f).read_bytes() == (tmp_path / "all" / f).read_bytes()
+        lines = (out / "summary.txt").read_text().splitlines()
+        differ = [(a, b) for a, b in zip(lines, summary) if a != b]
+        assert len(lines) == len(summary)
+        assert differ == [(f"csv = {name or ''}", "csv = trajectories, moore, energy")]
 
 
 def test_one_trace_per_moore_map(tmp_path, monkeypatch):
@@ -304,7 +318,11 @@ _BAD_CONFIGS = {
     ),
     "negative_temperature": (
         _GEOMETRY + "tau = 1.2\n[numerics]\ntemperatures = 0 -1\n",
-        r"\[numerics\] temperatures: must all be >= 0",
+        r"\[numerics\] temperatures: must be one or more values >= 0",
+    ),
+    "empty_temperatures": (
+        _GEOMETRY + "tau = 1.2\n[numerics]\ntemperatures =\n",
+        r"\[numerics\] temperatures: must be one or more values >= 0, got \(\)",
     ),
     "reversed_window": (
         _GEOMETRY + "tau = 1.2\n[numerics]\nwindow = 2.2 -1.5\n",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cavsta import sta
-from cavsta.errors import BracketError, CavstaError
+from cavsta.errors import BracketError, CavstaError, ConvergenceError
 from cavsta.moore_adiabatic import AdiabaticMoore, mirror_jets
 from cavsta.sta import (
     _solve_many,
@@ -434,6 +434,16 @@ def test_node_speed_of_exactly_one_does_not_stop_refinement():
     eff = build_effective(_LuminalMoore(), "left", -1.0, 1.0, step=0.25)
     assert len(eff.times) > 9  # refined beyond the starting grid
     assert eff.max_speed_sampled == 1.0
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_unconverged_refinement_raises(contraction12, side):
+    """A subluminal build whose last refinement round still misses its
+    midpoint solves (step = tau) fails, naming the side, the miss and the
+    tolerance, instead of returning the unrefined curve."""
+    s = contraction12
+    with pytest.raises(ConvergenceError, match=rf"effective {side} .* \(refine_tol 1e-08\)"):
+        build_effective(s.am, side, *s.window, step=s.pair.tau)
 
 
 def _motion_window(pair, side):
