@@ -23,7 +23,7 @@ import numpy as np
 
 from . import jets
 from .errors import ConvergenceError, SuperluminalError
-from .trajectory import _horner, _poly_derivative
+from .trajectory import _horner
 
 __all__ = ["ExactMoore", "mirror_residuals"]
 
@@ -40,10 +40,10 @@ def _map_tables(path):
     """Inversion tables of the maps t + sign*X(t) of one mirror path, keyed
     by sign: (breaks, ascending coefficients of value and slope, images of
     the breaks, constant values before and after the table).  Both signs
-    share the coefficient arrays.
+    share the path's own order-0 and order-1 tables.
     """
     breaks, rows, before, after = path.table()
-    coefs = (rows, _poly_derivative(rows, 1))
+    coefs = (rows, path._cols[1].T)
     X = path(breaks)
     tables = {}
     for sign in (1.0, -1.0):
@@ -61,12 +61,13 @@ class ExactMoore:
     """Exact Moore pair (F, G) for a subluminal TrajectoryPair.
 
     The pair may hold reference paths or effective trajectories; both are
-    piecewise paths.  What is read of the pair is ``left``, ``right``,
+    `PiecewisePath`s.  What is read of the pair is ``left``, ``right``,
     ``L0``, ``d0``, ``motion_start`` and ``gap_min()``; of each path,
     ``table()`` (knots, ascending-coefficient rows, constant values before
-    and after), ``max_speed()``, ``breaks`` (the C^3 breaks that launch
-    kinks, see `kink_args`), position calls ``path(t)`` and jets
-    ``jet(t, order)`` (the tuple of orders 0..order).
+    and after), its order-1 coefficient columns ``_cols[1]`` (the slope
+    rows the map inversions step with), ``max_speed()``, ``breaks`` (the
+    C^3 breaks that launch kinks, see `kink_args`), position calls
+    ``path(t)`` and jets ``jet(t, order)`` (the tuple of orders 0..order).
     """
 
     def __init__(self, pair):

@@ -153,6 +153,12 @@ _KEYS = {
 # what each value that parses must also satisfy, by RunConfig field; None
 # (`auto`) always passes
 _LIMITS = {
+    "tau": ("must be > 0", lambda v: v > 0),
+    # empty passes: only a sweep needs taus, and it asks for three
+    "tau_list": (
+        "must be ascending values > 0",
+        lambda v: all(a < b for a, b in zip((0.0, *v), v)),
+    ),
     "temperatures": ("must be one or more values >= 0", lambda v: v and all(T >= 0 for T in v)),
     "time_step": ("must be > 0", lambda v: v > 0),
     "spatial_points": ("must be >= 1", lambda v: v >= 1),
@@ -463,8 +469,6 @@ def sweep_tau(cfg: RunConfig) -> SweepResult:
     taus = cfg.tau_list
     if len(taus) < 3:
         raise CavstaError(f"sweep needs at least 3 tau values, got {len(taus)}")
-    if any(t2 <= t1 for t1, t2 in zip(taus, taus[1:])):
-        raise CavstaError("tau_list must be sorted ascending")
     result = SweepResult(config=cfg)
     rows = result.rows = [_sweep_one(replace(cfg, tau=t)) for t in taus]
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import BracketError, ConvergenceError, GeometryError
 from .moore_adiabatic import AdiabaticMoore, mirror_jets
-from .trajectory import _STEP, PiecewisePath, TrajectoryPair, make_reference, piecewise_eval
+from .trajectory import _STEP, PiecewisePath, TrajectoryPair, make_reference
 
 __all__ = [
     "build_effective",
@@ -66,25 +66,29 @@ def default_window(pair) -> tuple[float, float]:
     return (-(pair.R0 + pair.tau), pair.tau + max(3.0 * df, settled))
 
 
-def _solve(am, side, t, lo, hi):
-    """Roots of h(x) = G_ad(t+x) - F_ad(t-x) - target, one per sample.
+def _solve(am, side, t, guesses):
+    """Roots of h(x) = G_ad(t+x) - F_ad(t-x) - target, one per sample t.
 
-    Each sample's bracket [lo, hi] grows by half its width on each side per
-    round, for at most `_GROWTH_ROUNDS` rounds, until it straddles an
-    increasing crossing h(lo) < 0 < h(hi) (or hits a root exactly).  For an
-    adiabatic Moore pair that always happens: once t + x and t - x both lie
-    outside the motion window, the maps are linear there, and h is linear
-    in x with slope 1/d0 + 1/df > 0, so it rises without bound on both
-    sides and a bracket grown about any guess soon straddles a root.  The
-    half-width doubles each round, to 2^24 times its start: a reach of
-    0.05 d0 * 2^24 = 8.4e5 d0 from `_solve_many`'s guesses.  Raises
+    Each sample's bracket starts at its guess +- 0.05 d0 (d0 of `am.pair`)
+    and grows by half its width on each side per round, for at most
+    `_GROWTH_ROUNDS` rounds, until it straddles an increasing crossing
+    h(lo) < 0 < h(hi) (or hits a root exactly).  For an adiabatic Moore
+    pair that always happens: once t + x and t - x both lie outside the
+    motion window, the maps are linear there, and h is linear in x with
+    slope 1/d0 + 1/df > 0, so it rises without bound on both sides and a
+    bracket grown about any guess soon straddles a root.  The half-width
+    doubles each round, to 2^24 times its start: a reach of
+    0.05 d0 * 2^24 = 8.4e5 d0 from the guess, far beyond any guess a caller
+    makes (reference positions, interpolated effective positions).  Raises
     BracketError for a sample that never straddles one.  A bracketed
     Newton iteration with bisection fallback, started at the bracket
     midpoint, then polishes all samples together.
     """
     target = _TARGET[side]
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
+    t = np.asarray(t, dtype=float)
+    guesses = np.asarray(guesses, dtype=float)
+    w = 0.05 * am.pair.d0
+    lo, hi = guesses - w, guesses + w
 
     flo, fhi = np.empty(t.shape), np.empty(t.shape)
     i = np.arange(t.size)
@@ -127,19 +131,6 @@ def _solve(am, side, t, lo, hi):
         lo[active], hi[active] = loi, hii
         active = active[~(conv | small)]
     return x
-
-
-def _solve_many(am, side, times, guesses, d0):
-    """Vectorized solve of the defining equation, one root per time sample.
-
-    Each sample starts from a bracket of half-width 0.05 d0 centered on its
-    guess, which `_solve` grows until it straddles a root: within
-    0.05 d0 * 2^24 = 8.4e5 d0 of the guess, far beyond any guess a caller
-    makes (reference positions, interpolated effective positions).
-    """
-    x = np.asarray(guesses, dtype=float)
-    w = 0.05 * d0
-    return _solve(am, side, np.asarray(times, dtype=float), x - w, x + w)
 
 
 def _implicit_jet(am, side, times, positions):
@@ -259,16 +250,19 @@ def build_effective(
     after its last.
 
     The solve is seeded with the reference mirror positions (the effective
-    trajectory approaches the reference as the protocol slows down), then
-    bisects sample intervals until Hermite interpolation reproduces
-    midpoint solves to `refine_tol`.  Refinement stops at the first round
-    where a node slope exceeds 1 in magnitude, and that round's interpolant
-    is returned: a node slope is the constant term of its segment's
-    velocity row, so it is a candidate of `max_speed_sampled`, and further
-    rounds would keep every node, so the curve is superluminal whatever
-    they add.  Near such a fold the solved branch jumps, and no refinement
-    resolves it.  A subluminal curve that still misses a midpoint solve
-    after `_MAX_REFINE` rounds raises ConvergenceError.
+    trajectory approaches the reference as the protocol slows down).  Each
+    round builds its EffectiveTrajectory on the solved nodes, predicts the
+    interval midpoints with it and solves them from those predictions; it
+    bisects the intervals whose prediction misses the solve by more than
+    `refine_tol`, and the first round with no miss returns its curve.
+    Refinement stops at the first round where a node slope exceeds 1 in
+    magnitude, and that round's curve is returned: a node slope is the
+    constant term of its segment's velocity row, so it is a candidate of
+    `max_speed_sampled`, and further rounds would keep every node, so the
+    curve is superluminal whatever they add.  Near such a fold the solved
+    branch jumps, and no refinement resolves it.  A subluminal curve that
+    still misses a midpoint solve after `_MAX_REFINE` rounds raises
+    ConvergenceError.
     """
     if side not in _TARGET:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -280,17 +274,18 @@ def build_effective(
     x0, xf = ref_path.edges
     on, off = pair.motion_start - abs(x0), pair.motion_end + abs(xf)
     times = _motion_nodes(t_lo, t_hi, n, on, off)
-    positions = _solve_many(am, side, times, ref_path(times), pair.d0)
+    positions = _solve(am, side, times, ref_path(times))
 
     for round_ in range(_MAX_REFINE + 1):
         slopes, curvatures, residual = _implicit_jet(am, side, times, positions)
         rows = _quintic_rows(times, positions, slopes, curvatures)
+        eff = EffectiveTrajectory(side, times, rows, x0, xf, residual)
         # the last node starts no segment, so its slope is no row's constant
         if np.any(np.abs(slopes[:-1]) > 1.0):
             break
         mids = 0.5 * (times[:-1] + times[1:])
-        predicted = piecewise_eval(times, rows, mids)
-        solved = _solve_many(am, side, mids, predicted, pair.d0)
+        predicted = eff(mids)
+        solved = _solve(am, side, mids, predicted)
         miss = np.abs(predicted - solved)
         bad = miss > refine_tol
         if not bad.any():
@@ -306,7 +301,7 @@ def build_effective(
         order = np.argsort(times)
         times, positions = times[order], positions[order]
 
-    return EffectiveTrajectory(side, times, rows, *ref_path.edges, residual)
+    return eff
 
 
 # two effective trajectories make a pair like the reference one, without tau

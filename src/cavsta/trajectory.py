@@ -25,7 +25,6 @@ __all__ = [
     "MirrorPath",
     "TrajectoryPair",
     "make_reference",
-    "piecewise_eval",
     "piecewise_extremes",
 ]
 
@@ -78,12 +77,6 @@ def _locate(breaks: np.ndarray, t):
     # last segment
     idx = np.searchsorted(breaks[1:-1], tc, side="right")
     return idx, tc - breaks[idx]
-
-
-def piecewise_eval(breaks: np.ndarray, rows: np.ndarray, t) -> np.ndarray:
-    """Piecewise polynomial with one ascending-coefficient row per segment
-    (local variable u = t - breaks[i]) evaluated at t, clamped as `_locate`."""
-    return _horner_at(rows.T, *_locate(breaks, t))
 
 
 def piecewise_extremes(breaks: np.ndarray, rows: np.ndarray):
@@ -142,12 +135,12 @@ class PiecewisePath:
     Each derivative order k = 0..3 is tabulated once, as w - k contiguous
     coefficient columns (the zero columns differentiation leaves are
     dropped), and every query locates each argument's segment once for all
-    the orders it asks for.  Only the order-0 rows are kept besides.
+    the orders it asks for.  `table()` hands out the order-0 columns as
+    rows, a transposed view.
     """
 
     def __init__(self, knots: np.ndarray, rows: np.ndarray, before: float, after: float):
         self._knots = knots
-        self._rows = rows.copy()
         # np.array copies even a one-segment table, whose transpose is
         # already contiguous
         cols, d = [np.array(rows.T, order="C")], rows
@@ -201,7 +194,7 @@ class PiecewisePath:
 
     def table(self):
         """(knots, rows, before, after) of the position polynomial."""
-        return self._knots, self._rows, *self.edges
+        return self._knots, self._cols[0].T, *self.edges
 
     def max_speed(self) -> float:
         """Exact sup of |velocity|, found at polynomial critical points."""
@@ -268,7 +261,7 @@ class MirrorPath(PiecewisePath):
 
     @property
     def coeffs(self) -> np.ndarray:
-        return self._rows
+        return self._cols[0].T
 
     def _check_c3(self, tol: float):
         """Value and derivatives 1..3 must match at every interior boundary,

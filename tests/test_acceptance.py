@@ -254,7 +254,7 @@ def test_modes_vanish_at_mirrors(static_unit, contraction12):
 
 
 def test_critical_timescale():
-    """Bisection finds the speed-of-light crossing to 1e-3; the crossing is
+    """Closed-form tau_c in (0.2, 1.2), builds 0.05 either side; the crossing is
     monotone (shorter protocols superluminal, longer ones physical) and a
     sub-critical protocol is flagged and refused by the exact solver."""
     geo = dict(L0=0.0, Lf=0.3, R0=1.0, eps=0.3)

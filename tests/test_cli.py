@@ -1,5 +1,6 @@
 """Command line interface wiring and exit codes."""
 
+import math
 import os
 import subprocess
 import sys
@@ -46,6 +47,19 @@ def test_output_directory_override(tmp_path, capsys):
     assert code == 0
     assert str(tmp_path / "moved") in out.out
     assert not (tmp_path / "ignored").exists()
+
+
+def test_high_temperature_run_succeeds(tmp_path, capsys):
+    """T d0 = 2e4 lies past where the direct thermal sum stopped converging
+    (about 1.07e4): the run exits 0 with a finite final Q at that T."""
+    cfg = write_config(tmp_path, tmp_path / "out")
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(ini.read_text().replace("temperatures = 0", "temperatures = 0 20000"))
+    code = main(["run", cfg])
+    assert code == 0 and capsys.readouterr().err == ""
+    summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    (q,) = [line.split(" = ")[1] for line in summary if line.startswith("q_eff_final_T20000 ")]
+    assert math.isfinite(float(q))
 
 
 def test_missing_config_is_an_error(tmp_path, capsys):

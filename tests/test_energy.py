@@ -44,6 +44,21 @@ def test_thermal_sum_high_temperature_limit():
     assert thermal_Z(x) == pytest.approx(np.pi * x * x / 6.0 - x / 2.0, rel=1e-3)
 
 
+@pytest.mark.parametrize("x", [2e4, 1e6])
+def test_thermal_sum_far_above_one_is_the_closed_form(x):
+    """Far above x = 1 the dual series' tail is below double precision, so
+    Z is pi x^2/6 - x/2 + pi/24; the direct sum stopped converging near
+    x = 1.07e4."""
+    assert thermal_Z(x) == pytest.approx(np.pi * x * x / 6.0 - x / 2.0 + np.pi / 24.0, rel=1e-14)
+
+
+def test_thermal_sum_is_continuous_across_its_series_switch():
+    """x = 1 keeps the direct sum's value, bit for bit; the dual series
+    just above it agrees."""
+    assert thermal_Z(1.0) == 0.15445464580288432
+    assert thermal_Z(np.nextafter(1.0, 2.0)) == pytest.approx(thermal_Z(1.0), rel=1e-15)
+
+
 def test_kinetic_weight_combines_vacuum_and_thermal():
     st = ThermalState(0.5, 1.0)
     assert st.kinetic_weight == pytest.approx(-0.125, abs=1e-15)

@@ -324,6 +324,16 @@ _BAD_CONFIGS = {
         _GEOMETRY + "tau = 1.2\n[numerics]\ntemperatures =\n",
         r"\[numerics\] temperatures: must be one or more values >= 0, got \(\)",
     ),
+    "zero_tau": (_GEOMETRY + "tau = 0\n", r"\[geometry\] tau: must be > 0, got 0\.0"),
+    "nan_tau": (_GEOMETRY + "tau = nan\n", r"\[geometry\] tau: must be > 0, got nan"),
+    "nonpositive_tau_list": (
+        _GEOMETRY + "tau = 1.2\n[sweep]\ntau_list = -1 0.5 1\n",
+        r"\[sweep\] tau_list: must be ascending values > 0, got \(-1\.0, 0\.5, 1\.0\)",
+    ),
+    "repeated_tau_list": (
+        _GEOMETRY + "tau = 1.2\n[sweep]\ntau_list = 0.5 1 1\n",
+        r"\[sweep\] tau_list: must be ascending values > 0",
+    ),
     "reversed_window": (
         _GEOMETRY + "tau = 1.2\n[numerics]\nwindow = 2.2 -1.5\n",
         r"\[numerics\] window: must have start < end",
@@ -479,9 +489,9 @@ def test_sweep_needs_three_ascending_taus(tmp_path):
     cfg = contraction_cfg(tmp_path, tau_list=(1.0, 1.2))
     with pytest.raises(CavstaError):
         sweep_tau(cfg)
-    cfg = contraction_cfg(tmp_path, tau_list=(1.2, 1.0, 1.4))
-    with pytest.raises(CavstaError):
-        sweep_tau(cfg)
+    # the order is a config range, checked before any sweep starts
+    with pytest.raises(CavstaError, match=r"\[sweep\] tau_list: must be ascending values > 0"):
+        contraction_cfg(tmp_path, tau_list=(1.2, 1.0, 1.4))
 
 
 def test_sweep_artifacts_and_slope(tmp_path):

@@ -13,7 +13,7 @@ from cavsta import sta
 from cavsta.errors import BracketError, CavstaError, ConvergenceError
 from cavsta.moore_adiabatic import AdiabaticMoore, mirror_jets
 from cavsta.sta import (
-    _solve_many,
+    _solve,
     EffectivePair,
     EffectiveTrajectory,
     build_effective,
@@ -150,7 +150,10 @@ def test_superluminal_protocol_flagged():
 class _StubMoore:
     """Stub Moore pair: `jet` is assembled from the stub's own G and F, for
     the one request the solver makes, G on the first half of z, F on the
-    second."""
+    second.  Of its pair the solver reads only d0, the scale of its start
+    brackets."""
+
+    pair = SimpleNamespace(d0=1.0)
 
     def jet(self, which, z, order=3):
         assert which == "GF"
@@ -181,9 +184,9 @@ def test_far_guesses_reach_a_root_on_real_pairs(tau, side):
     am = AdiabaticMoore.build(pair)
     t = np.linspace(*default_window(pair), 201)
     ref = getattr(pair, side)(t)
-    near = _solve_many(am, side, t, ref, pair.d0)
+    near = _solve(am, side, t, ref)
     for shift in (1000.0, -1000.0):
-        far = _solve_many(am, side, t, ref + shift * pair.d0, pair.d0)
+        far = _solve(am, side, t, ref + shift * pair.d0)
         (g,), (f,) = mirror_jets(am, t, far, 0)
         assert np.max(np.abs(g - f - (2.0 if side == "right" else 0.0))) <= 1e-12
         if tau > 1.0:
@@ -192,7 +195,7 @@ def test_far_guesses_reach_a_root_on_real_pairs(tau, side):
 
 def test_local_search_without_crossing_raises():
     with pytest.raises(BracketError):
-        _solve_many(_RootlessMoore(), "left", np.zeros(2), np.array([0.0, 5.0]), 1.0)
+        _solve(_RootlessMoore(), "left", np.zeros(2), np.array([0.0, 5.0]))
 
 
 def test_limit_velocity_and_intercepts():
@@ -353,7 +356,7 @@ _README = dict(L0=0.0, Lf=0.3, R0=1.0, eps=0.3)  # the README contraction
 @cache
 def _readme_builds(tau):
     """Adiabatic Moore functions and, per mirror, its build on the default
-    window and the times of each `_solve_many` call, for the README
+    window and the times of each `_solve` call, for the README
     geometry."""
     pair = make_reference("contraction", tau=tau, **_README)
     am = AdiabaticMoore.build(pair)
@@ -364,10 +367,10 @@ def _readme_builds(tau):
 
         def recording(am_, side_, times, *args):
             solves.append(times)
-            return _solve_many(am_, side_, times, *args)
+            return _solve(am_, side_, times, *args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sta, "_solve_many", recording)
+            mp.setattr(sta, "_solve", recording)
             builds[side] = (build_effective(am, side, *window), solves)
     return am, builds
 
@@ -386,7 +389,7 @@ def test_early_stop_keeps_the_superluminal_verdict(tau, superluminal):
     for side in ("left", "right"):
         eff = builds[side][0]
         t = np.linspace(eff.times[0], eff.times[-1], 4001)
-        x = _solve_many(am, side, t, eff(t), am.pair.d0)
+        x = _solve(am, side, t, eff(t))
         slopes, _, _ = sta._implicit_jet(am, side, t, x)
         assert (eff.max_speed_sampled > 1.0) == (np.max(np.abs(slopes)) > 1.0)
         verdicts.append(eff.max_speed_sampled > 1.0)
@@ -455,7 +458,7 @@ def _motion_window(pair, side):
 
 def _assert_solves_to_edge(am, side, t, edge):
     ref = getattr(am.pair, side)
-    x = _solve_many(am, side, t, ref(t), am.pair.d0)
+    x = _solve(am, side, t, ref(t))
     assert np.max(np.abs(x - edge)) <= 1e-14 * max(1.0, abs(edge))
 
 

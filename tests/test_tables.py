@@ -25,7 +25,6 @@ from cavsta.trajectory import (
     _merged_gap_coeffs,
     _poly_derivative,
     make_reference,
-    piecewise_eval,
     piecewise_extremes,
 )
 
@@ -54,12 +53,18 @@ def continuous_tables(draw):
     return breaks, rows
 
 
+def _curve(breaks, rows):
+    """The table as a path, its edges the end values of its polynomial."""
+    return PiecewisePath(breaks, rows, rows[0, 0], _horner(rows[-1], breaks[-1] - breaks[-2]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(continuous_tables())
 def test_extremes_enclose_dense_sampling_and_are_attained(table):
     breaks, rows = table
     ts, vals = piecewise_extremes(breaks, rows)
-    dense = piecewise_eval(breaks, rows, np.linspace(breaks[0], breaks[-1], 10_000))
+    curve = _curve(breaks, rows)
+    dense = curve(np.linspace(breaks[0], breaks[-1], 10_000))
     spans = np.diff(breaks)
     size = np.abs(rows) * spans[:, None] ** np.arange(rows.shape[1])
     tol = 1e-12 * max(1.0, float(size.sum(axis=1).max()))
@@ -67,7 +72,7 @@ def test_extremes_enclose_dense_sampling_and_are_attained(table):
     assert vals.max() >= dense.max() - tol
     assert np.all((ts >= breaks[0]) & (ts <= breaks[-1]))
     for i in (np.argmin(vals), np.argmax(vals)):
-        assert abs(piecewise_eval(breaks, rows, ts[i]) - vals[i]) <= tol
+        assert abs(curve(ts[i]) - vals[i]) <= tol
 
 
 @st.composite
@@ -321,7 +326,9 @@ def _assert_columns_are_rows(path, t):
     jet = path.jet(t, 3)
     for k in range(4):
         inner = _row_form(knots, rows, k, t)
-        assert _bitwise(piecewise_eval(knots, _poly_derivative(rows, k), t), inner)
+        # the padded order-k rows as a table of their own, zero columns kept
+        ends = (_row_form(knots, rows, k, knots[j]) for j in (0, -1))
+        assert _bitwise(PiecewisePath(knots, _poly_derivative(rows, k), *ends)(t), inner)
         if k:
             want = np.where((t < knots[0]) | (t > knots[-1]), 0.0, inner)
         else:

@@ -48,12 +48,12 @@ def path_range(path):
 
 
 def whole_cavity_root(am, side, t):
-    """The side's effective-mirror root at scalar t, solved from the bracket
-    that spans the whole cavity's range, [min(L0, Lf) - d0, max(R0, Rf) + d0],
-    not from the reference-position guesses `build_effective` starts from."""
+    """The side's effective-mirror root at scalar t, solved from the midpoint
+    of the whole cavity's range, [min(L0, Lf) - d0, max(R0, Rf) + d0], not
+    from the reference-position guesses `build_effective` starts from."""
     p = am.pair
-    lo, hi = min(p.L0, p.Lf) - p.d0, max(p.R0, p.Rf) + p.d0
-    return float(sta._solve(am, side, np.array([float(t)]), [lo], [hi])[0])
+    mid = 0.5 * (min(p.L0, p.Lf) + max(p.R0, p.Rf))
+    return float(sta._solve(am, side, np.array([float(t)]), [mid])[0])
 
 
 def one_hop_kink_args(moore, lo, hi):
