@@ -112,6 +112,9 @@ class ExactMoore:
             u = hi * (z - img[k]) / (img[k + 1] - img[k])
             done = np.zeros(z.shape, dtype=bool)
             tol_f, tol_u = 4e-15 * scale[inner], 1e-15 * scale[inner]
+            # not shared with sta._solve: an exact run calls this hundreds
+            # of times, where the per-round index bookkeeping of one shared
+            # kernel measured slower than keeping every point on masks
             for _ in range(90):
                 f = (b + u) + sign * _horner(a0, u) - z
                 done = done | (np.abs(f) <= tol_f)
@@ -155,31 +158,33 @@ class ExactMoore:
         return jets.compose(step_out, jets.compose(step_in, acc))
 
     def _trace(self, args, which: str):
-        """Shared backward walk; returns (final static args, jets, bounce counts).
+        """Shared backward walk; returns (jet, bounce counts).
 
-        G first inverts the right-mirror map t + R(t), then the left-mirror
-        map t - L(t); F takes the two mirrors in the opposite order.  The
-        one onset test is `go`: a ray whose first root lies at or before
-        motion onset is static and stops there.  An argument at or below the
-        first boundary image inverts in closed form, so a ray that is
-        static from the start costs no Newton step.
+        The jet is one (4, n) array: each ray's final static argument and
+        its derivatives 1..3 in the starting argument.  Each bounce gathers
+        the active columns once and scatters them back once.  G first
+        inverts the right-mirror map t + R(t), then the left-mirror map
+        t - L(t); F takes the two mirrors in the opposite order.  The one
+        onset test is `go`: a ray whose first root lies at or before motion
+        onset is static and stops there.  An argument at or below the first
+        boundary image inverts in closed form, so a ray that is static from
+        the start costs no Newton step.
         """
         first, second = (("right", 1.0), ("left", -1.0))
         if which == "F":
             first, second = second, first
-        arg = np.atleast_1d(np.array(args, dtype=float))  # a copy: walked in place
-        d1 = np.ones_like(arg)
-        d2 = np.zeros_like(arg)
-        d3 = np.zeros_like(arg)
-        n = np.zeros(arg.shape, dtype=int)
-        active = np.ones(arg.shape, dtype=bool)
-        if arg.size == 0:
-            return arg, (d1, d2, d3), n
-        for _ in range(self._max_bounces(float(np.max(arg))) + 1):
+        z = np.atleast_1d(np.asarray(args, dtype=float))
+        jet = np.zeros((4, *z.shape))
+        jet[0], jet[1] = z, 1.0
+        n = np.zeros(z.shape, dtype=int)
+        active = np.ones(z.shape, dtype=bool)
+        if z.size == 0:
+            return jet, n
+        for _ in range(self._max_bounces(float(np.max(z))) + 1):
             if not active.any():
                 break
             idx = np.flatnonzero(active)
-            t1, Xj = self._invert(*first, arg[idx])
+            t1, Xj = self._invert(*first, jet[0, idx])
             go = t1 > self._start
             active[idx[~go]] = False
             cont = idx[go]
@@ -187,23 +192,22 @@ class ExactMoore:
                 continue
             # each step is the jet of one map, valued at the argument it
             # reaches: invert the mirror map, then reflect off the mirror
-            acc = (arg[cont], d1[cont], d2[cont], d3[cont])
-            acc = self._reflect(first[1], t1[go], [x[go] for x in Xj], acc)
-            t2, Yj = self._invert(*second, acc[0])
-            new_arg, *acc = self._reflect(second[1], t2, Yj, acc)
-            if np.any(new_arg >= arg[cont]):
+            acc = jet[:, cont]
+            new = self._reflect(first[1], t1[go], [x[go] for x in Xj], acc)
+            t2, Yj = self._invert(*second, new[0])
+            new = self._reflect(second[1], t2, Yj, new)
+            if np.any(new[0] >= acc[0]):
                 raise ConvergenceError(
                     "backward trace failed to decrease; geometry invalid"
                 )
-            arg[cont] = new_arg
-            d1[cont], d2[cont], d3[cont] = acc
+            jet[:, cont] = new
             n[cont] += 1
         if active.any():
             raise ConvergenceError("backward trace exceeded its bounce bound")
-        return arg, (d1, d2, d3), n
+        return jet, n
 
     def _solve(self, args, which: str):
-        arg, (d1, d2, d3), n = self._trace(args, which)
+        (arg, d1, d2, d3), n = self._trace(args, which)
         sgn = -1.0 if which == "G" else +1.0
         d0 = self.pair.d0
         out = ((arg + sgn * self.pair.L0) / d0 + 2.0 * n, d1 / d0, d2 / d0, d3 / d0)
@@ -225,10 +229,10 @@ class ExactMoore:
 
     def trace_depth(self, z, which: str = "G"):
         """Bounce counts of the backward walk (diagnostic)."""
-        arg, _, n = self._trace(z, which)
+        jet, n = self._trace(z, which)
         if np.ndim(z) == 0:
-            return int(n[0]), float(arg[0])
-        return n, arg
+            return int(n[0]), float(jet[0, 0])
+        return n, jet[0]
 
     # -- diagnostics ---------------------------------------------------------------
 

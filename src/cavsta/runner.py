@@ -85,6 +85,11 @@ class RunConfig:
             for name in ("custom_left", "custom_right"):
                 if getattr(self, name) is not None:
                     raise CavstaError(f"{_keys_of(name)}: need family = custom, got {self.family}")
+        # last, so a value that is also out of range keeps its range message
+        for name in _FINITE:
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise CavstaError(f"{_keys_of(name)}: must be finite, got {value!r}")
 
 
 def _parse_floats(text: str) -> tuple:
@@ -167,6 +172,14 @@ _LIMITS = {
     "effective_refine_tol": ("must be > 0", lambda v: v > 0),
     "window": ("must have start < end", lambda v: v[0] < v[1]),
 }
+
+
+# float fields whose every element must be finite (tau_max may be inf;
+# MirrorPath checks custom tables)
+_FINITE = (
+    "L0", "Lf", "R0", "eps", "tau", "temperatures", "time_step",
+    "effective_step", "effective_refine_tol", "window", "tau_list",
+)
 
 
 def _keys_of(name: str) -> str:

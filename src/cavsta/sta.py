@@ -111,6 +111,11 @@ def _solve(am, side, t, guesses):
 
     x = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, 0.5 * (lo + hi)))
     active = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
+    # not shared with ExactMoore._invert: this loop drops settled samples
+    # every round (on masks, the sweep_critical seed-0 sweep would evaluate
+    # 103,071 points instead of 45,980), and it rejects a step that lands
+    # on a bracket end, without which a fast rigid build jumps to another
+    # root of its folded branch
     for _ in range(80):
         if active.size == 0:
             break
@@ -198,18 +203,18 @@ class EffectiveTrajectory(PiecewisePath):
     trajectory equals its exact edge values, the reference mirror's initial
     and final positions.  `breaks` reports only the ends of that window:
     the interior nodes are not C^3 breaks that the exact Moore functions
-    need to track.  `max_speed_sampled` is the exact sup of |dx/dt| over
-    the interpolant; `realizable` is False when it reaches the speed of
-    light (protocol faster than the critical timescale), and such curves
-    remain usable for plotting and limit-curve comparison.  A superluminal
-    curve is the interpolant of the round where refinement stopped, so its
-    `max_speed_sampled` shows only that the branch folds (speed above 1):
-    its size depends on the grid that resolved the fold.
+    need to track.  `residual_sup` is the sup of |G_ad - F_ad - target|
+    over the solved samples.  `max_speed_sampled` is the exact sup of
+    |dx/dt| over the interpolant; `realizable` is False when it reaches the
+    speed of light (protocol faster than the critical timescale), and such
+    curves remain usable for plotting and limit-curve comparison.  A
+    superluminal curve is the interpolant of the round where refinement
+    stopped, so its `max_speed_sampled` shows only that the branch folds
+    (speed above 1): its size depends on the grid that resolved the fold.
     """
 
-    def __init__(self, side, times, rows, before, after, residual_sup):
+    def __init__(self, times, rows, before, after, residual_sup):
         super().__init__(times, rows, before, after)
-        self.side = side
         self.residual_sup = float(residual_sup)
         self.max_speed_sampled = self.max_speed()
         self.realizable = self.max_speed_sampled < 1.0
@@ -279,7 +284,7 @@ def build_effective(
     for round_ in range(_MAX_REFINE + 1):
         slopes, curvatures, residual = _implicit_jet(am, side, times, positions)
         rows = _quintic_rows(times, positions, slopes, curvatures)
-        eff = EffectiveTrajectory(side, times, rows, x0, xf, residual)
+        eff = EffectiveTrajectory(times, rows, x0, xf, residual)
         # the last node starts no segment, so its slope is no row's constant
         if np.any(np.abs(slopes[:-1]) > 1.0):
             break
@@ -321,9 +326,11 @@ class LimitTrajectory:
     continuity; `slope` records the actual segment slope, `v_lim` the
     geometry invariant.  For rigid motion (v_lim = 0) the reversed window
     becomes (-|x0|, |xf|), the mirror image of a shift toward +x.
+
+    A call on a scalar or a 0-d array returns a Python float; an array
+    call returns an array of the argument's shape.
     """
 
-    side: str
     x0: float
     xf: float
     intercept: float
@@ -334,23 +341,21 @@ class LimitTrajectory:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tt = np.atleast_1d(t)
-        mid = self.intercept + self.slope * tt
-        out = np.where(tt <= self.t_on, self.x0, np.where(tt >= self.t_off, self.xf, mid))
-        return float(out[0]) if scalar else out
+        mid = self.intercept + self.slope * t
+        out = np.where(t <= self.t_on, self.x0, np.where(t >= self.t_off, self.xf, mid))
+        return float(out) if out.ndim == 0 else out
 
     @property
     def breakpoints(self) -> tuple[float, float]:
         return (self.t_on, self.t_off)
 
 
-def _limit_side(side, x0, xf, intercept, v):
+def _limit_side(x0, xf, intercept, v):
     t_on, t_off = -x0, xf
     slope = v
     if x0 == xf:
         # no net motion of this mirror in the limit: constant curve
-        return LimitTrajectory(side, x0, xf, x0, 0.0, v, -x0, -x0)
+        return LimitTrajectory(x0, xf, x0, 0.0, v, -x0, -x0)
     if t_on >= t_off and v == 0.0:
         # printed branch vacuous in rigid motion, where the defining
         # equations are odd under L -> -L: mirror the +x shift's window
@@ -360,7 +365,7 @@ def _limit_side(side, x0, xf, intercept, v):
         slope = -v
         t_on = (x0 - intercept) / slope
         t_off = (xf - intercept) / slope
-    return LimitTrajectory(side, x0, xf, intercept, slope, v, t_on, t_off)
+    return LimitTrajectory(x0, xf, intercept, slope, v, t_on, t_off)
 
 
 def limit_trajectory(L0: float, Lf: float, R0: float, Rf: float):
@@ -384,8 +389,8 @@ def limit_trajectory(L0: float, Lf: float, R0: float, Rf: float):
     Rc = (2.0 * d0 * df + Lf * d0 + L0 * df) / (d0 + df)
     Lc = (Lf * d0 + L0 * df) / (d0 + df)
     return (
-        _limit_side("left", L0, Lf, Lc, v),
-        _limit_side("right", R0, Rf, Rc, v),
+        _limit_side(L0, Lf, Lc, v),
+        _limit_side(R0, Rf, Rc, v),
     )
 
 

@@ -35,15 +35,6 @@ _MAX_ORDER = 3
 _NCOEF = 8  # storage width: polynomial degree <= 7 per segment
 
 
-def _poly_derivative(coeffs: np.ndarray, order: int) -> np.ndarray:
-    """Ascending-coefficient rows differentiated `order` times (same width)."""
-    out = coeffs.copy()
-    for _ in range(order):
-        out = out[:, 1:] * np.arange(1, out.shape[1])
-    pad = np.zeros((coeffs.shape[0], coeffs.shape[1] - out.shape[1]))
-    return np.hstack([out, pad])
-
-
 def _horner(c: np.ndarray, u):
     """Ascending-coefficient rows c[..., :] evaluated at u (broadcast)."""
     val = c[..., -1]
@@ -288,25 +279,24 @@ def _merged_gap_coeffs(left, right):
 
     `left` and `right` are tables (breaks, rows, before, after): the rows
     of one piecewise polynomial and its constant values before breaks[0]
-    and from breaks[-1] on.  The merged grid spans both motion windows;
-    each path's row is Taylor-shifted to every merged segment start, one
-    derivative order at a time across all segments.
+    and from breaks[-1] on.  The merged grid, the union of both break
+    grids, spans both motion windows.  Each path's row under every merged
+    segment start is gathered once and Taylor-shifted to that start, one
+    running derivative giving each order in turn.
     """
     tables = (left, right)
-    breaks = np.union1d(left[0], right[0])
-    lo = min(tab[0][0] for tab in tables)
-    hi = max(tab[0][-1] for tab in tables)
-    a = breaks[(breaks >= lo) & (breaks <= hi)]
+    a = np.union1d(left[0], right[0])
     width = max(tab[1].shape[1] for tab in tables)
     rows = np.zeros((len(a) - 1, width))
     for sgn, (tb, tr, before, after) in zip((-1.0, 1.0), tables):
         idx, u = _locate(tb, a[:-1])
         shifted = np.zeros_like(rows)
-        fact = 1.0
+        d, fact = tr[idx], 1.0
         for k in range(tr.shape[1]):
-            fact *= max(k, 1)
             # Taylor coefficient p^(k)(u) / k! at the new segment start
-            shifted[:, k] = _horner(_poly_derivative(tr, k)[idx], u) / fact
+            shifted[:, k] = _horner(d, u) / fact
+            d = d[:, 1:] * np.arange(1, d.shape[1])
+            fact *= k + 1
         pre, post = a[:-1] < tb[0], a[:-1] >= tb[-1]
         shifted[pre | post] = 0.0
         shifted[pre, 0] = before
@@ -372,9 +362,9 @@ class TrajectoryPair:
         """Exact min of R(t) - L(t) over the whole time axis."""
         return self._gap_min
 
-    def gap(self, t, order: int = 0):
-        """R(t) - L(t) or its time derivative."""
-        return self.right(t, order) - self.left(t, order)
+    def gap(self, t):
+        """R(t) - L(t), the cavity length."""
+        return self.right(t) - self.left(t)
 
 
 def _reference_path(x0: float, xf: float, tau: float) -> MirrorPath:

@@ -151,6 +151,22 @@ def test_reversed_critical_window_is_one_error_line(tmp_path):
         assert not (tmp_path / "out").exists()
 
 
+def test_infinite_temperature_is_one_error_line(tmp_path):
+    """An infinite temperature stops the run before any work, with one
+    error line instead of a traceback from the thermal state."""
+    cfg = write_config(tmp_path, tmp_path / "out")
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(ini.read_text().replace("temperatures = 0\n", "temperatures = 0 inf\n"))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cavsta.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-m", "cavsta.cli", "run", cfg], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 1
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_subcommand_required():
     with pytest.raises(SystemExit):
         main([])

@@ -13,10 +13,10 @@ from cavsta.errors import CavstaError
 from cavsta.moore_adiabatic import AdiabaticMoore
 from cavsta.moore_exact import ExactMoore
 from cavsta.runner import _KEYS, RunConfig, load_config, run, sweep_tau
-from cavsta.trajectory import _poly_derivative, _reference_path, make_reference, piecewise_extremes
+from cavsta.trajectory import _reference_path, make_reference, piecewise_extremes
 
 from test_tables import flat_c3_tables
-from util import whole_cavity_root
+from util import poly_derivative, whole_cavity_root
 
 # coarse numerics keep these tests fast; physics accuracy is covered elsewhere
 FAST = dict(
@@ -326,6 +326,19 @@ _BAD_CONFIGS = {
     ),
     "zero_tau": (_GEOMETRY + "tau = 0\n", r"\[geometry\] tau: must be > 0, got 0\.0"),
     "nan_tau": (_GEOMETRY + "tau = nan\n", r"\[geometry\] tau: must be > 0, got nan"),
+    "inf_tau": (_GEOMETRY + "tau = inf\n", r"\[geometry\] tau: must be finite, got inf"),
+    "inf_temperature": (
+        _GEOMETRY + "tau = 1.2\n[numerics]\ntemperatures = 0 inf\n",
+        r"\[numerics\] temperatures: must be finite, got \(0\.0, inf\)",
+    ),
+    "inf_time_step": (
+        _GEOMETRY + "tau = 1.2\n[numerics]\ntime_step = inf\n",
+        r"\[numerics\] time_step: must be finite, got inf",
+    ),
+    "inf_window": (
+        _GEOMETRY + "tau = 1.2\n[numerics]\nwindow = 0 inf\n",
+        r"\[numerics\] window: must be finite, got \(0\.0, inf\)",
+    ),
     "nonpositive_tau_list": (
         _GEOMETRY + "tau = 1.2\n[sweep]\ntau_list = -1 0.5 1\n",
         r"\[sweep\] tau_list: must be ascending values > 0, got \(-1\.0, 0\.5, 1\.0\)",
@@ -518,7 +531,7 @@ def _mirror_table(table, x0, reach=0.2, speed=0.15):
     rows = rows.copy()
     rows[:, 0] -= rows[0, 0]
     _, values = piecewise_extremes(breaks, rows)
-    _, speeds = piecewise_extremes(breaks, _poly_derivative(rows, 1))
+    _, speeds = piecewise_extremes(breaks, poly_derivative(rows, 1))
     b = 1.0
     for bound, size in ((reach, np.max(np.abs(values))), (speed, np.max(np.abs(speeds)))):
         if size > bound:

@@ -217,6 +217,21 @@ def test_limit_velocity_zero_for_rigid_motion():
     assert not np.signbit(lim_r.v_lim)
 
 
+@pytest.mark.parametrize("geometry", [(0.0, 0.3, 1.0, 0.7), (0.0, 0.4, 1.0, 1.4)],
+                         ids=["contraction", "rigid"])
+def test_limit_scalar_call_is_the_one_element_array_call(geometry):
+    """Before, on and after the middle piece, a scalar or 0-d argument
+    gives a Python float equal to the one-element array call."""
+    for lim in limit_trajectory(*geometry):
+        on, off = lim.breakpoints
+        for t in (on - 0.5, 0.5 * (on + off), off + 0.5):
+            want = lim(np.array([t]))
+            assert want.shape == (1,)
+            for arg in (t, np.float64(t), np.array(t)):
+                got = lim(arg)
+                assert type(got) is float and got == want[0]
+
+
 @pytest.mark.parametrize("s", [0.2, 0.4])
 def test_rigid_shift_toward_minus_x_mirrors_the_plus_x_one(s):
     """In a rigid motion the left defining equation reads

@@ -21,14 +21,14 @@ from cavsta.sta import _quintic_rows
 from cavsta.trajectory import (
     MirrorPath,
     PiecewisePath,
+    TrajectoryPair,
     _horner,
     _merged_gap_coeffs,
-    _poly_derivative,
     make_reference,
     piecewise_extremes,
 )
 
-from util import split_path
+from util import path_range, poly_derivative, split_path
 
 _coef = st.floats(-5.0, 5.0, allow_nan=False)
 
@@ -90,7 +90,7 @@ def flat_c3_tables(draw, min_segments=1):
     for i in range(n):
         if i:
             rows[i, :4] = [
-                polyval(spans[i - 1], _poly_derivative(rows[i - 1 : i], k)[0]) / factorial(k)
+                polyval(spans[i - 1], poly_derivative(rows[i - 1 : i], k)[0]) / factorial(k)
                 for k in range(4)
             ]
         rows[i, 4:] = draw(st.lists(_coef, min_size=4, max_size=4))
@@ -139,7 +139,7 @@ def test_quintic_rows_reproduce_node_jets(data):
     jet = [data.draw(_node_data(n + 1)) for _ in range(3)]
     rows = _quintic_rows(times, *jet)
     for order, want in enumerate(jet):
-        d = _poly_derivative(rows, order)
+        d = poly_derivative(rows, order)
         tol = 1e-9 * max(1.0, float(np.max(np.abs(want))))
         assert_allclose(d[:, 0], want[:-1], rtol=1e-9, atol=tol)
         assert_allclose(polyval(np.diff(times), d.T, tensor=False), want[1:], rtol=1e-9, atol=tol)
@@ -161,7 +161,7 @@ def test_advance_rows_reproduce_integral_and_integrand(eps, Lf, tau, panels):
     assert I[0] == nodes[0] / pair.d0
     assert_allclose(am.advance(nodes), I, rtol=1e-12, atol=1e-12)
     assert_allclose(polyval(np.diff(nodes), rows.T, tensor=False), I[1:], rtol=1e-9)
-    slopes = _poly_derivative(rows, 1)
+    slopes = poly_derivative(rows, 1)
     g = 1.0 / pair.gap(nodes)
     assert_allclose(slopes[:, 0], g[:-1], rtol=1e-9)
     assert_allclose(polyval(np.diff(nodes), slopes.T, tensor=False), g[1:], rtol=1e-9)
@@ -277,7 +277,7 @@ def test_pruned_extremes_keep_the_exact_min_and_max(table):
 
 def _velocity_table(path):
     knots, rows, _, _ = path.table()
-    return knots, _poly_derivative(rows, 1)
+    return knots, poly_derivative(rows, 1)
 
 
 def test_pruned_extremes_exact_on_effective_tables(contraction12):
@@ -303,6 +303,80 @@ def test_extremes_solve_roots_only_where_an_extreme_can_lie(contraction12, monke
     assert 0 < sum(solved) <= len(rows) // 4
 
 
+# -- the merged gap table is R - L -------------------------------------------
+
+
+def _table_size(breaks, rows):
+    """Largest sum_j |c_j| h^j over the segments: the scale of a table's
+    values and of the rounding in shifting it."""
+    spans = np.diff(breaks)[:, None]
+    return float(np.max(np.sum(np.abs(rows) * spans ** np.arange(rows.shape[1]), axis=1)))
+
+
+def _placed_path(table, start, lift, extra):
+    """The table moved to start at `start`, raised by `lift`, and its rows
+    padded with `extra` zero columns (same function, wider rows)."""
+    breaks, rows = table
+    breaks = breaks - breaks[0] + start
+    rows = np.hstack([rows, np.zeros((len(rows), extra))])
+    rows[:, 0] += lift
+    return PiecewisePath(breaks, rows, rows[0, 0], _horner(rows[-1], breaks[-1] - breaks[-2]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    flat_c3_tables(),
+    flat_c3_tables(),
+    st.sampled_from(["shifted", "nested", "disjoint"]),
+    st.data(),
+)
+def test_merged_gap_rows_are_right_minus_left(first, second, placement, data):
+    """Two flat C^3 paths whose windows overlap in part, nest or are
+    disjoint, with rows of different widths: the merged rows give R - L at
+    every merged knot, every segment midpoint and a random point, and
+    `gap_min()` is attained and below a dense sample of the gap."""
+    outer, inner = sorted((first, second), key=lambda tab: tab[0][0] - tab[0][-1])
+    o0, o1 = outer[0][0], outer[0][-1]
+    span = inner[0][-1] - inner[0][0]
+    frac = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    start = {
+        "shifted": o1 - frac * span,
+        "nested": o0 + frac * (o1 - o0 - span),
+        "disjoint": o1 + 2.0 * frac,
+    }[placement]
+    placed = [(outer, o0), (inner, start)]
+    if data.draw(st.booleans()):
+        placed.reverse()
+    widths = [0, data.draw(st.integers(1, 3))]
+    if data.draw(st.booleans()):
+        widths.reverse()
+    left = _placed_path(*placed[0], 0.0, widths[0])
+    # lift the right path clear of the left one
+    low = path_range(_placed_path(*placed[1], 0.0, widths[1]))[0]
+    right = _placed_path(*placed[1], path_range(left)[1] - low + 1.0, widths[1])
+    pair = TrajectoryPair(left, right)
+
+    knots, rows = _merged_gap_coeffs(left.table(), right.table())
+    assert rows.shape == (len(knots) - 1, 8 + max(widths))
+    assert np.array_equal(knots, np.union1d(left.table()[0], right.table()[0]))
+    t = np.concatenate([
+        knots,
+        0.5 * (knots[:-1] + knots[1:]),
+        [data.draw(st.floats(knots[0], knots[-1]))],
+    ])
+    idx = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(rows) - 1)
+    merged = _horner(rows[idx], t - knots[idx])
+    scale = max(1.0, *(_table_size(*p.table()[:2]) for p in (left, right)))
+    assert_allclose(merged, right(t) - left(t), rtol=0.0, atol=1e-12 * scale)
+
+    gmin = pair.gap_min()
+    dense = pair.gap(np.linspace(knots[0] - 1.0, knots[-1] + 1.0, 20_000))
+    assert gmin <= dense.min() + 1e-12 * scale
+    ts, _ = piecewise_extremes(knots, rows)
+    reach = pair.gap(np.concatenate([ts, [knots[0] - 1.0, knots[-1] + 1.0]]))
+    assert np.min(np.abs(reach - gmin)) <= 1e-12 * scale
+
+
 # -- column evaluation is bit for bit the padded-row arithmetic --------------
 
 
@@ -317,7 +391,7 @@ def _row_form(knots, rows, k, t):
     every column, the zero ones differentiation left included."""
     tc = np.clip(t, knots[0], knots[-1])
     idx = np.clip(np.searchsorted(knots, tc, side="right") - 1, 0, len(knots) - 2)
-    return _horner(_poly_derivative(rows, k)[idx], tc - knots[idx])
+    return _horner(poly_derivative(rows, k)[idx], tc - knots[idx])
 
 
 def _assert_columns_are_rows(path, t):
@@ -328,7 +402,7 @@ def _assert_columns_are_rows(path, t):
         inner = _row_form(knots, rows, k, t)
         # the padded order-k rows as a table of their own, zero columns kept
         ends = (_row_form(knots, rows, k, knots[j]) for j in (0, -1))
-        assert _bitwise(PiecewisePath(knots, _poly_derivative(rows, k), *ends)(t), inner)
+        assert _bitwise(PiecewisePath(knots, poly_derivative(rows, k), *ends)(t), inner)
         if k:
             want = np.where((t < knots[0]) | (t > knots[-1]), 0.0, inner)
         else:

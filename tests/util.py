@@ -1,7 +1,8 @@
 """Finite-difference stencils used to cross-check analytic derivatives,
-table re-expansion for tests of multi-segment paths, path ranges, an
-effective-mirror root solved independently of the pipeline's guesses, and
-a one-hop-per-round kink walk to check the exact solver's against."""
+derivatives of coefficient rows, table re-expansion for tests of
+multi-segment paths, path ranges, an effective-mirror root solved
+independently of the pipeline's guesses, and a one-hop-per-round kink walk
+to check the exact solver's against."""
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -18,6 +19,15 @@ def fd_jets(f, z, h):
     d2 = (-(f2 + fm2) + 16.0 * (f1 + fm1) - 30.0 * f0) / (12.0 * h * h)
     d3 = (f2 - 2.0 * f1 + 2.0 * fm1 - fm2) / (2.0 * h ** 3)
     return d1, d2, d3
+
+
+def poly_derivative(coeffs: np.ndarray, order: int) -> np.ndarray:
+    """Ascending-coefficient rows differentiated `order` times (same width)."""
+    out = coeffs.copy()
+    for _ in range(order):
+        out = out[:, 1:] * np.arange(1, out.shape[1])
+    pad = np.zeros((coeffs.shape[0], coeffs.shape[1] - out.shape[1]))
+    return np.hstack([out, pad])
 
 
 def drop_near(grid, points, pad):
