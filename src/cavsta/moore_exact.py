@@ -36,6 +36,13 @@ def mirror_residuals(g_left, g_right, f_left, f_right):
     return float(res_l), float(res_r)
 
 
+def _shaped(args, values):
+    """Flat trace results in the shape of `args`; Python scalars for a scalar."""
+    if np.ndim(args) == 0:
+        return tuple(v.item() for v in values)
+    return tuple(v.reshape(np.shape(args)) for v in values)
+
+
 def _map_tables(path):
     """Inversion tables of the maps t + sign*X(t) of one mirror path, keyed
     by sign: (breaks, ascending coefficients of value and slope, images of
@@ -158,7 +165,7 @@ class ExactMoore:
         return jets.compose(step_out, jets.compose(step_in, acc))
 
     def _trace(self, args, which: str):
-        """Shared backward walk; returns (jet, bounce counts).
+        """Shared backward walk over raveled `args`; returns (jet, bounce counts).
 
         The jet is one (4, n) array: each ray's final static argument and
         its derivatives 1..3 in the starting argument.  Each bounce gathers
@@ -173,7 +180,7 @@ class ExactMoore:
         first, second = (("right", 1.0), ("left", -1.0))
         if which == "F":
             first, second = second, first
-        z = np.atleast_1d(np.asarray(args, dtype=float))
+        z = np.ravel(np.asarray(args, dtype=float))
         jet = np.zeros((4, *z.shape))
         jet[0], jet[1] = z, 1.0
         n = np.zeros(z.shape, dtype=int)
@@ -211,12 +218,10 @@ class ExactMoore:
         sgn = -1.0 if which == "G" else +1.0
         d0 = self.pair.d0
         out = ((arg + sgn * self.pair.L0) / d0 + 2.0 * n, d1 / d0, d2 / d0, d3 / d0)
-        if np.ndim(args) == 0:
-            return tuple(float(v[0]) for v in out)
-        return out
+        return _shaped(args, out)
 
     def solve_G(self, z):
-        """(G, G', G'', G''') at z; scalar in, scalars out."""
+        """(G, G', G'', G''') at z, each of z's shape; scalar in, floats out."""
         return self._solve(z, "G")
 
     def solve_F(self, w):
@@ -228,11 +233,9 @@ class ExactMoore:
     F_jet = solve_F
 
     def trace_depth(self, z, which: str = "G"):
-        """Bounce counts of the backward walk (diagnostic)."""
+        """Bounce counts and final static arguments of the walk (diagnostic)."""
         jet, n = self._trace(z, which)
-        if np.ndim(z) == 0:
-            return int(n[0]), float(jet[0, 0])
-        return n, jet[0]
+        return _shaped(z, (n, jet[0]))
 
     # -- diagnostics ---------------------------------------------------------------
 

@@ -52,16 +52,16 @@ class RunConfig:
     R0: float = 1.0
     eps: float = 0.0
     tau: float = 1.0
-    temperatures: tuple = (0.0,)
+    temperatures: tuple[float, ...] = (0.0,)
     time_step: float | None = None  # None -> tau/64
     spatial_points: int = 2001  # energy-record panel spacing, span/spatial_points
     moore_panels: int = 4096  # starting panel count of the advance integral
     effective_step: float | None = None  # None -> build_effective's default
     effective_refine_tol: float = 1e-8
-    window: tuple | None = None  # None -> sta.default_window(pair)
+    window: tuple[float, float] | None = None  # None -> sta.default_window(pair)
     out_dir: str = "out"
     csv: tuple = _CSV
-    tau_list: tuple = ()
+    tau_list: tuple[float, ...] = ()
     critical: bool = False
     tau_min: float = 0.2
     tau_max: float = 1.2
@@ -72,24 +72,24 @@ class RunConfig:
     def __post_init__(self):
         """CavstaError naming section and key for a value that parses but
         makes no sense, so no work starts on it."""
-        for name, (want, ok) in _LIMITS.items():
-            value = getattr(self, name)
-            if value is not None and not ok(value):
-                raise CavstaError(f"{_keys_of(name)}: {want}, got {value!r}")
+        for section, keys in _KEYS.items():
+            for key, (name, _, *rules) in keys.items():
+                value = getattr(self, name)
+                for want, ok in rules:
+                    if value is not None and not ok(value):
+                        raise CavstaError(f"[{section}] {key}: {want}, got {value!r}")
         if not 0 < self.tau_min < self.tau_max:
             raise CavstaError(
                 f"[sweep] tau_min and tau_max: need 0 < tau_min < tau_max, "
                 f"got {self.tau_min!r} and {self.tau_max!r}"
             )
         if self.family != "custom":
-            for name in ("custom_left", "custom_right"):
-                if getattr(self, name) is not None:
-                    raise CavstaError(f"{_keys_of(name)}: need family = custom, got {self.family}")
-        # last, so a value that is also out of range keeps its range message
-        for name in _FINITE:
-            value = getattr(self, name)
-            if value is not None and not np.all(np.isfinite(value)):
-                raise CavstaError(f"{_keys_of(name)}: must be finite, got {value!r}")
+            for side in ("left", "right"):
+                if getattr(self, f"custom_{side}") is not None:
+                    raise CavstaError(
+                        f"[geometry] {side}_breaks and {side}_coeffs: "
+                        f"need family = custom, got {self.family}"
+                    )
 
 
 def _parse_floats(text: str) -> tuple:
@@ -117,78 +117,61 @@ def _auto(parse):
     return lambda text: None if text.strip() == "auto" else parse(text)
 
 
-# every accepted key, per section, with the RunConfig field it sets and its
-# parser; keys are lower case, as configparser folds them.  A custom mirror
-# table is one field given by two keys, its breaks and then its rows.
+# what a value that parses must also be, and its test; None (`auto`)
+# passes every rule
+_FINITE = ("must be finite", lambda v: bool(np.all(np.isfinite(v))))
+_POSITIVE = ("must be > 0", lambda v: v > 0)
+_AT_LEAST_ONE = ("must be >= 1", lambda v: v >= 1)
+_TEMPERATURES = ("must be one or more values >= 0", lambda v: v and all(T >= 0 for T in v))
+_WINDOW = ("must have start < end", lambda v: v[0] < v[1])
+# empty passes: only a sweep needs taus, and it asks for three
+_ASCENDING = ("must be ascending values > 0", lambda v: all(a < b for a, b in zip((0.0, *v), v)))
+
+# energy.csv columns and summary keys name a temperature by its _t_label
+_DISTINCT_LABELS = (
+    "must differ in their first 6 significant digits",
+    lambda v: len({_t_label(T) for T in v}) == len(v),
+)
+
+# every accepted key, per section: the RunConfig field it sets, its parser,
+# and the rules its value must pass, checked in order (a range rule before
+# _FINITE, so an out-of-range value keeps its range message).  Keys are
+# lower case, as configparser folds them.  A custom mirror table is one
+# field given by two keys, its breaks and then its rows; MirrorPath checks
+# it.  tau_max may be inf.
 _KEYS = {
     "geometry": {
         "family": ("family", str.strip),
-        "l0": ("L0", float),
-        "lf": ("Lf", float),
-        "r0": ("R0", float),
-        "eps": ("eps", float),
-        "tau": ("tau", float),
+        "l0": ("L0", float, _FINITE),
+        "lf": ("Lf", float, _FINITE),
+        "r0": ("R0", float, _FINITE),
+        "eps": ("eps", float, _FINITE),
+        "tau": ("tau", float, _POSITIVE, _FINITE),
         "left_breaks": ("custom_left", _parse_floats),
         "left_coeffs": ("custom_left", _parse_rows),
         "right_breaks": ("custom_right", _parse_floats),
         "right_coeffs": ("custom_right", _parse_rows),
     },
     "numerics": {
-        "temperatures": ("temperatures", _parse_floats),
-        "time_step": ("time_step", _auto(float)),
-        "spatial_points": ("spatial_points", int),
-        "moore_panels": ("moore_panels", int),
-        "effective_step": ("effective_step", _auto(float)),
-        "effective_refine_tol": ("effective_refine_tol", float),
-        "window": ("window", _auto(_parse_window)),
+        "temperatures": ("temperatures", _parse_floats, _TEMPERATURES, _FINITE, _DISTINCT_LABELS),
+        "time_step": ("time_step", _auto(float), _POSITIVE, _FINITE),
+        "spatial_points": ("spatial_points", int, _AT_LEAST_ONE),
+        "moore_panels": ("moore_panels", int, _AT_LEAST_ONE),
+        "effective_step": ("effective_step", _auto(float), _POSITIVE, _FINITE),
+        "effective_refine_tol": ("effective_refine_tol", float, _POSITIVE, _FINITE),
+        "window": ("window", _auto(_parse_window), _WINDOW, _FINITE),
     },
     "outputs": {
         "dir": ("out_dir", str.strip),
         "csv": ("csv", _parse_csv),
     },
     "sweep": {
-        "tau_list": ("tau_list", _parse_floats),
+        "tau_list": ("tau_list", _parse_floats, _ASCENDING, _FINITE),
         "critical": ("critical", lambda text: _BOOLEAN[text.lower()]),
         "tau_min": ("tau_min", float),
         "tau_max": ("tau_max", float),
     },
 }
-
-
-# what each value that parses must also satisfy, by RunConfig field; None
-# (`auto`) always passes
-_LIMITS = {
-    "tau": ("must be > 0", lambda v: v > 0),
-    # empty passes: only a sweep needs taus, and it asks for three
-    "tau_list": (
-        "must be ascending values > 0",
-        lambda v: all(a < b for a, b in zip((0.0, *v), v)),
-    ),
-    "temperatures": ("must be one or more values >= 0", lambda v: v and all(T >= 0 for T in v)),
-    "time_step": ("must be > 0", lambda v: v > 0),
-    "spatial_points": ("must be >= 1", lambda v: v >= 1),
-    "moore_panels": ("must be >= 1", lambda v: v >= 1),
-    "effective_step": ("must be > 0", lambda v: v > 0),
-    "effective_refine_tol": ("must be > 0", lambda v: v > 0),
-    "window": ("must have start < end", lambda v: v[0] < v[1]),
-}
-
-
-# float fields whose every element must be finite (tau_max may be inf;
-# MirrorPath checks custom tables)
-_FINITE = (
-    "L0", "Lf", "R0", "eps", "tau", "temperatures", "time_step",
-    "effective_step", "effective_refine_tol", "window", "tau_list",
-)
-
-
-def _keys_of(name: str) -> str:
-    """'[section] key' (or 'key and key') that sets a RunConfig field."""
-    for section, keys in _KEYS.items():
-        found = [k for k, (n, _) in keys.items() if n == name]
-        if found:
-            return f"[{section}] {' and '.join(found)}"
-    raise KeyError(name)
 
 
 def load_config(path: str) -> RunConfig:
@@ -211,14 +194,14 @@ def load_config(path: str) -> RunConfig:
         if unknown:
             raise CavstaError(f"unknown [{section}] keys: {', '.join(unknown)}")
         given = {}  # field -> {key: parsed value}
-        for key, (name, parse) in keys.items():
+        for key, (name, parse, *_) in keys.items():
             if key in items:
                 try:
                     given.setdefault(name, {})[key] = parse(items[key])
                 except (KeyError, TypeError, ValueError):
                     raise CavstaError(f"[{section}] {key}: cannot parse {items[key]!r}") from None
         for name, values in given.items():
-            want = [k for k, (n, _) in keys.items() if n == name]
+            want = [k for k, (n, *_) in keys.items() if n == name]
             if len(values) < len(want):
                 raise CavstaError(f"[{section}] {' and '.join(want)} go together")
             kw[name] = tuple(values.values()) if len(want) > 1 else values[want[0]]

@@ -56,14 +56,23 @@ _MAX_REFINE = 5  # bisection rounds of a subluminal build_effective
 _GROWTH_ROUNDS = 24  # bracket doublings of `_solve`
 
 
+def _tau(pair) -> float:
+    """The pair's protocol duration; GeometryError for a pair without one
+    (an effective pair, or a TrajectoryPair built without tau)."""
+    if pair.tau is None:
+        raise GeometryError("the pair has no tau: give the step or window explicitly")
+    return pair.tau
+
+
 def default_window(pair) -> tuple[float, float]:
     """Run window [-(R0 + tau), tau + max(3 df, max(|Lf|, |Rf|) + df)]: one
     light-crossing before motion onset; after it, three light-crossings, or
     one after the effective mirrors stop (at tau + |xf|) if that is later,
-    so post-motion relaxation is visible."""
+    so post-motion relaxation is visible.  The pair needs a tau."""
+    tau = _tau(pair)
     df = pair.Rf - pair.Lf
     settled = max(abs(pair.Lf), abs(pair.Rf)) + df
-    return (-(pair.R0 + pair.tau), pair.tau + max(3.0 * df, settled))
+    return (-(pair.R0 + tau), tau + max(3.0 * df, settled))
 
 
 def _solve(am, side, t, guesses):
@@ -273,7 +282,7 @@ def build_effective(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     pair = am.pair
     if step is None:
-        step = pair.tau / 512.0
+        step = _tau(pair) / 512.0
     n = max(2, int(np.ceil((t_hi - t_lo) / step)))
     ref_path = pair.right if side == "right" else pair.left
     x0, xf = ref_path.edges

@@ -83,6 +83,22 @@ def test_unconverged_effective_build_is_an_error(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: effective left trajectory misses")
 
 
+def test_temperatures_sharing_a_label_are_an_error(tmp_path, capsys):
+    """1 and 1.0000001 would both label their energy.csv columns and summary
+    keys T1: one error line and exit 1, before any artifact is written."""
+    cfg = write_config(tmp_path, tmp_path / "out")
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(ini.read_text().replace("temperatures = 0", "temperatures = 1 1.0000001"))
+    code = main(["run", cfg])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == "" and not (tmp_path / "out").exists()
+    assert out.err.splitlines() == [
+        "error: [numerics] temperatures: must differ in their first 6 significant digits, "
+        "got (1.0, 1.0000001)"
+    ]
+
+
 def test_superluminal_warns_without_strict(tmp_path, capsys):
     ini = tmp_path / "fast.ini"
     ini.write_text(

@@ -152,6 +152,26 @@ def test_scalar_interface(contraction12):
     assert all(isinstance(v, float) for v in out)
 
 
+def test_jets_keep_the_argument_shape(contraction12):
+    """On a (2, 2) argument the effective pair's exact jets have the shape of
+    the adiabatic ones (the same functions, by the STA identity), and each is
+    the flat call reshaped, bitwise; so are the trace depths."""
+    s = contraction12
+    z = np.array([[0.3, 1.1], [2.6, 4.0]])
+    for which in ("G", "F"):
+        exact = getattr(s.exact_eff, f"{which}_jet")(z)
+        adiabatic = getattr(s.am, f"{which}_jet")(z)
+        assert [v.shape for v in exact] == [v.shape for v in adiabatic] == [z.shape] * 4
+        flat = getattr(s.exact_eff, f"{which}_jet")(z.ravel())
+        for got, want in zip(exact, flat):
+            assert np.array_equal(got, want.reshape(z.shape))
+        depth = s.exact_eff.trace_depth(z, which)
+        for got, want in zip(depth, s.exact_eff.trace_depth(z.ravel(), which)):
+            assert got.shape == z.shape and np.array_equal(got, want.reshape(z.shape))
+    n, arg = s.exact_eff.trace_depth(0.37)
+    assert isinstance(n, int) and isinstance(arg, float)
+
+
 def test_residuals_batch_is_bitwise_unbatched(contraction12):
     """residuals traces each map once over both mirrors' arguments; every
     element's trace is independent of the batch, so values are unchanged."""

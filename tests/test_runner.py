@@ -12,7 +12,7 @@ from cavsta import sta
 from cavsta.errors import CavstaError
 from cavsta.moore_adiabatic import AdiabaticMoore
 from cavsta.moore_exact import ExactMoore
-from cavsta.runner import _KEYS, RunConfig, load_config, run, sweep_tau
+from cavsta.runner import _FINITE, _KEYS, RunConfig, load_config, run, sweep_tau
 from cavsta.trajectory import _reference_path, make_reference, piecewise_extremes
 
 from test_tables import flat_c3_tables
@@ -264,7 +264,7 @@ def test_config_auto_markers(tmp_path):
 _GEOMETRY = "[geometry]\nfamily = contraction\nLf = 0.3\neps = 0.3\n"
 
 # (config text, what the error must name); each is one slip in an otherwise
-# valid config
+# valid config, but for the one that pins which of two slips is reported
 _BAD_CONFIGS = {
     "old_numerics_keys": (
         _GEOMETRY + "tau = 1.2\n"
@@ -355,6 +355,20 @@ _BAD_CONFIGS = {
         _GEOMETRY + "tau = 1.2\n[sweep]\ncritical = yes\ntau_min = 1.2\ntau_max = 0.2\n",
         r"\[sweep\] tau_min and tau_max: need 0 < tau_min < tau_max",
     ),
+    "repeated_temperature": (
+        _GEOMETRY + "tau = 1.2\n[numerics]\ntemperatures = 0 0\n",
+        r"\[numerics\] temperatures: must differ in their first 6 significant digits, got \(0\.0, 0\.0\)",
+    ),
+    "temperatures_sharing_a_label": (
+        _GEOMETRY + "tau = 1.2\n[numerics]\ntemperatures = 1 1.0000001\n",
+        r"\[numerics\] temperatures: must differ in their first 6 significant digits, "
+        r"got \(1\.0, 1\.0000001\)",
+    ),
+    # two faulty keys: the first in _KEYS order is reported, whatever its rule
+    "inf_tau_and_zero_spatial_points": (
+        _GEOMETRY + "tau = inf\n[numerics]\nspatial_points = 0\n",
+        r"\[geometry\] tau: must be finite, got inf",
+    ),
     "custom_table_without_custom_family": (
         _GEOMETRY + "tau = 1.2\nleft_breaks = 0 1\nleft_coeffs = [[0,0,0,0,0,0,0,0]]\n",
         r"\[geometry\] left_breaks and left_coeffs: need family = custom",
@@ -373,12 +387,18 @@ def test_unknown_numerics_keys_rejected(tmp_path, text, culprit):
 def test_config_keys_match_run_config_and_readme():
     """The key table, RunConfig and the README config reference agree."""
     fields = {f.name for f in dataclasses.fields(RunConfig)}
-    keys_of = {}
+    keys_of, finite = {}, set()
     for section in _KEYS.values():
-        for key, (name, _) in section.items():
+        for key, (name, _, *rules) in section.items():
             assert name in fields, key
             keys_of.setdefault(name, []).append(key)
+            if _FINITE in rules:
+                finite.add(name)
     assert set(keys_of) == fields - {"strict"}
+    # every float-valued field set by one key must be finite; the
+    # critical-search bracket may be open above (tau_max = inf)
+    floats = {f.name for f in dataclasses.fields(RunConfig) if "float" in f.type}
+    assert finite == floats - {"tau_min", "tau_max"}
     for name, keys in keys_of.items():
         if name.startswith("custom_"):
             # a custom mirror table is one field given by two keys

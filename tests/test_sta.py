@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cavsta import sta
-from cavsta.errors import BracketError, CavstaError, ConvergenceError
+from cavsta.errors import BracketError, CavstaError, ConvergenceError, GeometryError
 from cavsta.moore_adiabatic import AdiabaticMoore, mirror_jets
 from cavsta.sta import (
     _solve,
@@ -545,6 +545,22 @@ def test_effective_pair_presents_trajectory_protocol(contraction12):
     assert 0.0 < eff.gap_min() <= 0.4 + 1e-9
     t = np.linspace(*contraction12.window, 50)
     assert np.all(eff.gap(t) > 0.0)
+
+
+def test_pair_without_tau_has_no_default_timescale(contraction12):
+    """The default window and effective step scale with the pair's tau; an
+    effective pair has none, so both defaults refuse it by name, while an
+    explicit step builds."""
+    eff = contraction12.eff_pair
+    assert eff.tau is None
+    with pytest.raises(GeometryError, match="no tau"):
+        default_window(eff)
+    am = AdiabaticMoore.build(eff)
+    lo, hi = contraction12.window
+    with pytest.raises(GeometryError, match="no tau"):
+        build_effective(am, "left", lo, hi)
+    curve = build_effective(am, "left", lo, hi, step=1.2 / 512)
+    assert curve.realizable and curve.residual_sup < 1e-9
 
 
 def test_effective_gap_min_is_exact(contraction12):
