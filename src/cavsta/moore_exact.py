@@ -7,8 +7,8 @@ before motion onset, where the static closed form (z - L0)/d0 applies.  F is
 the mirror image.  Each inversion is a strictly monotone scalar equation
 (guaranteed by |X'| < 1).  The images b +- X(b) of the path's segment
 boundaries are tabulated once per map, so one search finds the segment
-that holds a target's root; Newton steps on that segment's rows, seeded by
-the secant across it, then polish the root, and targets beyond the table
+holding a target's root; Newton steps on its coefficient columns, seeded
+by the secant across it, polish the root, and targets beyond the table
 invert in closed form.  The path's jet at the root comes back with it, and
 derivatives to third order propagate analytically through every inversion
 and reflection, so no numerical differentiation ever happens.
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import jets
 from .errors import ConvergenceError, SuperluminalError
-from .trajectory import _horner
+from .trajectory import _horner_at
 
 __all__ = ["ExactMoore", "mirror_residuals"]
 
@@ -43,25 +43,18 @@ def _shaped(args, values):
     return tuple(v.reshape(np.shape(args)) for v in values)
 
 
-def _map_tables(path):
-    """Inversion tables of the maps t + sign*X(t) of one mirror path, keyed
-    by sign: (breaks, ascending coefficients of value and slope, images of
-    the breaks, constant values before and after the table).  Both signs
-    share the path's own order-0 and order-1 tables.
-    """
-    breaks, rows, before, after = path.table()
-    coefs = (rows, path._cols[1].T)
-    X = path(breaks)
-    tables = {}
-    for sign in (1.0, -1.0):
-        img = breaks + sign * X
-        if not np.all(np.diff(img) > 0.0):
-            raise SuperluminalError(
-                "the images t +- X(t) of the path's segment boundaries do not "
-                "strictly increase; the map is not invertible"
-            )
-        tables[sign] = (breaks, coefs, img, float(before), float(after))
-    return tables
+def _map_images(path):
+    """Images t + sign*X(t) of the path's knots, keyed by sign, which
+    bracket the roots of the map t + sign*X(t) segment by segment."""
+    knots = path.table()[0]
+    X = path(knots)
+    images = {sign: knots + sign * X for sign in (1.0, -1.0)}
+    if not all(np.all(np.diff(img) > 0.0) for img in images.values()):
+        raise SuperluminalError(
+            "the images t +- X(t) of the path's segment boundaries do not "
+            "strictly increase; the map is not invertible"
+        )
+    return images
 
 
 class ExactMoore:
@@ -70,9 +63,9 @@ class ExactMoore:
     The pair may hold reference paths or effective trajectories; both are
     `PiecewisePath`s.  What is read of the pair is ``left``, ``right``,
     ``L0``, ``d0``, ``motion_start`` and ``gap_min()``; of each path,
-    ``table()`` (knots, ascending-coefficient rows, constant values before
-    and after), its order-1 coefficient columns ``_cols[1]`` (the slope
-    rows the map inversions step with), ``max_speed()``, ``breaks`` (the
+    ``table()`` (knots and constant values before and after), its order-0
+    and order-1 coefficient columns ``_cols[0]`` and ``_cols[1]`` (which
+    the map inversions step with), ``max_speed()``, ``breaks`` (the
     C^3 breaks that launch kinks, see `kink_args`), position calls
     ``path(t)`` and jets ``jet(t, order)`` (the tuple of orders 0..order).
     """
@@ -86,7 +79,7 @@ class ExactMoore:
                     "the maps t +- X(t) are not invertible"
                 )
         self.pair = pair
-        self._maps = {side: _map_tables(getattr(pair, side)) for side in ("left", "right")}
+        self._images = {side: _map_images(getattr(pair, side)) for side in ("left", "right")}
         self._gap_min = pair.gap_min()
         self._start = pair.motion_start
 
@@ -101,11 +94,13 @@ class ExactMoore:
         images of one segment's ends (the map is strictly increasing for
         subluminal X), which brackets its root in the segment's local
         variable; Newton steps from the secant seed run on that segment's
-        rows, and a step that leaves the bracket falls back to bisection.
-        Each point stops once its residual or step is at roundoff.
+        coefficient columns, and a step leaving the bracket falls back to
+        bisection.  Each point stops once its residual or step is at roundoff.
         """
         path = getattr(self.pair, mirror)
-        breaks, (c0, c1), img, before, after = self._maps[mirror][sign]
+        breaks, _, before, after = path.table()
+        pos, slope = path._cols[:2]
+        img = self._images[mirror][sign]
         target = np.atleast_1d(np.asarray(target, dtype=float))
         scale = np.maximum(1.0, np.abs(target))
         t = target - sign * np.where(target <= img[0], before, after)
@@ -113,7 +108,7 @@ class ExactMoore:
         if inner.size:
             z = target[inner]
             k = np.searchsorted(img, z, side="right") - 1
-            b, a0, a1 = breaks[k], c0[k], c1[k]
+            b = breaks[k]
             lo = np.zeros(z.shape)
             hi = breaks[k + 1] - b
             u = hi * (z - img[k]) / (img[k + 1] - img[k])
@@ -123,14 +118,14 @@ class ExactMoore:
             # of times, where the per-round index bookkeeping of one shared
             # kernel measured slower than keeping every point on masks
             for _ in range(90):
-                f = (b + u) + sign * _horner(a0, u) - z
+                f = (b + u) + sign * _horner_at(pos, k, u) - z
                 done = done | (np.abs(f) <= tol_f)
                 if done.all():
                     break
                 lo = np.where(f < 0.0, u, lo)
                 hi = np.where(f > 0.0, u, hi)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    un = u - f / (1.0 + sign * _horner(a1, u))
+                    un = u - f / (1.0 + sign * _horner_at(slope, k, u))
                 # strict comparison: the root can sit exactly on a bracket end
                 # (a target on a boundary image), and rejecting that landing
                 # would degrade Newton to plain bisection

@@ -83,13 +83,17 @@ class RunConfig:
                 f"[sweep] tau_min and tau_max: need 0 < tau_min < tau_max, "
                 f"got {self.tau_min!r} and {self.tau_max!r}"
             )
-        if self.family != "custom":
-            for side in ("left", "right"):
-                if getattr(self, f"custom_{side}") is not None:
-                    raise CavstaError(
-                        f"[geometry] {side}_breaks and {side}_coeffs: "
-                        f"need family = custom, got {self.family}"
-                    )
+        custom = self.family == "custom"
+        for side in ("left", "right"):
+            given = getattr(self, f"custom_{side}") is not None
+            if given != custom:
+                raise CavstaError(
+                    f"[geometry] {side}_breaks and {side}_coeffs: "
+                    + (f"need family = custom, got {self.family}" if given
+                       else "family = custom needs both mirrors' tables")
+                )
+        if custom and self.critical:
+            raise CavstaError(f"[sweep] critical: {_NO_RESCALE}")
 
 
 def _parse_floats(text: str) -> tuple:
@@ -210,8 +214,6 @@ def load_config(path: str) -> RunConfig:
 
 def _build_pair(cfg: RunConfig) -> TrajectoryPair:
     if cfg.family == "custom":
-        if cfg.custom_left is None or cfg.custom_right is None:
-            raise CavstaError("custom family needs left/right breaks and coeffs")
         left = MirrorPath(np.asarray(cfg.custom_left[0]), np.asarray(cfg.custom_left[1]))
         right = MirrorPath(np.asarray(cfg.custom_right[0]), np.asarray(cfg.custom_right[1]))
         return TrajectoryPair(left, right, cfg.tau)
@@ -256,11 +258,6 @@ def _t_label(T: float) -> str:
     return ("%g" % T).replace("-", "m").replace(".", "p")
 
 
-def _write_csv(path: str, header: list, columns: list) -> None:
-    np.savetxt(path, np.column_stack(columns), fmt=_FMT, delimiter=",",
-               header=",".join(header), comments="", encoding="utf-8")
-
-
 def _write_summary(path: str, sections: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for name, entries in sections.items():
@@ -268,6 +265,22 @@ def _write_summary(path: str, sections: dict) -> None:
             for key, val in entries.items():
                 f.write(f"{key} = {_fmt(val)}\n")
             f.write("\n")
+
+
+def _write_artifacts(result: RunResult, tables: dict, summary_name: str, summary: dict) -> None:
+    """Write each table, name: (header, columns), as name.csv in order, then
+    the summary, into the configured directory; list each on `result.files`."""
+    out_dir = result.config.out_dir
+    os.makedirs(out_dir, exist_ok=True)
+    for name, (header, columns) in tables.items():
+        path = os.path.join(out_dir, f"{name}.csv")
+        np.savetxt(path, np.column_stack(columns), fmt=_FMT, delimiter=",",
+                   header=",".join(header), comments="", encoding="utf-8")
+        result.files.append(path)
+    result.summary = summary
+    path = os.path.join(out_dir, summary_name)
+    _write_summary(path, summary)
+    result.files.append(path)
 
 
 def _scenario(cfg: RunConfig):
@@ -301,8 +314,6 @@ def _try_exact(pair, notes: list, label: str):
 
 
 def run(cfg: RunConfig) -> RunResult:
-    if cfg.critical and cfg.family == "custom":
-        raise CavstaError(_NO_RESCALE)
     result = RunResult(config=cfg)
     pair, am, times, eff, (lim_l, lim_r) = _scenario(cfg)
     eff_pair = TrajectoryPair(*eff)
@@ -343,8 +354,6 @@ def run(cfg: RunConfig) -> RunResult:
     for note in notes:
         result.strict_failures.append(note)
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
-
     # (temperature, _ENERGY column, time)
     energy = np.stack([record.E_ref, record.E_eff, record.E_ad_ref, record.Q_ref, record.Q_eff], 1)
     paths = (pair.left, pair.right, eff_pair.left, eff_pair.right, lim_l, lim_r)
@@ -362,12 +371,6 @@ def run(cfg: RunConfig) -> RunResult:
             [times, *energy.reshape(-1, times.size)],
         ),
     }
-    for name in _CSV:
-        if name in cfg.csv:
-            path = os.path.join(cfg.out_dir, f"{name}.csv")
-            _write_csv(path, *tables[name])
-            result.files.append(path)
-
     results_section = {
         "window_start": float(times[0]),
         "window_end": float(times[-1]),
@@ -418,10 +421,8 @@ def run(cfg: RunConfig) -> RunResult:
         "outputs": {"csv": ", ".join(cfg.csv)},
         "results": results_section,
     }
-    result.summary = summary
-    path = os.path.join(cfg.out_dir, "summary.txt")
-    _write_summary(path, summary)
-    result.files.append(path)
+    chosen = {name: table for name, table in tables.items() if name in cfg.csv}
+    _write_artifacts(result, chosen, "summary.txt", summary)
     return result
 
 
@@ -468,15 +469,13 @@ def sweep_tau(cfg: RunConfig) -> SweepResult:
     result = SweepResult(config=cfg)
     rows = result.rows = [_sweep_one(replace(cfg, tau=t)) for t in taus]
 
-    keys = list(rows[0].keys())
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "sweep.csv")
-    _write_csv(path, keys, [np.array([r[k] for r in rows]) for k in keys])
-    result.files.append(path)
-
-    logs = np.log(np.array([r["res_ad_max"] for r in rows]))
-    logt = np.log(np.array(taus))
-    slope = float(np.polyfit(logt, logs, 1)[0])
+    # a motionless row has no residual to fit; a log of its 0 would be -inf
+    res = np.array([r["res_ad_max"] for r in rows])
+    fit = res > 0.0
+    if np.count_nonzero(fit) >= 2:
+        slope = float(np.polyfit(np.log(np.array(taus)[fit]), np.log(res[fit]), 1)[0])
+    else:
+        slope = "not fitted: fewer than two taus with a nonzero adiabatic residual"
     speeds = [max(r["max_eff_speed_left"], r["max_eff_speed_right"]) for r in rows]
     results_section = {
         "residual_loglog_slope": slope,
@@ -498,8 +497,7 @@ def sweep_tau(cfg: RunConfig) -> SweepResult:
         "sweep": {"tau_list": " ".join(_FMT % t for t in taus)},
         "results": results_section,
     }
-    result.summary = summary
-    spath = os.path.join(cfg.out_dir, "sweep_summary.txt")
-    _write_summary(spath, summary)
-    result.files.append(spath)
+    keys = list(rows[0].keys())
+    sweep = (keys, [np.array([r[k] for r in rows]) for k in keys])
+    _write_artifacts(result, {"sweep": sweep}, "sweep_summary.txt", summary)
     return result

@@ -250,10 +250,6 @@ class MirrorPath(PiecewisePath):
     def breaks(self) -> np.ndarray:
         return self._knots
 
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self._cols[0].T
-
     def _check_c3(self, tol: float):
         """Value and derivatives 1..3 must match at every interior boundary,
         and derivatives 1..3 must vanish at both ends (constant extension)."""

@@ -9,6 +9,7 @@ import pytest
 
 import cavsta
 
+from cavsta import runner
 from cavsta.cli import main
 
 
@@ -97,6 +98,22 @@ def test_temperatures_sharing_a_label_are_an_error(tmp_path, capsys):
         "error: [numerics] temperatures: must differ in their first 6 significant digits, "
         "got (1.0, 1.0000001)"
     ]
+
+
+def test_hard_failures_exit_1_and_still_list_artifacts(tmp_path, capsys, monkeypatch):
+    """A residual above a hard bound fails the run with exit code 1, one
+    FAIL line per check, and the artifacts written all the same."""
+    monkeypatch.setattr(runner, "_EXACT_RESIDUAL_MAX", 0.0)
+    monkeypatch.setattr(runner, "_EFFECTIVE_RESIDUAL_MAX", 0.0)
+    code = main(["run", write_config(tmp_path, tmp_path / "out")])
+    out = capsys.readouterr()
+    assert code == 1
+    fails = out.err.splitlines()
+    assert len(fails) == 3
+    assert all(line.startswith("FAIL: ") and line.endswith(" above 0.0") for line in fails)
+    assert fails[0].startswith("FAIL: exact Moore residual ")
+    names = ["trajectories.csv", "moore.csv", "energy.csv", "summary.txt"]
+    assert out.out.splitlines() == [str(tmp_path / "out" / name) for name in names]
 
 
 def test_superluminal_warns_without_strict(tmp_path, capsys):

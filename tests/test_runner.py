@@ -373,6 +373,23 @@ _BAD_CONFIGS = {
         _GEOMETRY + "tau = 1.2\nleft_breaks = 0 1\nleft_coeffs = [[0,0,0,0,0,0,0,0]]\n",
         r"\[geometry\] left_breaks and left_coeffs: need family = custom",
     ),
+    "custom_family_without_tables": (
+        "[geometry]\nfamily = custom\n",
+        r"\[geometry\] left_breaks and left_coeffs: family = custom needs both mirrors' tables",
+    ),
+    "custom_family_with_one_table": (
+        "[geometry]\nfamily = custom\nleft_breaks = 0 1\nleft_coeffs = [[0,0,0,0,0,0,0,0]]\n",
+        r"\[geometry\] right_breaks and right_coeffs: family = custom needs both mirrors' tables",
+    ),
+    "critical_search_on_custom_family": (
+        "[geometry]\nfamily = custom\nleft_breaks = 0 1\nleft_coeffs = [[0,0,0,0,0,0,0,0]]\n"
+        "right_breaks = 0 1\nright_coeffs = [[1,0,0,0,0,0,0,0]]\n[sweep]\ncritical = yes\n",
+        r"\[sweep\] critical: sweep and critical search rescale tau; custom tables cannot",
+    ),
+    "repeated_key": (
+        _GEOMETRY + "tau = 1.2\n[numerics]\ntemperatures = 0\ntemperatures = 1\n",
+        r"cannot parse .*'temperatures' in section 'numerics' already exists",
+    ),
 }
 
 
@@ -412,24 +429,6 @@ def test_config_keys_match_run_config_and_readme():
         assert f"`[{section}]`" in reference
         for key in keys:
             assert f"`{key}`" in reference, key
-
-
-def test_readme_example_config_loads(tmp_path):
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    example = readme.split("```ini\n")[1].split("```")[0]
-    ini = tmp_path / "readme.ini"
-    ini.write_text(example)
-    cfg = load_config(str(ini))
-    assert (cfg.family, cfg.tau, cfg.temperatures) == ("contraction", 1.2, (0.0, 1.0))
-
-
-def test_readme_library_example_runs():
-    """The README's "Library use" block runs as written and ends adiabatic."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    example = readme.split("## Library use\n")[1].split("```python\n")[1].split("```")[0]
-    scope = {}
-    exec(example, scope)
-    assert abs(scope["Q_final"] - 1.0) <= 1e-9
 
 
 def test_missing_config_rejected(tmp_path):
@@ -483,9 +482,8 @@ def test_sweep_rejects_custom_family(tmp_path):
 
 
 def test_critical_search_rejects_custom_family(tmp_path):
-    cfg = custom_cfg(tmp_path / "out", critical=True)
-    with pytest.raises(CavstaError, match="custom"):
-        run(cfg)
+    with pytest.raises(CavstaError, match=r"\[sweep\] critical: .*custom"):
+        run(custom_cfg(tmp_path / "out", critical=True))
     assert not (tmp_path / "out").exists()
 
 
@@ -543,6 +541,37 @@ def test_sweep_artifacts_and_slope(tmp_path):
     assert data.shape[0] == 3
 
 
+def test_motionless_sweep_fits_no_slope(tmp_path):
+    """A cavity that never moves has a zero adiabatic residual at every tau:
+    no log of 0 (a RuntimeWarning, an error under this suite), and the
+    summary says why there is no slope."""
+    cfg = contraction_cfg(
+        tmp_path, Lf=0.0, eps=0.0, tau_list=(0.5, 1.0, 2.0), window=None, time_step=None,
+        effective_step=None,
+    )
+    res = sweep_tau(cfg)
+    assert res.exit_code == 0
+    assert [r["res_ad_max"] for r in res.rows] == [0.0, 0.0, 0.0]
+    slope = res.summary["results"]["residual_loglog_slope"]
+    assert slope.startswith("not fitted: fewer than two taus")
+    assert f"residual_loglog_slope = {slope}\n" in (tmp_path / "sweep_summary.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_continuous_limit_curves_have_no_critical_tau(tmp_path, command):
+    """With L0 = Lf = 0 the limit curves are continuous and every tau is
+    physical: both commands report why no critical tau was found."""
+    cfg = contraction_cfg(
+        tmp_path, Lf=0.0, csv=(), critical=True, tau_list=(1.2, 2.4, 4.8), window=None,
+        time_step=None, effective_step=None,
+    )
+    res = run(cfg) if command == "run" else sweep_tau(cfg)
+    found = res.summary["results"]["critical_tau"]
+    assert found.startswith("not found: all candidate tau physical")
+    summary = Path(res.files[-1]).read_text()
+    assert f"critical_tau = {found}\n" in summary
+
+
 def _mirror_table(table, x0, reach=0.2, speed=0.15):
     """(breaks, rows) of x0 + b (p(t) - p(start)) for a flat-ended C^3
     table p, with b <= 1 as large as keeps the path within `reach` of x0 and
@@ -587,7 +616,7 @@ def test_custom_rigid_shift_toward_minus_x_runs(tmp_path):
     """Both mirrors shifted by -0.2 together: the limit curves exist, and
     the run ends like any other."""
     left, right = (_reference_path(x0, x0 - 0.2, 1.2) for x0 in (0.0, 1.0))
-    tables = [(tuple(p.breaks), tuple(map(tuple, p.coeffs))) for p in (left, right)]
+    tables = [(tuple(p.breaks), tuple(map(tuple, p.table()[1]))) for p in (left, right)]
     cfg = RunConfig(
         family="custom", custom_left=tables[0], custom_right=tables[1],
         out_dir=str(tmp_path), csv=(), **FAST,

@@ -107,7 +107,7 @@ def flat_c3_tables(draw, min_segments=1):
 def test_mirror_path_accepts_flat_c3_tables(table):
     breaks, rows = table
     path = MirrorPath(breaks, rows)
-    assert np.array_equal(path.breaks, breaks) and np.array_equal(path.coeffs, rows)
+    assert np.array_equal(path.breaks, breaks) and np.array_equal(path.table()[1], rows)
 
 
 @settings(max_examples=200, deadline=None)

@@ -41,9 +41,9 @@ def drop_near(grid, points, pad):
 def split_path(path: MirrorPath, cuts) -> MirrorPath:
     """The one-segment `path` with its polynomial re-expanded on segments
     split at `cuts`, so the table has interior breaks."""
-    p = Polynomial(path.coeffs[0])
+    p = Polynomial(path.table()[1][0])
     breaks = np.concatenate([path.breaks[:1], cuts, path.breaks[1:]])
-    rows = np.zeros((len(breaks) - 1, path.coeffs.shape[1]))
+    rows = np.zeros((len(breaks) - 1, path.table()[1].shape[1]))
     for i, a in enumerate(breaks[:-1]):
         c = p(Polynomial([a - path.breaks[0], 1.0])).coef
         rows[i, : len(c)] = c
