@@ -85,13 +85,19 @@ class RunConfig:
             )
         custom = self.family == "custom"
         for side in ("left", "right"):
-            given = getattr(self, f"custom_{side}") is not None
-            if given != custom:
+            table = getattr(self, f"custom_{side}")
+            keys = f"[geometry] {side}_breaks and {side}_coeffs"
+            if (table is not None) != custom:
                 raise CavstaError(
-                    f"[geometry] {side}_breaks and {side}_coeffs: "
-                    + (f"need family = custom, got {self.family}" if given
+                    f"{keys}: "
+                    + (f"need family = custom, got {self.family}" if table is not None
                        else "family = custom needs both mirrors' tables")
                 )
+            if custom:
+                try:
+                    MirrorPath(*table)
+                except CavstaError as exc:
+                    raise CavstaError(f"{keys}: {exc}") from None
         if custom and self.critical:
             raise CavstaError(f"[sweep] critical: {_NO_RESCALE}")
 
@@ -100,13 +106,11 @@ def _parse_floats(text: str) -> tuple:
     return tuple(float(v) for v in text.replace(",", " ").split())
 
 
-def _parse_window(text: str) -> tuple:
-    lo, hi = _parse_floats(text)
-    return (lo, hi)
-
-
 def _parse_rows(text: str) -> tuple:
-    return tuple(tuple(row) for row in json.loads(text))
+    rows = np.array(json.loads(text), dtype=float)
+    if rows.ndim != 2:
+        raise ValueError(text)
+    return tuple(map(tuple, rows.tolist()))
 
 
 def _parse_csv(text: str) -> tuple:
@@ -127,6 +131,7 @@ _FINITE = ("must be finite", lambda v: bool(np.all(np.isfinite(v))))
 _POSITIVE = ("must be > 0", lambda v: v > 0)
 _AT_LEAST_ONE = ("must be >= 1", lambda v: v >= 1)
 _TEMPERATURES = ("must be one or more values >= 0", lambda v: v and all(T >= 0 for T in v))
+_TWO_VALUES = ("must be two values", lambda v: len(v) == 2)
 _WINDOW = ("must have start < end", lambda v: v[0] < v[1])
 # empty passes: only a sweep needs taus, and it asks for three
 _ASCENDING = ("must be ascending values > 0", lambda v: all(a < b for a, b in zip((0.0, *v), v)))
@@ -141,8 +146,8 @@ _DISTINCT_LABELS = (
 # and the rules its value must pass, checked in order (a range rule before
 # _FINITE, so an out-of-range value keeps its range message).  Keys are
 # lower case, as configparser folds them.  A custom mirror table is one
-# field given by two keys, its breaks and then its rows; MirrorPath checks
-# it.  tau_max may be inf.
+# field given by two keys, its breaks and then its rows; RunConfig checks
+# it by building its MirrorPath.  tau_max may be inf.
 _KEYS = {
     "geometry": {
         "family": ("family", str.strip),
@@ -163,7 +168,7 @@ _KEYS = {
         "moore_panels": ("moore_panels", int, _AT_LEAST_ONE),
         "effective_step": ("effective_step", _auto(float), _POSITIVE, _FINITE),
         "effective_refine_tol": ("effective_refine_tol", float, _POSITIVE, _FINITE),
-        "window": ("window", _auto(_parse_window), _WINDOW, _FINITE),
+        "window": ("window", _auto(_parse_floats), _TWO_VALUES, _WINDOW, _FINITE),
     },
     "outputs": {
         "dir": ("out_dir", str.strip),
@@ -214,9 +219,7 @@ def load_config(path: str) -> RunConfig:
 
 def _build_pair(cfg: RunConfig) -> TrajectoryPair:
     if cfg.family == "custom":
-        left = MirrorPath(np.asarray(cfg.custom_left[0]), np.asarray(cfg.custom_left[1]))
-        right = MirrorPath(np.asarray(cfg.custom_right[0]), np.asarray(cfg.custom_right[1]))
-        return TrajectoryPair(left, right, cfg.tau)
+        return TrajectoryPair(MirrorPath(*cfg.custom_left), MirrorPath(*cfg.custom_right), cfg.tau)
     return make_reference(
         cfg.family, L0=cfg.L0, Lf=cfg.Lf, R0=cfg.R0, eps=cfg.eps, tau=cfg.tau
     )

@@ -137,11 +137,7 @@ class PiecewisePath:
         cols, d = [np.array(rows.T, order="C")], rows
         for _ in range(_MAX_ORDER):
             d = d[:, 1:] * np.arange(1, d.shape[1])
-            c = np.array(d.T, order="C") if d.shape[1] else np.zeros((1, len(rows)))
-            # Horner on a zero-padded row reached the top coefficient as
-            # 0*u + c, which turns a -0.0 into +0.0; keep that
-            c[-1] += 0.0
-            cols.append(c)
+            cols.append(np.array(d.T, order="C") if d.shape[1] else np.zeros((1, len(rows))))
         self._cols = tuple(cols)
         self.edges = (float(before), float(after))
         _, speeds = piecewise_extremes(knots, self._cols[1].T)
@@ -196,8 +192,8 @@ class MirrorPath(PiecewisePath):
     """One mirror's position as a C^3 piecewise polynomial of time.
 
     `breaks` are the n+1 strictly increasing segment boundaries; `coeffs` is
-    an (n, 8) array of ascending polynomial coefficients in the local
-    variable u = t - breaks[i] (narrower rows are zero-padded).  Outside
+    an (n, w) array of ascending polynomial coefficients in the local
+    variable u = t - breaks[i], w <= 8, evaluated as given.  Outside
     [breaks[0], breaks[-1]] the path is constant (the boundary values), with
     all derivatives zero.
 
@@ -218,14 +214,10 @@ class MirrorPath(PiecewisePath):
             raise GeometryError(
                 f"{coeffs.shape[0]} coefficient rows for {len(breaks) - 1} segments"
             )
-        if coeffs.shape[1] > _NCOEF:
-            raise GeometryError(f"polynomial degree above {_NCOEF - 1} unsupported")
+        if not 0 < coeffs.shape[1] <= _NCOEF:
+            raise GeometryError(f"need 1 to {_NCOEF} coefficients per row, got {coeffs.shape[1]}")
         if not np.all(np.isfinite(coeffs)) or not np.all(np.isfinite(breaks)):
             raise GeometryError("non-finite path data")
-        if coeffs.shape[1] < _NCOEF:
-            coeffs = np.hstack(
-                [coeffs, np.zeros((coeffs.shape[0], _NCOEF - coeffs.shape[1]))]
-            )
         ev = (
             float(coeffs[0, 0]),
             float(_horner(coeffs[-1], breaks[-1] - breaks[-2])),
@@ -401,22 +393,17 @@ def make_reference(
             raise GeometryError(
                 f"contraction must not grow the cavity: df={Rf - Lf}, d0={R0 - L0}"
             )
-    elif family == "expansion":
+    elif family in ("expansion", "rigid"):
+        rigid = family == "rigid"
+        what, pinned = ("rigid motion", -eps * R0) if rigid else ("expansion", eps * R0)
         if not eps < 0:
-            raise GeometryError(f"expansion requires eps < 0, got {eps}")
-        if Lf is None:
-            Lf = eps * R0
-        elif not np.isclose(Lf, eps * R0, rtol=1e-12, atol=1e-15):
-            raise GeometryError(f"expansion requires Lf = eps*R0 = {eps * R0}, got {Lf}")
-    elif family == "rigid":
-        if not eps < 0:
-            raise GeometryError(f"rigid motion requires eps < 0, got {eps}")
-        if L0 != 0.0:
+            raise GeometryError(f"{what} requires eps < 0, got {eps}")
+        if rigid and L0 != 0.0:
             raise GeometryError("rigid motion requires L0 = 0")
         if Lf is None:
-            Lf = -eps * R0
-        elif not np.isclose(Lf, -eps * R0, rtol=1e-12, atol=1e-15):
-            raise GeometryError(f"rigid motion requires Lf = -eps*R0 = {-eps * R0}, got {Lf}")
+            Lf = pinned
+        elif not np.isclose(Lf, pinned, rtol=1e-12, atol=1e-15):
+            raise GeometryError(f"{what} requires Lf = {'-' * rigid}eps*R0 = {pinned}, got {Lf}")
     elif family == "custom":
         raise GeometryError(
             "custom family takes explicit MirrorPaths; build a TrajectoryPair directly"

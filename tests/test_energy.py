@@ -33,6 +33,22 @@ def test_thermal_sum_basics():
     assert np.all(z > 0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ThermalState(-1.0, 1.0), r"^temperature must be nonnegative, got -1\.0$"),
+        (lambda: ThermalState(0.0, 0.0), r"^initial length must be positive, got 0\.0$"),
+        (lambda: ThermalState(1.0, -2.0), r"^initial length must be positive, got -2\.0$"),
+        (lambda: thermal_Z(-0.5), r"^thermal argument must be finite and nonnegative, got -0\.5$"),
+        (lambda: thermal_Z(math.inf), r"^thermal argument must be finite and nonnegative, got inf$"),
+    ],
+    ids=["negative_T", "zero_d0", "negative_d0", "negative_Z_argument", "infinite_Z_argument"],
+)
+def test_thermal_refusals_name_their_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_thermal_sum_closed_form_at_half():
     # sum n pi / (e^{2 pi n} - 1) = pi/24 - 1/8, a classical Lambert-series value
     assert thermal_Z(0.5) == pytest.approx(np.pi / 24.0 - 0.125, abs=1e-15)

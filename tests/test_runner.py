@@ -263,6 +263,15 @@ def test_config_auto_markers(tmp_path):
 
 _GEOMETRY = "[geometry]\nfamily = contraction\nLf = 0.3\neps = 0.3\n"
 
+
+def _custom_left(breaks, coeffs):
+    """A custom config whose right mirror rests at 1, with the given left table."""
+    return (
+        f"[geometry]\nfamily = custom\nleft_breaks = {breaks}\nleft_coeffs = {coeffs}\n"
+        "right_breaks = 0 1\nright_coeffs = [[1]]\n"
+    )
+
+
 # (config text, what the error must name); each is one slip in an otherwise
 # valid config, but for the one that pins which of two slips is reported
 _BAD_CONFIGS = {
@@ -386,6 +395,36 @@ _BAD_CONFIGS = {
         "right_breaks = 0 1\nright_coeffs = [[1,0,0,0,0,0,0,0]]\n[sweep]\ncritical = yes\n",
         r"\[sweep\] critical: sweep and critical search rescale tau; custom tables cannot",
     ),
+    "three_value_window": (
+        _GEOMETRY + "tau = 1.2\n[numerics]\nwindow = 1 2 3\n",
+        r"\[numerics\] window: must be two values, got \(1\.0, 2\.0, 3\.0\)",
+    ),
+    "ragged_custom_rows": (
+        _custom_left("0 1", "[[0,0],[0]]"), r"\[geometry\] left_coeffs: cannot parse '\[\[0,0\],\[0\]\]'"
+    ),
+    "text_in_custom_rows": (
+        _custom_left("0 1", '[["a"]]'), r"\[geometry\] left_coeffs: cannot parse '\[\[\"a\"\]\]'"
+    ),
+    "custom_rows_not_a_list": (
+        _custom_left("0 1", '{"a": 1}'), r"\[geometry\] left_coeffs: cannot parse '\{\"a\": 1\}'"
+    ),
+    "custom_rows_too_few": (
+        _custom_left("0 1 2", "[[0]]"),
+        r"\[geometry\] left_breaks and left_coeffs: 1 coefficient rows for 2 segments$",
+    ),
+    "custom_row_too_wide": (
+        _custom_left("0 1", "[[0,0,0,0,0,0,0,0,0]]"),
+        r"\[geometry\] left_breaks and left_coeffs: need 1 to 8 coefficients per row, got 9$",
+    ),
+    "custom_row_not_flat": (
+        _custom_left("0 1", "[[0,1]]"),
+        r"\[geometry\] left_breaks and left_coeffs: derivative 1 does not vanish "
+        r"at the motion window edge$",
+    ),
+    "custom_row_not_finite": (
+        _custom_left("0 1", "[[1e999]]"),
+        r"\[geometry\] left_breaks and left_coeffs: non-finite path data$",
+    ),
     "repeated_key": (
         _GEOMETRY + "tau = 1.2\n[numerics]\ntemperatures = 0\ntemperatures = 1\n",
         r"cannot parse .*'temperatures' in section 'numerics' already exists",
@@ -461,6 +500,26 @@ def test_custom_family_from_tables(tmp_path):
     # motionless custom cavity stays exactly adiabatic
     q = data[:, header.index("Q_ref_T0")]
     assert np.allclose(q, 1.0, atol=1e-9)
+
+
+def test_custom_rows_run_as_given(tmp_path):
+    """A static mirror given as [[0]] next to a moving mirror of full width
+    writes the bytes of its twin with the row zero-padded to 8 columns."""
+    moving = _reference_path(1.0, 0.8, 1.2).table()[1].tolist()
+    artifacts = []
+    for static in ("[[0]]", "[[0,0,0,0,0,0,0,0]]"):
+        ini = tmp_path / "custom.ini"
+        ini.write_text(
+            f"[geometry]\nfamily = custom\ntau = 1.2\nleft_breaks = 0 1.2\nleft_coeffs = {static}\n"
+            f"right_breaks = 0 1.2\nright_coeffs = {moving}\n"
+            "[numerics]\ntemperatures = 0 1\ntime_step = 0.25\nwindow = -1.5 2.2\n"
+            f"spatial_points = 301\neffective_step = 0.0125\n[outputs]\ndir = {tmp_path / 'out'}\n"
+        )
+        res = run(load_config(str(ini)))
+        assert res.exit_code == 0, res.hard_failures
+        assert len(res.files) == 4
+        artifacts.append([Path(f).read_bytes() for f in res.files])
+    assert artifacts[0] == artifacts[1]
 
 
 def custom_cfg(out_dir, **kw):

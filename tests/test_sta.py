@@ -198,6 +198,28 @@ def test_local_search_without_crossing_raises():
         _solve(_RootlessMoore(), "left", np.zeros(2), np.array([0.0, 5.0]))
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda am: limit_trajectory(0.0, 0.3, 0.0, 0.7), GeometryError,
+         r"^degenerate cavity: d0=0\.0, df=0\.39999999999999997$"),
+        (lambda am: limit_trajectory(0.0, 0.7, 1.0, 0.7), GeometryError,
+         r"^degenerate cavity: d0=1\.0, df=0\.0$"),
+        (lambda am: critical_tau("contraction", 0.0, 0.3, 1.0, 0.3, 1.2, 1.2), ValueError,
+         r"^need 0 < tau_lo < tau_hi, got \(1\.2, 1\.2\)$"),
+        (lambda am: critical_tau("contraction", 0.0, 0.3, 1.0, 0.3, 1.2, 0.2), ValueError,
+         r"^need 0 < tau_lo < tau_hi, got \(1\.2, 0\.2\)$"),
+        (lambda am: build_effective(am, "middle", -1.0, 3.0), ValueError,
+         r"^side must be 'left' or 'right', got 'middle'$"),
+    ],
+    ids=["limit_d0_zero", "limit_df_zero", "critical_equal_bracket", "critical_reversed_bracket",
+         "effective_bad_side"],
+)
+def test_library_refusals_name_their_fault(contraction12, call, error, message):
+    with pytest.raises(error, match=message):
+        call(contraction12.am)
+
+
 def test_limit_velocity_and_intercepts():
     lim_l, lim_r = limit_trajectory(0.0, 0.3, 1.0, 0.7)
     assert lim_l.v_lim == lim_r.v_lim

@@ -431,14 +431,6 @@ def test_effective_columns_evaluate_as_rows_on_knots_and_midpoints(contraction12
         _assert_columns_are_rows(path, np.concatenate([knots, 0.5 * (knots[:-1] + knots[1:])]))
 
 
-def test_columns_keep_the_sign_of_zero():
-    """A top coefficient of -0.0 left +0.0 behind the zero columns of a
-    padded derivative row; the column form must give the same zero."""
-    path = PiecewisePath(np.array([0.0, 1.0]), np.array([[1.0, -0.0, -0.0, -0.0]]), 1.0, 1.0)
-    _assert_columns_are_rows(path, np.array([0.0, 0.25, 1.0]))
-    assert not np.signbit(path(0.5, 1)) and not np.signbit(path(0.5, 2))
-
-
 def test_advance_columns_evaluate_as_rows(contraction12):
     am = contraction12.am
     nodes = am._nodes

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cavsta.errors import ContinuityError, GeometryError
-from cavsta.trajectory import MirrorPath, TrajectoryPair, make_reference
+from cavsta.trajectory import MirrorPath, PiecewisePath, TrajectoryPair, make_reference
 
 from util import fd_jets, path_range
 
@@ -109,22 +109,50 @@ def test_scalar_and_vector_evaluation_agree():
 
 
 def test_family_constraints_rejected():
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="contraction must not grow the cavity"):
         make_reference("contraction", L0=0.0, Lf=0.0, R0=1.0, eps=-0.3, tau=1.0)
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match=r"^expansion requires Lf = eps\*R0 = -0\.3, got 0\.1$"):
         make_reference("expansion", L0=0.0, Lf=0.1, R0=1.0, eps=-0.3, tau=1.0)
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match=r"^expansion requires eps < 0, got 0\.2$"):
         make_reference("expansion", eps=0.2, tau=1.0)
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match=r"^rigid motion requires L0 = 0$"):
         make_reference("rigid", L0=0.1, eps=-0.3, tau=1.0)
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match=r"^rigid motion requires Lf = -eps\*R0 = 0\.3, got 0\.7$"):
         make_reference("rigid", Lf=0.7, eps=-0.3, tau=1.0)
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="unknown family 'spinning'"):
         make_reference("spinning", tau=1.0)
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="tau must be positive, got -1.0"):
         make_reference("contraction", tau=-1.0)
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="need R0 > L0, got R0=0.5, L0=1.0"):
         make_reference("contraction", L0=1.0, R0=0.5, tau=1.0)
+
+
+@pytest.mark.parametrize(
+    "family, kw, message",
+    [
+        ("rigid", dict(eps=0.2), r"^rigid motion requires eps < 0, got 0\.2$"),
+        ("rigid", dict(eps=0.0), r"^rigid motion requires eps < 0, got 0\.0$"),
+        ("custom", {}, r"^custom family takes explicit MirrorPaths; build a TrajectoryPair directly$"),
+        ("contraction", dict(Lf=0.8, eps=0.3), r"^final geometry collapses: Rf=0\.7, Lf=0\.8$"),
+    ],
+    ids=["rigid_positive_eps", "rigid_zero_eps", "custom", "final_collapse"],
+)
+def test_reference_refusals_name_their_fault(family, kw, message):
+    with pytest.raises(GeometryError, match=message):
+        make_reference(family, tau=1.0, **kw)
+
+
+def test_outward_families_default_to_their_pinned_final_left_position():
+    """Without Lf, expansion ends its left mirror at eps*R0 and rigid
+    motion at -eps*R0, the values an explicit Lf must match."""
+    for family, L0, pinned in (("expansion", 0.5, -0.3 * 2.0), ("rigid", 0.0, 0.3 * 2.0)):
+        pair = make_reference(family, L0=L0, R0=2.0, eps=-0.3, tau=1.0)
+        assert (pair.L0, pair.Lf, pair.R0, pair.Rf) == (L0, pinned, 2.0, 2.0 * 1.3)
+        assert pair.left(1.0) == pinned
+        explicit = make_reference(family, L0=L0, Lf=pinned, R0=2.0, eps=-0.3, tau=1.0)
+        assert explicit.left.table()[1].tobytes() == pair.left.table()[1].tobytes()
+    # rigid motion keeps the cavity length
+    assert make_reference("rigid", R0=2.0, eps=-0.3, tau=1.0).df == pytest.approx(2.0)
 
 
 def test_discontinuous_table_rejected():
@@ -155,14 +183,38 @@ def test_edge_pin_must_match_polynomial():
 
 
 def test_bad_tables_rejected():
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="path needs at least one segment"):
         MirrorPath(np.array([0.0]), np.zeros((1, 8)))
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="segment boundaries must strictly increase"):
         MirrorPath(np.array([0.0, 0.0]), np.zeros((1, 8)))
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="2 coefficient rows for 1 segments"):
         MirrorPath(np.array([0.0, 1.0]), np.zeros((2, 8)))
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="non-finite path data"):
         MirrorPath(np.array([0.0, 1.0]), np.full((1, 8), np.nan))
+    for width in (0, 9):
+        with pytest.raises(GeometryError, match=f"need 1 to 8 coefficients per row, got {width}"):
+            MirrorPath(np.array([0.0, 1.0]), np.zeros((1, width)))
+
+
+def test_narrow_rows_are_evaluated_as_given():
+    """A table narrower than 8 coefficients gives the bytes of its
+    zero-padded twin, for every order, inside and outside its knots."""
+    rng = np.random.default_rng(7)
+    knots, t = np.array([0.0, 0.5, 1.5]), np.linspace(-0.5, 2.0, 51)
+    for width in range(1, 8):
+        rows = rng.uniform(-1.0, 1.0, (2, width))
+        padded = np.hstack([rows, np.zeros((2, 8 - width))])
+        narrow, wide = (PiecewisePath(knots, r, 0.1, 0.2) for r in (rows, padded))
+        assert narrow.max_speed() == wide.max_speed()
+        for got, want in zip(narrow.jet(t), wide.jet(t)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_nonpositive_motion_duration_rejected():
+    path = MirrorPath(np.array([0.0, 1.0]), [[1.0]])
+    for tau in (0.0, -1.0):
+        with pytest.raises(GeometryError, match=f"motion duration must be positive, got {tau}"):
+            TrajectoryPair(make_reference("contraction", tau=1.0).left, path, tau)
 
 
 def test_crossing_mirrors_rejected():
