@@ -209,9 +209,12 @@ def _energy_parts(moore, pair, times, points, at=np.empty(0)):
     """(anomaly, kinetic) cavity integrals at every time in `times`: G runs
     over t + [L, R], F over t - [R, L].  From the same traces come F and G
     at `at` and the two mirror residuals over `times`.  One `kink_args`
-    call covers both maps' arguments, t - R up to t + R."""
+    call covers both maps' arguments, min(t - R, t + L) up to
+    max(t + R, t - L); where L + R < 0, t + L < t - R and t - L > t + R."""
     L, R = pair.left(times), pair.right(times)
-    z_kinks, w_kinks = moore.kink_args(float(np.min(times - R)), float(np.max(times + R)))
+    lo = min(np.min(times - R), np.min(times + L))
+    hi = max(np.max(times + R), np.max(times - L))
+    z_kinks, w_kinks = moore.kink_args(float(lo), float(hi))
     anom_g, kin_g, (g_l, g_r, G) = _map_parts(
         moore.G_jet, z_kinks, times + L, times + R, points, at
     )

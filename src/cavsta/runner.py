@@ -53,7 +53,7 @@ class RunConfig:
     eps: float = 0.0
     tau: float = 1.0
     temperatures: tuple[float, ...] = (0.0,)
-    time_step: float | None = None  # None -> tau/64
+    time_step: float | None = None  # None -> the pair's tau/64
     spatial_points: int = 2001  # energy-record panel spacing, span/spatial_points
     moore_panels: int = 4096  # starting panel count of the advance integral
     effective_step: float | None = None  # None -> build_effective's default
@@ -219,7 +219,7 @@ def load_config(path: str) -> RunConfig:
 
 def _build_pair(cfg: RunConfig) -> TrajectoryPair:
     if cfg.family == "custom":
-        return TrajectoryPair(MirrorPath(*cfg.custom_left), MirrorPath(*cfg.custom_right), cfg.tau)
+        return TrajectoryPair(MirrorPath(*cfg.custom_left), MirrorPath(*cfg.custom_right))
     return make_reference(
         cfg.family, L0=cfg.L0, Lf=cfg.Lf, R0=cfg.R0, eps=cfg.eps, tau=cfg.tau
     )
@@ -227,7 +227,7 @@ def _build_pair(cfg: RunConfig) -> TrajectoryPair:
 
 def _time_grid(cfg: RunConfig, pair: TrajectoryPair):
     lo, hi = cfg.window if cfg.window is not None else sta.default_window(pair)
-    dt = cfg.time_step if cfg.time_step is not None else cfg.tau / 64.0
+    dt = cfg.time_step if cfg.time_step is not None else pair.tau / 64.0
     n = max(2, int(round((hi - lo) / dt)))
     return np.linspace(lo, hi, n + 1)
 
@@ -412,7 +412,7 @@ def run(cfg: RunConfig) -> RunResult:
             "R0": cfg.R0,
             "Rf": pair.Rf,
             "eps": cfg.eps,
-            "tau": cfg.tau,
+            "tau": pair.tau,
         },
         "numerics": {
             "temperatures": " ".join(_FMT % T for T in cfg.temperatures),

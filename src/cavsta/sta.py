@@ -56,23 +56,16 @@ _MAX_REFINE = 5  # bisection rounds of a subluminal build_effective
 _GROWTH_ROUNDS = 24  # bracket doublings of `_solve`
 
 
-def _tau(pair) -> float:
-    """The pair's protocol duration; GeometryError for a pair without one
-    (an effective pair, or a TrajectoryPair built without tau)."""
-    if pair.tau is None:
-        raise GeometryError("the pair has no tau: give the step or window explicitly")
-    return pair.tau
-
-
 def default_window(pair) -> tuple[float, float]:
-    """Run window [-(R0 + tau), tau + max(3 df, max(|Lf|, |Rf|) + df)]: one
-    light-crossing before motion onset; after it, three light-crossings, or
-    one after the effective mirrors stop (at tau + |xf|) if that is later,
-    so post-motion relaxation is visible.  The pair needs a tau."""
-    tau = _tau(pair)
+    """Run window (motion_start - (x0 + tau), motion_end + max(3 df, xf + df)),
+    x0 = max(|L0|, |R0|), xf = max(|Lf|, |Rf|), tau the motion window's
+    length: one tau before the earliest effective onset (`build_effective`);
+    after the motion, three final light-crossings, or one after the
+    effective mirrors stop if later, so post-motion relaxation is visible."""
+    x0 = max(abs(pair.L0), abs(pair.R0))
     df = pair.Rf - pair.Lf
     settled = max(abs(pair.Lf), abs(pair.Rf)) + df
-    return (-(pair.R0 + tau), tau + max(3.0 * df, settled))
+    return (pair.motion_start - (x0 + pair.tau), pair.motion_end + max(3.0 * df, settled))
 
 
 def _solve(am, side, t, guesses):
@@ -258,9 +251,9 @@ def build_effective(
     arguments t +- x lie outside the reference motion, where the adiabatic
     Moore functions are their static closed forms.  So only [on, off] is
     solved, on the nodes of the uniform grid on [t_lo, t_hi] (default step
-    tau/512) from the last at or below `on` to the first at or above `off`;
-    where the window does not cover [on, off], that grid runs on past its
-    ends by whole steps.  The curve holds x0 before its first knot and xf
+    pair.tau/512, the motion window's length over 512) from the last at or
+    below `on` to the first at or above `off`; where the window does not
+    cover [on, off], that grid runs on past its ends by whole steps.  The curve holds x0 before its first knot and xf
     after its last.
 
     The solve is seeded with the reference mirror positions (the effective
@@ -282,7 +275,7 @@ def build_effective(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     pair = am.pair
     if step is None:
-        step = _tau(pair) / 512.0
+        step = pair.tau / 512.0
     n = max(2, int(np.ceil((t_hi - t_lo) / step)))
     ref_path = pair.right if side == "right" else pair.left
     x0, xf = ref_path.edges
@@ -318,7 +311,7 @@ def build_effective(
     return eff
 
 
-# two effective trajectories make a pair like the reference one, without tau
+# two effective trajectories make a pair like the reference one
 EffectivePair = TrajectoryPair
 
 

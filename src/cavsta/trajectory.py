@@ -299,14 +299,13 @@ class TrajectoryPair:
 
     Validates that the cavity never collapses: min over the full axis of
     R(t) - L(t) must stay positive (checked exactly on the merged piecewise
-    polynomial, not on a sample grid, once at construction).  `tau` is the
-    reference protocol's duration; a pair of effective trajectories has
-    none.
+    polynomial, not on a sample grid, once at construction).  Its timescale
+    `tau` is the length of its motion window, which for a reference pair
+    from `make_reference` is the protocol duration.
     """
 
     left: PiecewisePath
     right: PiecewisePath
-    tau: float | None = None
     L0: float = field(init=False)
     Lf: float = field(init=False)
     R0: float = field(init=False)
@@ -314,8 +313,6 @@ class TrajectoryPair:
     _gap_min: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.tau is not None and not self.tau > 0:
-            raise GeometryError(f"motion duration must be positive, got {self.tau}")
         edges = (*self.left.edges, *self.right.edges)
         for name, value in zip(("L0", "Lf", "R0", "Rf"), edges):
             object.__setattr__(self, name, value)
@@ -340,6 +337,11 @@ class TrajectoryPair:
     @property
     def motion_end(self) -> float:
         return max(self.left.motion_end, self.right.motion_end)
+
+    @property
+    def tau(self) -> float:
+        """Length of the motion window, motion_end - motion_start."""
+        return self.motion_end - self.motion_start
 
     @property
     def realizable(self) -> bool:
@@ -416,4 +418,4 @@ def make_reference(
 
     left = _reference_path(L0, Lf, tau)
     right = _reference_path(R0, Rf, tau)
-    return TrajectoryPair(left, right, tau)
+    return TrajectoryPair(left, right)

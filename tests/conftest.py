@@ -60,5 +60,5 @@ def static_unit():
     rowR[0, 0] = 1.0
     left = MirrorPath(np.array([0.0, 1.0]), rowL, edges=(0.0, 0.0))
     right = MirrorPath(np.array([0.0, 1.0]), rowR, edges=(1.0, 1.0))
-    pair = TrajectoryPair(left, right, 1.0)
+    pair = TrajectoryPair(left, right)
     return pair, ExactMoore(pair)

@@ -22,7 +22,7 @@ from cavsta.errors import DensityError
 from cavsta.moore_adiabatic import AdiabaticMoore
 from cavsta.moore_exact import ExactMoore
 from cavsta.sta import build_effective, default_window
-from cavsta.trajectory import TrajectoryPair, make_reference
+from cavsta.trajectory import MirrorPath, TrajectoryPair, _reference_path, make_reference
 
 
 def test_thermal_sum_basics():
@@ -242,6 +242,58 @@ def test_effective_energy_independent_of_effective_discretization(tau):
         records.append(energy_record(times, states, moore_eff=ExactMoore(eff), pair_eff=eff))
     base, fine = records
     assert np.all(np.abs(base.E_eff - fine.E_eff) <= 1e-8 * np.abs(base.E_ad_eff))
+
+
+def _reference_record(pair, times):
+    """The energy record of the pair's own exact run at T = 0 and 1."""
+    states = [ThermalState(T, pair.d0) for T in (0.0, 1.0)]
+    return energy_record(times, states, ExactMoore(pair), pair)
+
+
+def _negated(path):
+    knots, rows, before, after = path.table()
+    return MirrorPath(knots, -rows, edges=(-before, -after))
+
+
+_FRAME_CASES = {  # family, Lf, eps, tau; L0 = 0, R0 = 1
+    "contraction": ("contraction", 0.3, 0.3, 1.2),
+    "expansion": ("expansion", -0.3, -0.3, 1.2),
+    "rigid": ("rigid", 0.3, -0.3, 1.2),
+    "contraction40": ("contraction", 0.3, 0.3, 40.0),
+}
+
+
+@pytest.mark.parametrize("case", _FRAME_CASES)
+def test_reference_energy_is_invariant_under_reflection(case):
+    """Moore's equations are covariant under x -> -x: the mirror image of a
+    pair, L' = -R and R' = -L, has the same default window and bitwise the
+    same E_ref and Q_ref.  The image's cavity lies at x < 0, where the F
+    arguments t - L rise above t + R, and every kink there must be a node."""
+    family, Lf, eps, tau = _FRAME_CASES[case]
+    pair = make_reference(family, Lf=Lf, eps=eps, tau=tau)
+    image = TrajectoryPair(_negated(pair.right), _negated(pair.left))
+    window = default_window(pair)
+    assert default_window(image) == window
+    times = np.linspace(*window, 200)
+    want, got = _reference_record(pair, times), _reference_record(image, times)
+    assert np.array_equal(got.E_ref, want.E_ref)
+    assert np.array_equal(got.Q_ref, want.Q_ref)
+
+
+@pytest.mark.parametrize("family", ["contraction", "rigid"])
+@pytest.mark.parametrize("shift", [-2.0, -0.5, 3.0])
+def test_reference_energy_is_invariant_under_translation(family, shift):
+    """The reference field does not depend on where x = 0 is: a pair moved
+    by `shift`, on the same sample times, has the same E_ref to 1e-12 of
+    E_ad.  A shift of -2 puts the cavity at x < 0."""
+    _, Lf, eps, tau = _FRAME_CASES[family]
+    pair = make_reference(family, Lf=Lf, eps=eps, tau=tau)
+    moved = TrajectoryPair(
+        *(_reference_path(*(x + shift for x in path.edges), tau) for path in (pair.left, pair.right))
+    )
+    times = np.linspace(*default_window(pair), 200)
+    want, got = _reference_record(pair, times), _reference_record(moved, times)
+    assert np.all(np.abs(got.E_ref - want.E_ref) <= 1e-12 * np.abs(want.E_ad_ref))
 
 
 def test_total_energy_matches_density_quadrature(contraction12):

@@ -155,7 +155,8 @@ def test_scalar_interface(contraction12):
 def test_jets_keep_the_argument_shape(contraction12):
     """On a (2, 2) argument the effective pair's exact jets have the shape of
     the adiabatic ones (the same functions, by the STA identity), and each is
-    the flat call reshaped, bitwise; so are the trace depths."""
+    the flat call reshaped, bitwise; so are the trace depths.  An empty
+    argument gives empty arrays of its shape."""
     s = contraction12
     z = np.array([[0.3, 1.1], [2.6, 4.0]])
     for which in ("G", "F"):
@@ -170,6 +171,8 @@ def test_jets_keep_the_argument_shape(contraction12):
             assert got.shape == z.shape and np.array_equal(got, want.reshape(z.shape))
     n, arg = s.exact_eff.trace_depth(0.37)
     assert isinstance(n, int) and isinstance(arg, float)
+    assert [v.shape for v in s.exact_eff.solve_G(np.empty(0))] == [(0,)] * 4
+    assert [v.shape for v in s.exact_eff.trace_depth(np.empty((0, 3)))] == [(0, 3)] * 2
 
 
 def test_residuals_batch_is_bitwise_unbatched(contraction12):
@@ -213,11 +216,10 @@ def test_one_path_lookup_per_inversion(contraction12, monkeypatch):
         assert counts["lookups"] == counts["inversions"]
 
 
-_TAU = 1.2
 _CUTS = np.array([0.25, 0.6, 0.61, 1.0])
-_REF = make_reference("contraction", L0=0.0, Lf=0.3, R0=1.0, eps=0.3, tau=_TAU)
+_REF = make_reference("contraction", L0=0.0, Lf=0.3, R0=1.0, eps=0.3, tau=1.2)
 _SPLIT = ExactMoore(
-    TrajectoryPair(split_path(_REF.left, _CUTS), split_path(_REF.right, _CUTS), _TAU)
+    TrajectoryPair(split_path(_REF.left, _CUTS), split_path(_REF.right, _CUTS))
 )
 
 

@@ -421,6 +421,9 @@ _BAD_CONFIGS = {
         r"\[geometry\] left_breaks and left_coeffs: derivative 1 does not vanish "
         r"at the motion window edge$",
     ),
+    "custom_rows_flat": (
+        _custom_left("0 1", "[0, 0]"), r"^\[geometry\] left_coeffs: cannot parse '\[0, 0\]'$"
+    ),
     "custom_row_not_finite": (
         _custom_left("0 1", "[[1e999]]"),
         r"\[geometry\] left_breaks and left_coeffs: non-finite path data$",
@@ -669,6 +672,29 @@ def test_custom_subluminal_protocols_have_exact_moore_residuals(tmp_path_factory
     assert results["exact_reference_available"] is True
     assert results["exact_residual_L"] <= 1e-10
     assert results["exact_residual_R"] <= 1e-10
+
+
+def test_custom_twin_of_a_family_run_takes_its_timescale_from_its_tables(tmp_path):
+    """A custom pair given the tables of the tau = 3 contraction, and no
+    tau, gets the family run's default window, time step and effective
+    step from its motion window, so it ends as adiabatic as the family
+    run.  Its edge values are not pinned, so compare values, not bytes."""
+    paths = (_reference_path(0.0, 0.3, 3.0), _reference_path(1.0, 0.7, 3.0))
+    tables = [(tuple(p.breaks), tuple(map(tuple, p.table()[1]))) for p in paths]
+    numerics = dict(temperatures=(0.0, 1.0), spatial_points=301, csv=())
+    family = run(RunConfig(family="contraction", Lf=0.3, eps=0.3, tau=3.0,
+                           out_dir=str(tmp_path / "family"), **numerics))
+    twin = run(RunConfig(family="custom", custom_left=tables[0], custom_right=tables[1],
+                         out_dir=str(tmp_path / "custom"), **numerics))
+    assert family.exit_code == twin.exit_code == 0
+    want, got = family.summary["results"], twin.summary["results"]
+    assert (got["window_start"], got["window_end"]) == pytest.approx((-4.0, 4.2), abs=1e-12)
+    assert got["window_start"] == want["window_start"]
+    step = family.summary["numerics"]["time_step"]
+    assert twin.summary["numerics"]["time_step"] == pytest.approx(step, rel=1e-12)
+    for T in ("0", "1"):
+        assert abs(want[f"q_eff_final_T{T}"] - 1.0) <= 1e-9
+        assert got[f"q_eff_final_T{T}"] == pytest.approx(want[f"q_eff_final_T{T}"], abs=1e-9)
 
 
 def test_custom_rigid_shift_toward_minus_x_runs(tmp_path):

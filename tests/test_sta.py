@@ -265,7 +265,7 @@ def test_rigid_shift_toward_minus_x_mirrors_the_plus_x_one(s):
     for tau in (0.05, 0.4, 1.2):
         curves = []
         for d in (-s, s):
-            pair = TrajectoryPair(_reference_path(0.0, d, tau), _reference_path(1.0, 1.0 + d, tau), tau)
+            pair = TrajectoryPair(_reference_path(0.0, d, tau), _reference_path(1.0, 1.0 + d, tau))
             curves.append(build_effective(AdiabaticMoore.build(pair), "left", -1.5, 3.0))
         assert_allclose(curves[0](t), -curves[1](t), rtol=0.0, atol=1e-13)
 
@@ -569,20 +569,32 @@ def test_effective_pair_presents_trajectory_protocol(contraction12):
     assert np.all(eff.gap(t) > 0.0)
 
 
-def test_pair_without_tau_has_no_default_timescale(contraction12):
-    """The default window and effective step scale with the pair's tau; an
-    effective pair has none, so both defaults refuse it by name, while an
-    explicit step builds."""
+def test_effective_pair_timescale_is_its_motion_window(contraction12):
+    """An effective pair's tau is the length of its motion window, which
+    outlasts the reference protocol, and the default window and effective
+    step follow that window."""
     eff = contraction12.eff_pair
-    assert eff.tau is None
-    with pytest.raises(GeometryError, match="no tau"):
-        default_window(eff)
+    start, end = eff.motion_start, eff.motion_end
+    assert eff.tau == end - start > 1.2
+    x0, xf = max(abs(eff.L0), abs(eff.R0)), max(abs(eff.Lf), abs(eff.Rf))
+    assert default_window(eff) == (start - (x0 + eff.tau), end + max(3 * eff.df, xf + eff.df))
     am = AdiabaticMoore.build(eff)
     lo, hi = contraction12.window
-    with pytest.raises(GeometryError, match="no tau"):
-        build_effective(am, "left", lo, hi)
-    curve = build_effective(am, "left", lo, hi, step=1.2 / 512)
+    curve = build_effective(am, "left", lo, hi)
+    explicit = build_effective(am, "left", lo, hi, step=eff.tau / 512)
+    assert np.array_equal(curve.times, explicit.times)
     assert curve.realizable and curve.residual_sup < 1e-9
+
+
+def test_default_window_starts_before_the_effective_motion():
+    """A cavity at x < 0: the left effective mirror starts moving at
+    -|L0| = -2, before the reference motion, and the default window starts
+    one tau earlier, not at -(R0 + tau) = 0.1 after the motion began."""
+    pair = make_reference("contraction", L0=-2.0, Lf=-1.7, R0=-1.0, eps=0.3, tau=0.9)
+    lo, hi = default_window(pair)
+    assert (lo, hi) == pytest.approx((-2.9, 3.9), abs=1e-12)
+    left = build_effective(AdiabaticMoore.build(pair), "left", lo, hi)
+    assert lo < left.motion_start <= -2.0
 
 
 def test_effective_gap_min_is_exact(contraction12):

@@ -210,13 +210,6 @@ def test_narrow_rows_are_evaluated_as_given():
             assert got.tobytes() == want.tobytes()
 
 
-def test_nonpositive_motion_duration_rejected():
-    path = MirrorPath(np.array([0.0, 1.0]), [[1.0]])
-    for tau in (0.0, -1.0):
-        with pytest.raises(GeometryError, match=f"motion duration must be positive, got {tau}"):
-            TrajectoryPair(make_reference("contraction", tau=1.0).left, path, tau)
-
-
 def test_crossing_mirrors_rejected():
     rowL = np.zeros((1, 8))
     rowL[0, 0] = 0.9
@@ -225,4 +218,4 @@ def test_crossing_mirrors_rejected():
     left = MirrorPath(np.array([0.0, 1.0]), rowL)
     right = MirrorPath(np.array([0.0, 1.0]), rowR)
     with pytest.raises(GeometryError):
-        TrajectoryPair(left, right, 1.0)
+        TrajectoryPair(left, right)
