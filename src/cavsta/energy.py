@@ -31,9 +31,8 @@ serves every temperature.
 
 The sample endpoints are the cavity ends t + L, t + R (G) and t - R, t - L
 (F), so the map values kept at those nodes give the mirror residuals of
-`moore_exact.mirror_residuals`.  The reference run's Moore samples at the
-times themselves ride in the same batch, after the nodes and midpoints, so
-a run traces each map of each pair once.
+`moore_exact.mirror_residuals`.  A caller's `at` rides in the same batch,
+after the nodes and midpoints, so a run traces each map of its pair once.
 """
 
 from __future__ import annotations
@@ -261,80 +260,46 @@ def eval_mode(moore, k: int, x, t: float):
 
 @dataclass(frozen=True)
 class EnergyRecord:
-    """Per-temperature time series for a reference and an effective run.
+    """Per-temperature time series of one run.
 
-    Arrays are (n_temperatures, n_times): rows follow the states and
+    E, E_ad and Q are (n_temperatures, n_times): rows follow the states and
     columns the times given to `energy_record`, which the record does not
-    repeat.  Q rows satisfy Q = E/E_ad of the same run (the effective run's
-    E_ad follows the effective cavity length).
-    `F_ref`, `G_ref` are the reference run's exact Moore functions at the
-    times, and `residual_ref` its two mirror residual sups over them (as
-    `ExactMoore.residuals`).  Runs that could not be computed (superluminal
-    pair refused by the exact solver) hold NaN.
+    repeat.  Q = E/E_ad, with E_ad following the run's own cavity length.
+    F, G are the run's exact Moore functions at `at`, and `residual` its
+    two mirror residual sups over the times (as `ExactMoore.residuals`).
+    A run the exact solver refused (superluminal pair) holds NaN in every
+    field but E_ad.
     """
 
-    E_ref: np.ndarray
-    E_eff: np.ndarray
-    E_ad_ref: np.ndarray
-    E_ad_eff: np.ndarray
-    Q_ref: np.ndarray
-    Q_eff: np.ndarray
-    F_ref: np.ndarray
-    G_ref: np.ndarray
-    residual_ref: tuple
+    E: np.ndarray
+    E_ad: np.ndarray
+    Q: np.ndarray
+    F: np.ndarray
+    G: np.ndarray
+    residual: tuple
 
 
-def _run_series(moore, pair, times, states, points, at=np.empty(0)):
-    """(E, E_ad) arrays of shape (nT, nt) for one run, then its F and G at
-    `at` and its two mirror residuals; NaN when moore is None."""
-    nan = np.full((len(states), len(times)), np.nan)
-    missing = np.full(at.shape, np.nan), np.full(at.shape, np.nan), (np.nan, np.nan)
-    if pair is None:
-        return nan, nan.copy(), *missing
+def energy_record(times, states, moore, pair, points: int = 2001, at=np.empty(0)) -> EnergyRecord:
+    """Assemble the energy/adiabaticity time series of one run.
+
+    The exact Moore solution of `pair` enters through `moore`; None leaves
+    every field but E_ad NaN (reported, not fatal, so sweeps can cross the
+    superluminal regime).  `points` sets each Moore map's Simpson panel
+    spacing, (max - min)/`points` across the arguments the run needs;
+    panels outside every sample cavity are skipped.
+
+    Each Moore map is traced once.  F and G at `at` ride in the energy
+    batch, and the mirror residuals are read off the cavity-end nodes, so a
+    caller needs no further trace for them."""
+    times = np.asarray(times, dtype=float)
     weight = np.array([st.kinetic_weight for st in states])[:, None]
     E_ad = weight / pair.gap(times)  # adiabatic_energy at every sample
     if moore is None:
-        return nan, E_ad, *missing
-    anom, kin, *moore_values = _energy_parts(moore, pair, times, points, at)
-    return anom + weight * kin, E_ad, *moore_values
-
-
-def energy_record(
-    times,
-    states,
-    moore_ref=None,
-    pair_ref=None,
-    moore_eff=None,
-    pair_eff=None,
-    points: int = 2001,
-) -> EnergyRecord:
-    """Assemble the energy/adiabaticity time series for both runs.
-
-    The exact Moore solutions enter through `moore_ref`/`moore_eff`; passing
-    None for a run leaves its columns NaN (reported, not fatal, so sweeps
-    can cross the superluminal regime).  `points` sets each Moore map's
-    Simpson panel spacing, (max - min)/`points` across the arguments the run
-    needs; panels outside every sample cavity are skipped.
-
-    Each Moore map of each run is traced once.  The reference run's F and G
-    at `times` ride in its energy batch, and its mirror residuals are read
-    off the cavity-end nodes, so a caller needs no further trace for them."""
-    times = np.asarray(times, dtype=float)
-    E_ref, E_ad_ref, F_ref, G_ref, residual_ref = _run_series(
-        moore_ref, pair_ref, times, states, points, times
-    )
-    E_eff, E_ad_eff, *_ = _run_series(moore_eff, pair_eff, times, states, points)
+        nan = np.full(times.shape, np.nan)
+        anom, kin, F, G, residual = nan, nan, *np.full((2, len(at)), np.nan), (np.nan, np.nan)
+    else:
+        anom, kin, F, G, residual = _energy_parts(moore, pair, times, points, at)
+    E = anom + weight * kin
     with np.errstate(divide="ignore", invalid="ignore"):
-        Q_ref = E_ref / E_ad_ref
-        Q_eff = E_eff / E_ad_eff
-    return EnergyRecord(
-        E_ref=E_ref,
-        E_eff=E_eff,
-        E_ad_ref=E_ad_ref,
-        E_ad_eff=E_ad_eff,
-        Q_ref=Q_ref,
-        Q_eff=Q_eff,
-        F_ref=F_ref,
-        G_ref=G_ref,
-        residual_ref=residual_ref,
-    )
+        Q = E / E_ad
+    return EnergyRecord(E=E, E_ad=E_ad, Q=Q, F=F, G=G, residual=residual)

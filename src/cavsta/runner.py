@@ -190,9 +190,9 @@ def load_config(path: str) -> RunConfig:
     # no default section: a [DEFAULT] is an unknown section like any other
     cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        if not cp.read(path):
+        if not cp.read(path, encoding="utf-8"):
             raise CavstaError(f"config file not found or unreadable: {path}")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise CavstaError(f"cannot parse {path}: {' '.join(str(exc).split())}") from None
     kw = {}
     for section in cp.sections():
@@ -325,19 +325,13 @@ def run(cfg: RunConfig) -> RunResult:
     exact_eff = _try_exact(eff_pair, notes, "effective pair")
 
     states = [ThermalState(T, pair.d0) for T in cfg.temperatures]
-    record = energy_record(
-        times,
-        states,
-        moore_ref=exact_ref,
-        pair_ref=pair,
-        moore_eff=exact_eff,
-        pair_eff=eff_pair,
-        points=cfg.spatial_points,
-    )
+    # the reference run also gives moore.csv's exact columns at the times
+    rec_ref = energy_record(times, states, exact_ref, pair, cfg.spatial_points, at=times)
+    rec_eff = energy_record(times, states, exact_eff, eff_pair, cfg.spatial_points)
 
     res_ad = adiabatic_residual(am, times)
     # read off the energy record's traces; NaN when there is no solver
-    res_exact = record.residual_ref
+    res_exact = rec_ref.residual
     if exact_ref is not None and max(res_exact) > _EXACT_RESIDUAL_MAX:
         result.hard_failures.append(
             f"exact Moore residual {max(res_exact):.3e} above {_EXACT_RESIDUAL_MAX}"
@@ -358,7 +352,7 @@ def run(cfg: RunConfig) -> RunResult:
         result.strict_failures.append(note)
 
     # (temperature, _ENERGY column, time)
-    energy = np.stack([record.E_ref, record.E_eff, record.E_ad_ref, record.Q_ref, record.Q_eff], 1)
+    energy = np.stack([rec_ref.E, rec_eff.E, rec_ref.E_ad, rec_ref.Q, rec_eff.Q], 1)
     paths = (pair.left, pair.right, eff_pair.left, eff_pair.right, lim_l, lim_r)
     tables = {  # name: (header, columns)
         "trajectories": (
@@ -367,7 +361,7 @@ def run(cfg: RunConfig) -> RunResult:
         ),
         "moore": (
             ["z", "F_ad", "G_ad", "F_exact", "G_exact"],
-            [times, am.F(times), am.G(times), record.F_ref, record.G_ref],
+            [times, am.F(times), am.G(times), rec_ref.F, rec_ref.G],
         ),
         "energy": (
             ["t"] + [f"{key}_T{_t_label(T)}" for T in cfg.temperatures for key in _ENERGY],
@@ -394,8 +388,8 @@ def run(cfg: RunConfig) -> RunResult:
     }
     for i, T in enumerate(cfg.temperatures):
         lab = _t_label(T)
-        results_section[f"q_ref_final_T{lab}"] = float(record.Q_ref[i, -1])
-        results_section[f"q_eff_final_T{lab}"] = float(record.Q_eff[i, -1])
+        results_section[f"q_ref_final_T{lab}"] = float(rec_ref.Q[i, -1])
+        results_section[f"q_eff_final_T{lab}"] = float(rec_eff.Q[i, -1])
         # Q divides by E_ad, which is proportional to this weight; near its
         # zero (T*d0 ~ 0.955) Q is ill-conditioned
         results_section[f"kinetic_weight_T{lab}"] = states[i].kinetic_weight
@@ -407,11 +401,11 @@ def run(cfg: RunConfig) -> RunResult:
     summary = {
         "geometry": {
             "family": cfg.family,
-            "L0": cfg.L0,
+            "L0": pair.L0,
             "Lf": pair.Lf,
-            "R0": cfg.R0,
+            "R0": pair.R0,
             "Rf": pair.Rf,
-            "eps": cfg.eps,
+            **({} if cfg.family == "custom" else {"eps": cfg.eps}),  # custom has no eps
             "tau": pair.tau,
         },
         "numerics": {

@@ -70,6 +70,19 @@ def test_missing_config_is_an_error(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_config_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
+    """A config byte that is not UTF-8 text is a parse error, whatever the
+    locale: one error line and exit 1, no traceback."""
+    ini = tmp_path / "bad.ini"
+    ini.write_bytes(b"[geometry]\n# \xff\xfe\ntau = 1.2\n")
+    code = main(["run", str(ini)])
+    out = capsys.readouterr()
+    assert code == 1
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot parse {ini}: ")
+    assert "Traceback" not in out.err
+
+
 def test_unconverged_effective_build_is_an_error(tmp_path, capsys):
     """effective_step = tau leaves the interpolant off its midpoint solves
     after every refinement round: one error line, exit 1, also in strict."""

@@ -525,6 +525,21 @@ def test_custom_rows_run_as_given(tmp_path):
     assert artifacts[0] == artifacts[1]
 
 
+def test_custom_summary_reports_the_tables_geometry(tmp_path):
+    """A custom run's [geometry] takes L0, Lf, R0 and Rf from its tables and
+    writes no eps, which a custom pair does not read."""
+    tables = [_reference_path(x0, xf, 1.2).table() for x0, xf in ((-0.5, -0.3), (1.0, 0.7))]
+    left, right = ((tuple(knots), tuple(map(tuple, rows))) for knots, rows, *_ in tables)
+    fast = {**FAST, "window": None, "temperatures": (0.0,)}
+    cfg = RunConfig(family="custom", custom_left=left, custom_right=right, csv=(),
+                    out_dir=str(tmp_path), **fast)
+    assert run(cfg).exit_code == 0
+    text = (tmp_path / "summary.txt").read_text()
+    geometry = text.split("[geometry]\n")[1].split("\n\n")[0].splitlines()
+    assert "L0 = -0.5" in geometry and "R0 = 1" in geometry
+    assert not any(line.startswith("eps") for line in geometry)
+
+
 def custom_cfg(out_dir, **kw):
     """Motionless unit cavity given as explicit tables."""
     return RunConfig(
