@@ -44,6 +44,7 @@ import numpy as np
 from .errors import DensityError
 from .moore_adiabatic import _cumulative_simpson
 from .moore_exact import mirror_residuals
+from .trajectory import _sorted_unique
 
 __all__ = [
     "thermal_Z",
@@ -174,7 +175,7 @@ def _map_parts(jet, kinks, lo, hi, points, at):
     grid = np.concatenate([np.linspace(np.min(lo), np.max(hi), points + 1), kinks])
     k = np.searchsorted(starts, grid, side="right") - 1
     inside = (k >= 0) & (grid <= ends[np.maximum(k, 0)])
-    nodes = np.unique(np.concatenate([grid[inside], lo, hi]))
+    nodes = _sorted_unique(np.concatenate([grid[inside], lo, hi]))
     n = nodes.size
     part = np.searchsorted(starts, nodes, side="right")
     inner = part[1:] == part[:-1]  # the panels inside one part

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import jets
 from .errors import ConvergenceError, SuperluminalError
-from .trajectory import _horner_at
+from .trajectory import _horner_at, _sorted_unique
 
 __all__ = ["ExactMoore", "mirror_residuals"]
 
@@ -284,6 +284,6 @@ class ExactMoore:
             w_front = np.empty(0)
         else:
             raise ConvergenceError("kink fronts exceeded their bounce bound")
-        z_all = np.unique(np.concatenate(z_list))
-        w_all = np.unique(np.concatenate(w_list))
+        z_all = _sorted_unique(np.concatenate(z_list))
+        w_all = _sorted_unique(np.concatenate(w_list))
         return z_all[(z_all > lo) & (z_all < hi)], w_all[(w_all > lo) & (w_all < hi)]

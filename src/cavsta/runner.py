@@ -270,11 +270,20 @@ def _write_summary(path: str, sections: dict) -> None:
             f.write("\n")
 
 
+def _make_out_dir(cfg: RunConfig) -> None:
+    """Create the output directory before any work, so a path that cannot
+    be one fails at once and by name, not after the whole computation."""
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise CavstaError(f"cannot create output directory {cfg.out_dir}: {exc.strerror}") from exc
+
+
 def _write_artifacts(result: RunResult, tables: dict, summary_name: str, summary: dict) -> None:
     """Write each table, name: (header, columns), as name.csv in order, then
-    the summary, into the configured directory; list each on `result.files`."""
+    the summary, into the output directory that `_make_out_dir` made; list
+    each on `result.files`."""
     out_dir = result.config.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     for name, (header, columns) in tables.items():
         path = os.path.join(out_dir, f"{name}.csv")
         np.savetxt(path, np.column_stack(columns), fmt=_FMT, delimiter=",",
@@ -317,6 +326,7 @@ def _try_exact(pair, notes: list, label: str):
 
 
 def run(cfg: RunConfig) -> RunResult:
+    _make_out_dir(cfg)
     result = RunResult(config=cfg)
     pair, am, times, eff, (lim_l, lim_r) = _scenario(cfg)
     eff_pair = TrajectoryPair(*eff)
@@ -463,6 +473,7 @@ def sweep_tau(cfg: RunConfig) -> SweepResult:
     taus = cfg.tau_list
     if len(taus) < 3:
         raise CavstaError(f"sweep needs at least 3 tau values, got {len(taus)}")
+    _make_out_dir(cfg)
     result = SweepResult(config=cfg)
     rows = result.rows = [_sweep_one(replace(cfg, tau=t)) for t in taus]
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import BracketError, ConvergenceError, GeometryError
 from .moore_adiabatic import AdiabaticMoore, mirror_jets
-from .trajectory import _STEP, PiecewisePath, TrajectoryPair, make_reference
+from .trajectory import _STEP, PiecewisePath, TrajectoryPair, _horner, make_reference
 
 __all__ = [
     "build_effective",
@@ -418,7 +418,11 @@ def critical_tau(
     c scales as 1/tau, so tau_c is sup_t |c| at tau = 1 (module docstring):
     tau_c = |K| max_s delta'(s)/D(s), D = d0 + (df - d0) delta, s in [0, 1],
     with the maximum at s = 0, 1 or a real root of the degree-12 numerator
-    delta'' D - (df - d0) delta'^2 of its derivative.  K = Lf R0 - L0 Rf is
+    delta'' D - (df - d0) delta'^2 of its derivative.  Those roots are the
+    eigenvalues of the numerator's companion matrix, built unrotated as
+    `numpy.polynomial.polynomial.polycompanion` builds it from coefficients
+    trimmed as that package trims them, so they are bitwise its `polyroots`
+    without importing the package.  K = Lf R0 - L0 Rf is
     0, and so is tau_c, exactly when `continuity_check` holds.
     make_reference validates the geometry and supplies the default Lf.  The
     value is exact, so it meets any `tol` > 0.  Raises BracketError when
@@ -431,13 +435,26 @@ def critical_tau(
         raise ValueError(f"tol must be > 0, got {tol}")
     p = make_reference(family, L0=L0, Lf=Lf, R0=R0, eps=eps, tau=1.0)
     K = 0.0 if continuity_check(p.L0, p.Lf, p.R0, p.Rf) else p.Lf * p.R0 - p.L0 * p.Rf
-    delta = np.polynomial.Polynomial(np.r_[0.0, 0.0, 0.0, 0.0, _STEP])
-    d1, D = delta.deriv(), p.d0 + (p.df - p.d0) * delta
-    roots = (d1.deriv() * D - (p.df - p.d0) * d1**2).roots().real
+    # ascending coefficients of delta, delta', delta'', D and the numerator
+    delta = np.r_[0.0, 0.0, 0.0, 0.0, _STEP]
+    d1 = delta[1:] * np.arange(1, 8)
+    d2 = d1[1:] * np.arange(1, 7)
+    D = (p.df - p.d0) * delta
+    D[0] += p.d0
+    D = np.trim_zeros(D, "b")
+    num = -(p.df - p.d0) * np.convolve(d1, d1)
+    head = np.convolve(d2, D)
+    num[: head.size] += head
+    num = np.trim_zeros(num, "b")
+    n = num.size - 1
+    comp = np.zeros((n, n))
+    comp[np.arange(1, n), np.arange(n - 1)] = 1.0
+    comp[:, -1] -= num[:-1] / num[-1]
+    roots = np.linalg.eigvals(comp).real
     # real parts of complex roots are just more points, which cannot raise
     # the maximum; a real root with a roundoff imaginary part still counts
     s = np.concatenate(([0.0, 1.0], roots[(roots > 0.0) & (roots < 1.0)]))
-    tau_c = abs(K) * float(np.max(d1(s) / D(s)))
+    tau_c = abs(K) * float(np.max(_horner(d1, s) / _horner(D, s)))
     if tau_c <= tau_lo:
         raise BracketError("all candidate tau physical: no speed-of-light crossing")
     if tau_c >= tau_hi:

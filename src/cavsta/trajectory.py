@@ -43,6 +43,16 @@ def _horner(c: np.ndarray, u):
     return val
 
 
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """The distinct values of a NaN-free 1-D array, ascending: `np.unique`'s
+    own sort path, without the `numpy.ma` import that `np.unique` makes."""
+    x = np.sort(x)
+    keep = np.empty(x.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 def _check_order(order: int) -> None:
     if order not in range(_MAX_ORDER + 1):
         raise ValueError(f"order must be in 0..3, got {order}")
@@ -99,12 +109,13 @@ def piecewise_extremes(breaks: np.ndarray, rows: np.ndarray):
     size = np.abs(d) * spans[sel, None] ** np.arange(w - 1)
     keep = size > 1e-14 * np.max(size, axis=1, keepdims=True, initial=0.0)
     deg = np.max(np.where(keep, np.arange(w - 1), 0), axis=1, initial=0)
-    for k in np.unique(deg[deg > 0]):
+    for k in _sorted_unique(deg[deg > 0]):
         of_k = np.flatnonzero(deg == k)
         comp = np.zeros((of_k.size, k, k))
         comp[:, np.arange(1, k), np.arange(k - 1)] = 1.0
         comp[:, :, -1] = -d[of_k, :k] / d[of_k, k : k + 1]
-        # the rotated companion matrix, as in numpy's polyroots, is more accurate
+        # the companion matrix rotated by 180 degrees, this code's own
+        # choice (numpy's polyroots leaves it unrotated)
         roots = np.linalg.eigvals(comp[:, ::-1, ::-1]).ravel()
         seg = np.repeat(sel[of_k], k)
         u, span = roots.real, spans[seg]
@@ -273,7 +284,7 @@ def _merged_gap_coeffs(left, right):
     running derivative giving each order in turn.
     """
     tables = (left, right)
-    a = np.union1d(left[0], right[0])
+    a = _sorted_unique(np.concatenate((left[0], right[0])))
     width = max(tab[1].shape[1] for tab in tables)
     rows = np.zeros((len(a) - 1, width))
     for sgn, (tb, tr, before, after) in zip((-1.0, 1.0), tables):

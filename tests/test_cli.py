@@ -233,3 +233,57 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_run_and_sweep_load_no_masked_or_polynomial_numpy(tmp_path):
+    """A run and a critical sweep compute with numpy's core only: neither
+    `numpy.ma` (which `np.unique` imports on first use) nor
+    `numpy.polynomial` is loaded.  Whole package names are matched, since
+    `numpy.matrixlib`, loaded by `import numpy`, starts with "numpy.ma"."""
+    src = os.path.dirname(os.path.dirname(cavsta.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    banned = ("numpy.ma", "numpy.polynomial")
+    listing = (
+        "import sys; print(sorted(m for m in sys.modules "
+        f"if any(m == b or m.startswith(b + '.') for b in {banned!r})))"
+    )
+    bare = subprocess.run(
+        [sys.executable, "-c", "import numpy; " + listing],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    if bare.stdout.strip() != "[]":
+        pytest.skip(f"import numpy alone loads {bare.stdout.strip()}")
+    cfg = write_config(
+        tmp_path, tmp_path / "out",
+        extra="[sweep]\ntau_list = 2.0 4.0 8.0\ncritical = yes\n",
+    )
+    probe = (
+        "from cavsta import runner; "
+        f"cfg = runner.load_config({cfg!r}); "
+        "runner.run(cfg); runner.sweep_tau(cfg); " + listing
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_output_path_that_is_a_file_fails_before_any_work(tmp_path, capsys, monkeypatch, command):
+    """An output directory that cannot be made (here an existing file) is
+    one error line naming it and exit 1, before any scenario is built, not
+    a traceback after the whole computation."""
+    cfg = write_config(tmp_path, tmp_path / "out", extra="[sweep]\ntau_list = 2.0 4.0 8.0\n")
+    target = tmp_path / "taken"
+    target.write_text("")
+
+    def refuse(*args, **kw):
+        raise AssertionError("a scenario was built")
+
+    monkeypatch.setattr(runner, "_scenario", refuse)
+    code = main([command, cfg, "--out", str(target)])
+    out = capsys.readouterr()
+    assert code == 1
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(target) in lines[0]
+    assert "Traceback" not in out.out + out.err

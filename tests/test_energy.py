@@ -294,6 +294,29 @@ def test_reference_energy_is_invariant_under_reflection(case):
     assert np.array_equal(got.Q, want.Q)
 
 
+@pytest.mark.parametrize("case", _FRAME_CASES)
+def test_effective_curves_are_mirror_images(case):
+    """The image pair's effective curves are the mirror images of the
+    pair's: its left curve is -(right curve) and its right curve -(left
+    curve), on bitwise the same knots, to 1e-12 in position on the default
+    window and in max speed, with the same realizability."""
+    family, Lf, eps, tau = _FRAME_CASES[case]
+    pair = make_reference(family, Lf=Lf, eps=eps, tau=tau)
+    image = TrajectoryPair(_negated(pair.right), _negated(pair.left))
+    window = default_window(pair)
+    left, right, image_left, image_right = (
+        build_effective(AdiabaticMoore.build(p), side, *window)
+        for p in (pair, image)
+        for side in ("left", "right")
+    )
+    t = np.linspace(*window, 4001)
+    for got, want in ((image_left, right), (image_right, left)):
+        assert got.times.tobytes() == want.times.tobytes()
+        assert np.max(np.abs(got(t) + want(t))) <= 1e-12
+        assert abs(got.max_speed_sampled - want.max_speed_sampled) <= 1e-12
+        assert got.realizable == want.realizable
+
+
 @pytest.mark.parametrize("family", ["contraction", "rigid"])
 @pytest.mark.parametrize("shift", [-2.0, -0.5, 3.0])
 def test_reference_energy_is_invariant_under_translation(family, shift):

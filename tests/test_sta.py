@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -23,6 +23,7 @@ from cavsta.sta import (
     limit_trajectory,
 )
 from cavsta.trajectory import (
+    _STEP,
     MirrorPath,
     TrajectoryPair,
     _merged_gap_coeffs,
@@ -384,6 +385,51 @@ def test_critical_tau_rejects_tolerance_not_positive(tol, monkeypatch):
     monkeypatch.setattr(sta, "make_reference", None)
     with pytest.raises(ValueError, match="tol"):
         critical_tau(*next(iter(_TAU_C)), 0.2, 1.2, tol=tol)
+
+
+def _polynomial_tau_c(family, L0, Lf, R0, eps):
+    """critical_tau's closed form through `numpy.polynomial`'s Polynomial
+    class: its derivative, products and `roots` instead of plain
+    coefficient arrays and a hand-built companion matrix."""
+    p = make_reference(family, L0=L0, Lf=Lf, R0=R0, eps=eps, tau=1.0)
+    K = 0.0 if continuity_check(p.L0, p.Lf, p.R0, p.Rf) else p.Lf * p.R0 - p.L0 * p.Rf
+    delta = np.polynomial.Polynomial(np.r_[0.0, 0.0, 0.0, 0.0, _STEP])
+    d1, D = delta.deriv(), p.d0 + (p.df - p.d0) * delta
+    roots = (d1.deriv() * D - (p.df - p.d0) * d1**2).roots().real
+    s = np.concatenate(([0.0, 1.0], roots[(roots > 0.0) & (roots < 1.0)]))
+    return abs(K) * float(np.max(d1(s) / D(s)))
+
+
+@st.composite
+def tau_scaled_geometries(draw):
+    """(family, L0, Lf, R0, eps) of a valid contraction, expansion or rigid
+    shift; contractions keep Lf in [L0, Rf), so the cavity never grows."""
+    family = draw(st.sampled_from(["contraction", "expansion", "rigid"]))
+    R0 = draw(st.floats(0.2, 5.0))
+    if family == "rigid":
+        eps = -draw(st.floats(0.01, 2.0))
+        return family, 0.0, -eps * R0, R0, eps
+    L0 = draw(st.floats(-3.0, R0 - 0.05))
+    if family == "expansion":
+        eps = -draw(st.floats(0.01, 2.0))
+        return family, L0, eps * R0, R0, eps
+    eps = draw(st.floats(0.0, 0.9))
+    Rf = R0 * (1.0 - eps)
+    assume(Rf - L0 > 0.02)
+    return family, L0, draw(st.floats(L0, Rf - 0.01)), R0, eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(tau_scaled_geometries())
+def test_critical_tau_matches_numpy_polynomial(geometry):
+    """The companion-matrix roots give numpy.polynomial's tau_c to 1e-14
+    relative on every family; K = 0 gives none in either route."""
+    want = _polynomial_tau_c(*geometry)
+    if want == 0.0:
+        with pytest.raises(BracketError, match="all candidate tau physical"):
+            critical_tau(*geometry, 1e-300, 1e300)
+    else:
+        assert abs(critical_tau(*geometry, 1e-300, 1e300) - want) <= 1e-14 * want
 
 
 # -- early-stopped builds ------------------------------------------------------

@@ -24,6 +24,7 @@ from cavsta.trajectory import (
     TrajectoryPair,
     _horner,
     _merged_gap_coeffs,
+    _sorted_unique,
     make_reference,
     piecewise_extremes,
 )
@@ -436,3 +437,17 @@ def test_advance_columns_evaluate_as_rows(contraction12):
     nodes = am._nodes
     z = np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])])
     assert _bitwise(am.advance(z), _row_form(nodes, am._cols.T, 0, z))
+
+
+_repeated = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_repeated, max_size=40), st.lists(st.integers(-4, 4), max_size=40))
+def test_sorted_unique_is_numpys_unique(floats, ints):
+    """`_sorted_unique` gives `np.unique` bit for bit, the sign of each kept
+    zero included, on floats with repeats and on integers, empty or not."""
+    for x in (np.array(floats, dtype=float), np.array(ints, dtype=np.int64)):
+        got, want = _sorted_unique(x), np.unique(x)
+        assert got.dtype == want.dtype and _bitwise(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
