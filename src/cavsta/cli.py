@@ -58,6 +58,11 @@ def main(argv=None) -> int:
     except CavstaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # a grid too fine for this machine, such as a tiny time_step;
+        # numpy's message names the array it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     for msg in result.hard_failures:
         print(f"FAIL: {msg}", file=sys.stderr)
     for msg in result.strict_failures:

@@ -80,9 +80,165 @@ def _locate(breaks: np.ndarray, t):
     return idx, tc - breaks[idx]
 
 
+def _start(a, b, q, flat_a, flat_b):
+    """A first guess at the root in [a, b] of a monotone f with
+    f(a) / (f(a) - f(b)) = q.  Near an end where f is flat (f' = 0, an
+    extremum) f is quadratic, so from a flat end the guess is the root of
+    the quadratic through both end values that is flat there: in
+    t = (u - a) / (b - a), sqrt(q) from a and 1 - sqrt(1 - q) from b, their
+    mean when both ends are flat, and regula falsi (t = q) when neither is."""
+    ta, tb = np.sqrt(q), 1.0 - np.sqrt(1.0 - q)
+    t = np.where(flat_a, np.where(flat_b, 0.5 * (ta + tb), ta), np.where(flat_b, tb, q))
+    return a + (b - a) * t
+
+
+# A level's values of size at most _NOISE of its row's scale
+# sum_j |c_j| span^j are rounding noise, with no sign.  A Newton root is
+# done once its step is at most _STEP_TOL of its span: convergence is
+# quadratic there, so the accepted step leaves a rounding-sized error.
+_NOISE = 1e-14
+_STEP_TOL = 1e-8
+_FREE_STEPS = 5
+_SAFE_STEPS = 100
+
+
+def _newton(cd, x, a, b, up, tol):
+    """The root in each bracket [a, b] of the polynomial with ascending
+    coefficient rows cd[0] (one row per bracket) and slope rows cd[1],
+    each monotone on its bracket and rising there where `up`,
+    from the guesses x.  Every root takes _FREE_STEPS plain Newton steps;
+    one whose last step is above tol, or that ends outside its bracket, is
+    redone from its guess by `_safe_newton`.  So no root depends on the
+    others in the batch."""
+    out = x
+    for _ in range(_FREE_STEPS):
+        f, df = _horner(cd, out)
+        step = f / df
+        out = out - step
+    redo = np.flatnonzero(~((np.abs(step) <= tol) & (out >= a) & (out <= b)))
+    if redo.size:
+        out[redo] = _safe_newton(cd[:, redo], x[redo], a[redo], b[redo], up[redo], tol[redo])
+    return out
+
+
+def _safe_newton(cd, x, a, b, up, tol):
+    """`_newton`'s fallback: Newton steps, with bisection whenever a step
+    leaves the bracket, which shrinks to each point evaluated.  Each root
+    stops on its own."""
+    out = np.empty_like(x)
+    todo = np.arange(x.size)
+    for _ in range(_SAFE_STEPS):
+        f, df = _horner(cd, x)
+        step = f / df
+        # the bracket end on f's side of zero moves to x
+        low = (f < 0.0) == up
+        np.copyto(a, x, where=low)
+        np.copyto(b, x, where=~low)
+        x = x - step
+        done = np.abs(step) <= tol
+        np.copyto(x, 0.5 * (a + b), where=~(done | (x > a) & (x < b)))
+        if np.count_nonzero(done):
+            out[todo[done]] = np.minimum(np.maximum(x[done], a[done]), b[done])
+            keep = ~done
+            if not np.count_nonzero(keep):
+                return out
+            todo, x, a, b, up, tol = todo[keep], x[keep], a[keep], b[keep], up[keep], tol[keep]
+            cd = cd[:, keep]
+    out[todo] = x
+    return out
+
+
+def _roots_of_degree(rows, spans):
+    """`_real_roots` of rows all of degree d = width - 1 >= 1."""
+    n, d = rows.shape[0], rows.shape[1] - 1
+    # chain[k]: the rows of the k-th derivative, zero-padded, for k down to
+    # the quadratic level (a linear row counts as a quadratic with c2 = 0);
+    # a level's values of size at most noise[k] have no sign
+    chain = np.zeros((max(d - 1, 1), n, max(d + 1, 3)))
+    chain[0, :, : d + 1] = rows
+    for k in range(1, d - 1):
+        chain[k, :, : d + 1 - k] = chain[k - 1, :, 1 : d + 2 - k] * np.arange(1.0, d + 2 - k)
+    noise = _NOISE * _horner(np.abs(chain), spans)
+    # the quadratic level in closed form: its roots q / c2 and c0 / q, with
+    # q free of cancellation.  They change its sign unless its extreme value
+    # -disc / (4 c2) is noise.
+    c0, c1, c2 = chain[-1, :, 0], chain[-1, :, 1], chain[-1, :, 2]
+    disc = c1 * c1 - 4.0 * c0 * c2
+    root = np.sqrt(disc)
+    q = -0.5 * (c1 + np.where(c1 < 0.0, -root, root))
+    r = np.sort(np.stack((q / c2, c0 / q), 1), axis=1)
+    change = (r > 0.0) & (r < spans[:, None])
+    change &= (np.abs(disc) > 4.0 * np.abs(c2) * noise[-1])[:, None]
+    if d <= 2:
+        return np.nonzero(change)[0], r[change]
+    tol = _STEP_TOL * spans
+    at = np.stack((np.zeros(n), spans), 1)
+    v = np.where(change, r, 0.0)
+    for k in range(d - 3, -1, -1):
+        # each row's points: 0, the last level's roots, span; a bracket
+        # without a root leaves a 0 in its place, sorted to the front
+        at = np.concatenate((at[:, :1], np.sort(v, axis=1), at[:, -1:]), axis=1)
+        m = d - k
+        f = _horner(chain[k, :, None, : m + 1], at)
+        neg, signed = f < 0.0, np.abs(f) > noise[k, :, None]
+        i = np.flatnonzero((neg[:, :-1] != neg[:, 1:]) & signed[:, :-1] & signed[:, 1:])
+        row = i // m
+        # each bracket's left point, flat in `at`
+        p = i + row
+        a, b, fa, fb = at.take(p), at.take(p + 1), f.take(p), f.take(p + 1)
+        u = a
+        if i.size:
+            x = _start(a, b, fa / (fa - fb), a > 0.0, b < spans.take(row))
+            # value and slope rows of each bracket's row
+            cd = chain[k : k + 2, :, : m + 1].take(row, axis=1)
+            u = _newton(cd, x, a, b, fa < 0.0, tol.take(row))
+        v = np.zeros((n, m))
+        v.put(i, u)
+    return row, u
+
+
+def _real_roots(rows: np.ndarray, spans: np.ndarray):
+    """(row, u) of every sign change of each row's polynomial (ascending
+    coefficients) in the open interval (0, span), each row's in increasing
+    order.
+
+    A row's factor u^j (its j leading zero coefficients) changes no sign
+    there and is divided out, and rows of one degree are worked together.
+    Each works up its derivative chain from the quadratic level, solved in
+    closed form.  Between consecutive sign changes of its derivative a
+    level is monotone, so each bracket [0, r_1, ..., r_m, span] they cut
+    whose ends differ in sign holds exactly one sign change of the level,
+    which `_newton` finds from `_start`.  A value within rounding noise of
+    zero has no sign, so a root of even multiplicity, which changes no
+    sign, is not returned.  No polynomial is divided by its leading
+    coefficient, and each row's roots depend on that row only.
+    """
+    n, w = rows.shape
+    if not rows.size:
+        return np.zeros(0, dtype=np.intp), np.zeros(0)
+    # each row's first and last nonzero coefficient, by two max reductions
+    # (a zero row gets degree 1 - w, and is skipped)
+    nonzero, j = rows != 0.0, np.arange(w)
+    low = w - 1 - np.max(np.where(nonzero, w - 1 - j, 0), axis=1)
+    deg = np.max(np.where(nonzero, j, 0), axis=1) - low
+    if np.count_nonzero(low):
+        padded = np.zeros((n, 2 * w))
+        padded[:, :w] = rows
+        rows = padded[np.arange(n)[:, None], low[:, None] + np.arange(w)]
+    found = [(low[:0], np.zeros(0))]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if deg.min() == deg.max() > 0:
+            return _roots_of_degree(rows[:, : deg[0] + 1], spans)
+        for d in _sorted_unique(deg[deg > 0]):
+            g = np.flatnonzero(deg == d)
+            row, u = _roots_of_degree(rows[g, : d + 1], spans[g])
+            found.append((g[row], u))
+    return tuple(np.concatenate(parts) for parts in zip(*found))
+
+
 def piecewise_extremes(breaks: np.ndarray, rows: np.ndarray):
     """Candidate extremal points (t, value) of a piecewise polynomial on
-    [breaks[0], breaks[-1]]: both ends of every segment and the real roots
+    [breaks[0], breaks[-1]]: both ends of every segment and the sign changes
     of the derivative inside each segment that could hold a value beyond
     the range [lo, hi] of all segment-end values, so min/max of the values
     are the exact extremes, each attained at its argument.
@@ -90,41 +246,25 @@ def piecewise_extremes(breaks: np.ndarray, rows: np.ndarray):
     On a segment of span h, |p(u) - p(0)| <= reach = sum_{j>=1} |c_j| h^j.
     A segment with p(0) - reach >= lo and p(0) + reach <= hi, padded by
     1e-13 of |p(0)| + reach for Horner rounding, holds no evaluated value
-    beyond [lo, hi], so its roots are not solved.
-
-    Derivative terms whose size over their segment stays below 1e-14 of the
-    row's largest are dropped, so a vanishing leading coefficient lowers the
-    degree instead of blowing up the companion matrix.  Rows of equal degree
-    share one batched eigenvalue call.
+    beyond [lo, hi], so its roots are not solved.  The derivative rows of
+    the others go to `_real_roots` in one batch.  It isolates each sign
+    change of the derivative by that row's own derivative chain and polishes
+    it by Newton steps, so it evaluates polynomials only: no eigenvalue
+    solve, and no division by a leading coefficient that may vanish.  A
+    root of even multiplicity of the derivative is not an extremum and is
+    not a candidate.
     """
     spans = np.diff(breaks)
     p0, p1 = rows[:, 0], _horner(rows, spans)
-    ts, vals = [breaks[:-1], breaks[1:]], [p0, p1]
     lo, hi = min(p0.min(), p1.min()), max(p0.max(), p1.max())
     w = rows.shape[1]
     reach = np.sum(np.abs(rows[:, 1:]) * spans[:, None] ** np.arange(1, w), axis=1)
     pad = 1e-13 * (np.abs(p0) + reach)
     sel = np.flatnonzero((p0 - reach - pad < lo) | (p0 + reach + pad > hi))
-    d = rows[sel, 1:] * np.arange(1, w)
-    size = np.abs(d) * spans[sel, None] ** np.arange(w - 1)
-    keep = size > 1e-14 * np.max(size, axis=1, keepdims=True, initial=0.0)
-    deg = np.max(np.where(keep, np.arange(w - 1), 0), axis=1, initial=0)
-    for k in _sorted_unique(deg[deg > 0]):
-        of_k = np.flatnonzero(deg == k)
-        comp = np.zeros((of_k.size, k, k))
-        comp[:, np.arange(1, k), np.arange(k - 1)] = 1.0
-        comp[:, :, -1] = -d[of_k, :k] / d[of_k, k : k + 1]
-        # the companion matrix rotated by 180 degrees, this code's own
-        # choice (numpy's polyroots leaves it unrotated)
-        roots = np.linalg.eigvals(comp[:, ::-1, ::-1]).ravel()
-        seg = np.repeat(sel[of_k], k)
-        u, span = roots.real, spans[seg]
-        # a real double root may come back as a pair with a tiny imaginary
-        # part; its real part is still a point of the segment
-        real = (np.abs(roots.imag) <= 1e-7 * span) & (u > 0.0) & (u < span)
-        ts.append(breaks[seg[real]] + u[real])
-        vals.append(_horner(rows[seg[real]], u[real]))
-    return np.concatenate(ts), np.concatenate(vals)
+    row, u = _real_roots(rows[sel, 1:] * np.arange(1, w), spans[sel])
+    seg = sel[row]
+    ts = np.concatenate((breaks[:-1], breaks[1:], breaks[seg] + u))
+    return ts, np.concatenate((p0, p1, _horner(rows[seg], u)))
 
 
 class PiecewisePath:
@@ -195,7 +335,9 @@ class PiecewisePath:
         return self._knots, self._cols[0].T, *self.edges
 
     def max_speed(self) -> float:
-        """Exact sup of |velocity|, found at polynomial critical points."""
+        """Exact sup of |velocity|: the largest |v| at the knots and at the
+        sign changes of the acceleration, from `piecewise_extremes` when
+        the path is built."""
         return self._max_speed
 
 

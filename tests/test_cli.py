@@ -83,6 +83,23 @@ def test_config_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
     assert "Traceback" not in out.err
 
 
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    """A grid too large to allocate (time_step = 1e-9 on this geometry asks
+    for 34.3 GiB) is one error line and exit 1, not a traceback.  The
+    allocation is stood in for: no large array is made here."""
+    message = "Unable to allocate 34.3 GiB for an array with shape (4600000001,)"
+
+    def too_large(*args, **kw):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(runner, "_time_grid", too_large)
+    code = main(["run", write_config(tmp_path, tmp_path / "out")])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.err.splitlines() == [f"error: out of memory: {message}"]
+    assert "Traceback" not in out.out + out.err
+
+
 def test_unconverged_effective_build_is_an_error(tmp_path, capsys):
     """effective_step = tau leaves the interpolant off its midpoint solves
     after every refinement round: one error line, exit 1, also in strict."""

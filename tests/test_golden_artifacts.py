@@ -14,8 +14,10 @@ import hashlib
 import os
 import tempfile
 
+import numpy as np
 import pytest
 
+from cavsta import sta
 from cavsta.cli import main
 
 # the minimal config of the README
@@ -104,7 +106,7 @@ GOLDEN = {
         "trajectories.csv": "85c33a1213a6670d8283f5a81f033db3d10d817802040ad90d43a68f417cf77e",
     },
     "sweep_critical": {
-        "sweep.csv": "19fffac0befd810bd6f4452a62b438399ffba17a322a708ee1acd9c424fa8892",
+        "sweep.csv": "74846a4a7577cdc96e50428d5dbbf3033e8794fd61835a134bba08f11dc9a815",
         "sweep_summary.txt": "9e6066251282b1207977a17c9e91cdcd857d1caa27df9476eda0055300bbebe4",
     },
 }
@@ -130,6 +132,23 @@ def artifact_digests(command: str, ini: str, work: str) -> dict:
 def test_artifacts_are_byte_identical(case, tmp_path, capsys):
     command, ini = CASES[case]
     assert artifact_digests(command, ini, str(tmp_path)) == GOLDEN[case]
+
+
+def test_run_calls_no_linalg(tmp_path, capsys, monkeypatch):
+    """A run calls no LAPACK routine: with every public `numpy.linalg`
+    function made to raise, the README run still exits 0 and writes its
+    golden bytes.  A sweep still reaches LAPACK, in `sta.critical_tau` and
+    `np.polyfit`, so it is not covered."""
+
+    def refuse(*args, **kw):
+        raise AssertionError("numpy.linalg called")
+
+    for name in np.linalg.__all__:
+        if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    with pytest.raises(AssertionError, match="numpy.linalg called"):
+        sta.critical_tau("contraction", 0.0, 0.3, 1.0, 0.3, 0.2, 1.2)
+    assert artifact_digests("run", README_RUN, str(tmp_path)) == GOLDEN["readme_run"]
 
 
 def test_artifacts_do_not_depend_on_the_output_path(tmp_path, capsys):

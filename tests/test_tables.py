@@ -2,8 +2,10 @@
 evaluator and extremum finder, the C^3 validation `MirrorPath` adds on top
 of the shared path core, the two interpolants built on it, the truncated
 jets, which must be bit-for-bit prefixes of the full ones, the extremum
-finder's pruning, which must keep the exact extremes, and the column-form
-evaluation, which must be bit for bit the padded-row arithmetic."""
+finder's pruning, which must keep the exact extremes, its root kernel,
+which must find known roots, survive degenerate rows and give each row the
+same bits alone as in a batch, and the column-form evaluation, which must
+be bit for bit the padded-row arithmetic."""
 
 from math import factorial, perm
 
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 from numpy.testing import assert_allclose
 
-from cavsta import jets
+from cavsta import jets, trajectory
 from cavsta.errors import ContinuityError
 from cavsta.moore_adiabatic import AdiabaticMoore
 from cavsta.sta import _quintic_rows
@@ -24,6 +26,7 @@ from cavsta.trajectory import (
     TrajectoryPair,
     _horner,
     _merged_gap_coeffs,
+    _real_roots,
     _sorted_unique,
     make_reference,
     piecewise_extremes,
@@ -291,17 +294,106 @@ def test_pruned_extremes_exact_on_effective_tables(contraction12):
 
 def test_extremes_solve_roots_only_where_an_extreme_can_lie(contraction12, monkeypatch):
     """Most segments of a fine effective table lie inside the range of the
-    segment-end values, so their companion matrices are never built."""
-    solve, solved = np.linalg.eigvals, []
+    segment-end values, so their rows never reach the root kernel."""
+    solve, solved = trajectory._real_roots, []
 
-    def counting(a):
-        solved.append(a.shape[0])
-        return solve(a)
+    def counting(rows, spans):
+        solved.append(len(rows))
+        return solve(rows, spans)
 
-    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    monkeypatch.setattr(trajectory, "_real_roots", counting)
     breaks, rows = _velocity_table(contraction12.eff_pair.right)
     piecewise_extremes(breaks, rows)
     assert 0 < sum(solved) <= len(rows) // 4
+
+
+# -- the root kernel -----------------------------------------------------------
+
+
+@st.composite
+def rows_with_known_roots(draw):
+    """(row, span, roots): up to three simple roots in (0, span), at least
+    0.15 span apart and from 0, times up to two factors with no real root
+    in [0, span] (a quadratic (u - al)^2 + be^2, or a linear factor whose
+    root lies outside), so the row has degree at most 7."""
+    span = draw(st.floats(0.1, 3.0))
+    roots = span * np.cumsum(draw(st.lists(st.floats(0.15, 0.3), max_size=3)))
+    row = np.array([draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 5.0))])
+    for r in roots:
+        row = np.convolve(row, [-r, 1.0])
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            al, be = span * draw(st.floats(0.0, 1.0)), span * draw(st.floats(0.3, 1.0))
+            row = np.convolve(row, [al * al + be * be, -2.0 * al, 1.0])
+        else:
+            far = span * draw(st.floats(0.2, 2.0))
+            row = np.convolve(row, [-(span + far) if draw(st.booleans()) else far, 1.0])
+    return row, span, roots
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_with_known_roots())
+def test_real_roots_recover_known_roots(case):
+    row, span, roots = case
+    which, u = _real_roots(row[None, :], np.array([span]))
+    assert np.array_equal(which, np.zeros(len(roots)))
+    assert_allclose(u, roots, rtol=0.0, atol=1e-12 * span)
+
+
+def _padded(coeffs, width=8):
+    row = np.zeros(width)
+    row[: len(coeffs)] = coeffs
+    return row
+
+
+@pytest.mark.parametrize(
+    "row, roots",
+    [
+        (np.zeros(8), []),
+        (_padded([2.5]), []),
+        *[(_padded([0.0] * k + [-1.5]), []) for k in range(1, 8)],
+        # (u - 1/2)^2 (u - 1/4): the double root changes no sign
+        (_padded(np.convolve([0.25, -1.0, 1.0], [-0.25, 1.0])), [0.25]),
+        # (u - 0.3)(u - 0.7) + 1e-300 u^7
+        (_padded([0.21, -1.0, 1.0] + [0.0] * 4 + [1e-300]), [0.3, 0.7]),
+    ],
+)
+def test_real_roots_of_degenerate_rows(row, roots):
+    """A zero row, a constant, a pure power c u^k (its root at 0 is not
+    inside), a double root and a leading coefficient of 1e-300: the sign
+    changes inside (0, 1), without a warning (pytest makes one an error)."""
+    which, u = _real_roots(row[None, :], np.array([1.0]))
+    assert np.array_equal(which, np.zeros(len(roots)))
+    assert_allclose(u, roots, rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def root_batches(draw):
+    """(rows, spans): uniform random rows of one width (a seeded draw, so
+    most rows have several levels of Newton roots), some with zero leading
+    or trailing coefficients, so degrees and factors u^j mix."""
+    n, w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.uniform(-5.0, 5.0, (n, w))
+    for row in rows:
+        if draw(st.booleans()):
+            row[: draw(st.integers(0, w - 1))] = 0.0
+        if draw(st.booleans()):
+            row[draw(st.integers(1, w)) :] = 0.0
+    return rows, rng.uniform(0.1, 3.0, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(root_batches())
+def test_real_roots_do_not_depend_on_the_batch(batch):
+    """A row's roots are bit for bit the same alone as in a batch: each
+    Newton root stops on its own, so the extremes of a table do not depend
+    on which of its segments are solved together."""
+    rows, spans = batch
+    which, u = _real_roots(rows, spans)
+    for i in range(len(rows)):
+        _, alone = _real_roots(rows[i : i + 1], spans[i : i + 1])
+        assert _bitwise(u[which == i], alone)
 
 
 # -- the merged gap table is R - L -------------------------------------------
