@@ -5,7 +5,7 @@
 
 Exit codes: 0 success, 1 a hard numerical check failed or the run raised,
 2 strict-only violations (superluminal effective trajectory, skipped exact
-solve) with --strict set.
+solve, a temperature whose kinetic weight is near zero) with --strict set.
 """
 
 from __future__ import annotations

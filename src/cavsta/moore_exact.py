@@ -114,9 +114,7 @@ class ExactMoore:
             u = hi * (z - img[k]) / (img[k + 1] - img[k])
             done = np.zeros(z.shape, dtype=bool)
             tol_f, tol_u = 4e-15 * scale[inner], 1e-15 * scale[inner]
-            # not shared with sta._solve: an exact run calls this hundreds
-            # of times, where the per-round index bookkeeping of one shared
-            # kernel measured slower than keeping every point on masks
+            # not trajectory._newton: see its docstring
             for _ in range(90):
                 f = (b + u) + sign * _horner_at(pos, k, u) - z
                 done = done | (np.abs(f) <= tol_f)

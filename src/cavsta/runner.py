@@ -42,6 +42,9 @@ _NO_RESCALE = "sweep and critical search rescale tau; custom tables cannot"
 # hard in-run checks (always enforced); strict mode adds realizability
 _EXACT_RESIDUAL_MAX = 1e-6
 _EFFECTIVE_RESIDUAL_MAX = 1e-9
+# below this |kinetic weight| (1e-6 of its T = 0 size pi/24), the energy
+# quadrature's ~1e-9 error, divided by E_ad, moves Q by more than 1e-3
+_KINETIC_WEIGHT_MIN = 1e-6 * np.pi / 24.0
 
 
 @dataclass(frozen=True)
@@ -402,7 +405,12 @@ def run(cfg: RunConfig) -> RunResult:
         results_section[f"q_eff_final_T{lab}"] = float(rec_eff.Q[i, -1])
         # Q divides by E_ad, which is proportional to this weight; near its
         # zero (T*d0 ~ 0.955) Q is ill-conditioned
-        results_section[f"kinetic_weight_T{lab}"] = states[i].kinetic_weight
+        weight = results_section[f"kinetic_weight_T{lab}"] = states[i].kinetic_weight
+        if abs(weight) < _KINETIC_WEIGHT_MIN:
+            result.strict_failures.append(
+                f"kinetic weight {weight:.3g} at T={T:g} is near zero: "
+                "Q = E/E_ad is ill-conditioned"
+            )
     for j, note in enumerate(notes):
         results_section[f"note_{j}"] = note
     if cfg.critical:

@@ -8,7 +8,8 @@ in finite time.  The defining conditions are
     G_ad(t + L_eff(t)) - F_ad(t - L_eff(t)) = 0,
     G_ad(t + R_eff(t)) - F_ad(t - R_eff(t)) = 2,
 
-solved per time sample by bracketed root-finding with branch continuation.
+solved per time sample by bracketed Newton steps, in the loop
+`trajectory._newton` that also polishes every polynomial root.
 For instantaneous reference motion the solution has the closed "limit"
 form: constants joined by a uniform-velocity segment of slope
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import BracketError, ConvergenceError, GeometryError
 from .moore_adiabatic import AdiabaticMoore, mirror_jets
-from .trajectory import _STEP, PiecewisePath, TrajectoryPair, _horner, make_reference
+from .trajectory import _STEP, PiecewisePath, TrajectoryPair, _newton, _real_roots, make_reference
 
 __all__ = [
     "build_effective",
@@ -82,9 +83,11 @@ def _solve(am, side, t, guesses):
     doubles each round, to 2^24 times its start: a reach of
     0.05 d0 * 2^24 = 8.4e5 d0 from the guess, far beyond any guess a caller
     makes (reference positions, interpolated effective positions).  Raises
-    BracketError for a sample that never straddles one.  A bracketed
-    Newton iteration with bisection fallback, started at the bracket
-    midpoint, then polishes all samples together.
+    BracketError for a sample that never straddles one.  Then
+    `trajectory._newton` polishes every sample from its bracket midpoint,
+    with slope G' + F'; a sample stops once its step is at most
+    1e-15 max(1, |x|), or once |h| is within 2e-14 max(1, |G|, |F|), the
+    rounding of the maps, which counts as h = 0.
     """
     target = _TARGET[side]
     t = np.asarray(t, dtype=float)
@@ -112,31 +115,20 @@ def _solve(am, side, t, guesses):
         hi[i] += half
 
     x = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, 0.5 * (lo + hi)))
-    active = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
-    # not shared with ExactMoore._invert: this loop drops settled samples
-    # every round (on masks, the sweep_critical seed-0 sweep would evaluate
-    # 103,071 points instead of 45,980), and it rejects a step that lands
-    # on a bracket end, without which a fast rigid build jumps to another
-    # root of its folded branch
-    for _ in range(80):
-        if active.size == 0:
-            break
-        ti, xi, loi, hii = t[active], x[active], lo[active], hi[active]
-        (g, g1), (fv, f1) = mirror_jets(am, ti, xi, 1)
-        f = g - fv - target
-        scale = np.maximum(1.0, np.maximum(np.abs(g), np.abs(fv)))
-        conv = np.abs(f) <= 2e-14 * scale
-        loi = np.where(f < 0.0, xi, loi)
-        hii = np.where(f > 0.0, xi, hii)
-        m = g1 + f1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xn = xi - f / m
-        bad = ~np.isfinite(xn) | (xn <= loi) | (xn >= hii)
-        xn = np.where(bad, 0.5 * (loi + hii), xn)
-        small = np.abs(xn - xi) <= 1e-15 * np.maximum(1.0, np.abs(xi))
-        x[active] = np.where(conv, xi, xn)
-        lo[active], hi[active] = loi, hii
-        active = active[~(conv | small)]
+    i = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
+    ti = t[i]
+
+    def h(j, xj):
+        # a value within rounding of the maps' size counts as the root
+        (g, g1), (f, f1) = mirror_jets(am, ti[j], xj, 1)
+        v = g - f - target
+        v[np.abs(v) <= 2e-14 * np.maximum(1.0, np.maximum(np.abs(g), np.abs(f)))] = 0.0
+        return v, g1 + f1
+
+    xi = x[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x[i] = _newton(h, xi, lo[i], hi[i], np.ones(i.size, dtype=bool),
+                       1e-15 * np.maximum(1.0, np.abs(xi)))
     return x
 
 
@@ -417,12 +409,12 @@ def critical_tau(
 
     c scales as 1/tau, so tau_c is sup_t |c| at tau = 1 (module docstring):
     tau_c = |K| max_s delta'(s)/D(s), D = d0 + (df - d0) delta, s in [0, 1],
-    with the maximum at s = 0, 1 or a real root of the degree-12 numerator
-    delta'' D - (df - d0) delta'^2 of its derivative.  Those roots are the
-    eigenvalues of the numerator's companion matrix, built unrotated as
-    `numpy.polynomial.polynomial.polycompanion` builds it from coefficients
-    trimmed as that package trims them, so they are bitwise its `polyroots`
-    without importing the package.  K = Lf R0 - L0 Rf is
+    with the maximum at s = 0, 1 or a sign change in (0, 1) of the
+    degree-12 numerator delta'' D - (df - d0) delta'^2 of its derivative,
+    from `trajectory._real_roots`.  There delta' = 140 (s r)^3 and
+    D = d0 delta(r) + df delta(s), r = 1 - s, are sums of positive terms
+    (delta(x) = x^4 (35 y^3 + 21 x y^2 + 7 x^2 y + x^3), y = 1 - x), so the
+    ratio carries no cancellation.  K = Lf R0 - L0 Rf is
     0, and so is tau_c, exactly when `continuity_check` holds.
     make_reference validates the geometry and supplies the default Lf.  The
     value is exact, so it meets any `tol` > 0.  Raises BracketError when
@@ -441,20 +433,14 @@ def critical_tau(
     d2 = d1[1:] * np.arange(1, 7)
     D = (p.df - p.d0) * delta
     D[0] += p.d0
-    D = np.trim_zeros(D, "b")
     num = -(p.df - p.d0) * np.convolve(d1, d1)
     head = np.convolve(d2, D)
     num[: head.size] += head
-    num = np.trim_zeros(num, "b")
-    n = num.size - 1
-    comp = np.zeros((n, n))
-    comp[np.arange(1, n), np.arange(n - 1)] = 1.0
-    comp[:, -1] -= num[:-1] / num[-1]
-    roots = np.linalg.eigvals(comp).real
-    # real parts of complex roots are just more points, which cannot raise
-    # the maximum; a real root with a roundoff imaginary part still counts
-    s = np.concatenate(([0.0, 1.0], roots[(roots > 0.0) & (roots < 1.0)]))
-    tau_c = abs(K) * float(np.max(_horner(d1, s) / _horner(D, s)))
+    s = np.concatenate(([0.0, 1.0], _real_roots(num[None, :], np.ones(1))[1]))
+    r = 1.0 - s
+    step_s = s**4 * (35.0 * r**3 + s * (21.0 * r**2 + s * (7.0 * r + s)))
+    step_r = r**4 * (35.0 * s**3 + r * (21.0 * s**2 + r * (7.0 * s + r)))
+    tau_c = abs(K) * float(np.max(140.0 * (s * r) ** 3 / (p.d0 * step_r + p.df * step_s)))
     if tau_c <= tau_lo:
         raise BracketError("all candidate tau physical: no speed-of-light crossing")
     if tau_c >= tau_hi:

@@ -63,6 +63,20 @@ def test_high_temperature_run_succeeds(tmp_path, capsys):
     assert math.isfinite(float(q))
 
 
+@pytest.mark.parametrize("T, warns", [("0.9550702482491354", True), ("0", False), ("1", False)])
+def test_vanishing_kinetic_weight_warns(tmp_path, capsys, T, warns):
+    """At T d0 = 0.95507 the kinetic weight, and with it E_ad, is -2.8e-17,
+    so Q = E/E_ad is noise: the run warns, and exits 2 under --strict."""
+    cfg = write_config(tmp_path, tmp_path / "out")
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(ini.read_text().replace("temperatures = 0", f"temperatures = {T}"))
+    assert main(["run", cfg]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ([f"warning: kinetic weight -2.78e-17 at T={float(T):g} is near zero: "
+                    "Q = E/E_ad is ill-conditioned"] if warns else [])
+    assert main(["run", cfg, "--strict"]) == (2 if warns else 0)
+
+
 def test_missing_config_is_an_error(tmp_path, capsys):
     code = main(["run", str(tmp_path / "absent.ini")])
     err = capsys.readouterr().err

@@ -106,10 +106,14 @@ GOLDEN = {
         "trajectories.csv": "85c33a1213a6670d8283f5a81f033db3d10d817802040ad90d43a68f417cf77e",
     },
     "sweep_critical": {
-        "sweep.csv": "74846a4a7577cdc96e50428d5dbbf3033e8794fd61835a134bba08f11dc9a815",
-        "sweep_summary.txt": "9e6066251282b1207977a17c9e91cdcd857d1caa27df9476eda0055300bbebe4",
+        "sweep.csv": "0d2549d5a51777001dcf688c4495e7571157b510fda52baa7c439da48ef89d20",
+        "sweep_summary.txt": "292f2b979f89019bc3b3b04d3c7f287f6165b9edb43eb97a55c2526ddfb1e272",
     },
 }
+
+
+# the critical_tau line of the sweep_critical case's sweep_summary.txt
+CRITICAL_TAU = 1.0159397196071895
 
 
 def artifact_digests(command: str, ini: str, work: str) -> dict:
@@ -135,10 +139,11 @@ def test_artifacts_are_byte_identical(case, tmp_path, capsys):
 
 
 def test_run_calls_no_linalg(tmp_path, capsys, monkeypatch):
-    """A run calls no LAPACK routine: with every public `numpy.linalg`
-    function made to raise, the README run still exits 0 and writes its
-    golden bytes.  A sweep still reaches LAPACK, in `sta.critical_tau` and
-    `np.polyfit`, so it is not covered."""
+    """A run and a critical search call no LAPACK routine: with every public
+    `numpy.linalg` function made to raise, the README run still exits 0 and
+    writes its golden bytes, and `sta.critical_tau` still gives the
+    sweep_critical summary's tau_c.  A sweep reaches LAPACK only through
+    `np.polyfit`, so the sweep itself is not covered."""
 
     def refuse(*args, **kw):
         raise AssertionError("numpy.linalg called")
@@ -147,8 +152,9 @@ def test_run_calls_no_linalg(tmp_path, capsys, monkeypatch):
         if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
             monkeypatch.setattr(np.linalg, name, refuse)
     with pytest.raises(AssertionError, match="numpy.linalg called"):
-        sta.critical_tau("contraction", 0.0, 0.3, 1.0, 0.3, 0.2, 1.2)
+        np.linalg.eigvals(np.eye(2))
     assert artifact_digests("run", README_RUN, str(tmp_path)) == GOLDEN["readme_run"]
+    assert sta.critical_tau("contraction", 0.0, 0.3, 1.0, 0.3, 0.2, 1.2) == CRITICAL_TAU
 
 
 def test_artifacts_do_not_depend_on_the_output_path(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Effective trajectories, limit curves, and the critical timescale."""
 
+from fractions import Fraction
 from functools import cache
 from types import SimpleNamespace
 
@@ -192,6 +193,23 @@ def test_far_guesses_reach_a_root_on_real_pairs(tau, side):
         assert np.max(np.abs(g - f - (2.0 if side == "right" else 0.0))) <= 1e-12
         if tau > 1.0:
             assert np.max(np.abs(far - near)) <= 1e-12
+
+
+@pytest.mark.parametrize("tau", [1.2, 0.3, 40.0])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_solved_samples_do_not_depend_on_their_batch(tau, side):
+    """Each sample's root stops on its own: solved alone it is bitwise its
+    value in the batch, and a permuted batch gives the permuted roots, on a
+    single-valued branch (tau = 1.2, 40) and across the fold of tau = 0.3."""
+    pair = make_reference("contraction", tau=tau, **_README)
+    am = AdiabaticMoore.build(pair)
+    t = np.linspace(*default_window(pair), 301)
+    guesses = getattr(pair, side)(t)
+    batch = _solve(am, side, t, guesses)
+    alone = [_solve(am, side, t[i : i + 1], guesses[i : i + 1])[0] for i in range(t.size)]
+    assert np.array_equal(batch, alone)
+    perm = np.random.default_rng(0).permutation(t.size)
+    assert np.array_equal(_solve(am, side, t[perm], guesses[perm]), batch[perm])
 
 
 def test_local_search_without_crossing_raises():
@@ -388,16 +406,25 @@ def test_critical_tau_rejects_tolerance_not_positive(tol, monkeypatch):
 
 
 def _polynomial_tau_c(family, L0, Lf, R0, eps):
-    """critical_tau's closed form through `numpy.polynomial`'s Polynomial
-    class: its derivative, products and `roots` instead of plain
-    coefficient arrays and a hand-built companion matrix."""
+    """critical_tau's closed form at `numpy.polynomial`'s roots of the
+    numerator, with K as critical_tau computes it and delta'/D evaluated
+    exactly in rational arithmetic at each candidate s."""
     p = make_reference(family, L0=L0, Lf=Lf, R0=R0, eps=eps, tau=1.0)
     K = 0.0 if continuity_check(p.L0, p.Lf, p.R0, p.Rf) else p.Lf * p.R0 - p.L0 * p.Rf
     delta = np.polynomial.Polynomial(np.r_[0.0, 0.0, 0.0, 0.0, _STEP])
     d1, D = delta.deriv(), p.d0 + (p.df - p.d0) * delta
     roots = (d1.deriv() * D - (p.df - p.d0) * d1**2).roots().real
-    s = np.concatenate(([0.0, 1.0], roots[(roots > 0.0) & (roots < 1.0)]))
-    return abs(K) * float(np.max(d1(s) / D(s)))
+    d0, df = Fraction(p.d0), Fraction(p.df)
+    coeffs = [(k, Fraction(c)) for k, c in enumerate(_STEP, 4)]
+
+    def ratio(s):
+        s = Fraction(float(s))
+        step = sum(c * s**k for k, c in coeffs)
+        slope = sum(k * c * s ** (k - 1) for k, c in coeffs)
+        return slope / (d0 + (df - d0) * step)
+
+    s = [0.0, 1.0, *roots[(roots > 0.0) & (roots < 1.0)]]
+    return float(abs(Fraction(K)) * max(ratio(x) for x in s))
 
 
 @st.composite
@@ -422,8 +449,9 @@ def tau_scaled_geometries(draw):
 @settings(max_examples=300, deadline=None)
 @given(tau_scaled_geometries())
 def test_critical_tau_matches_numpy_polynomial(geometry):
-    """The companion-matrix roots give numpy.polynomial's tau_c to 1e-14
-    relative on every family; K = 0 gives none in either route."""
+    """critical_tau is within 1e-14 relative of delta'/D evaluated exactly
+    at numpy.polynomial's roots on every family; K = 0 gives none in either
+    route."""
     want = _polynomial_tau_c(*geometry)
     if want == 0.0:
         with pytest.raises(BracketError, match="all candidate tau physical"):
