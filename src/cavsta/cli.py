@@ -3,14 +3,26 @@
     cavsta run <config.ini> [--strict] [--out DIR] [--threads N]
     cavsta sweep <config.ini> [--strict] [--out DIR] [--threads N]
 
+run     single scenario: trajectories, Moore functions, energy record
+sweep   repeat over a list of timescales tau
+
+--strict     treat superluminal effective trajectories and skipped exact
+             solves as fatal
+--out DIR    override the config's output directory
+--threads N  accepted and ignored: sweeps run serially
+
+Options may come anywhere on the line, as --out=DIR too, and a long
+option may be cut to any unique prefix (--str).  -h/--help prints this text.
+
 Exit codes: 0 success, 1 a hard numerical check failed or the run raised,
-2 strict-only violations (superluminal effective trajectory, skipped exact
-solve, a temperature whose kinetic weight is near zero) with --strict set.
+2 a command line that does not parse, or strict-only violations
+(superluminal effective trajectory, skipped exact solve, a temperature
+whose kinetic weight is near zero) with --strict set.
 """
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import sys
 from dataclasses import replace
 
@@ -19,42 +31,52 @@ from .runner import load_config, run, sweep_tau
 
 __all__ = ["main"]
 
+_USAGE = "usage: cavsta {run,sweep} <config.ini> [--strict] [--out DIR] [--threads N]"
+_COMMANDS = {"run": run, "sweep": sweep_tau}
 
-def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="cavsta",
-        description="Moore functions, shortcut trajectories, and field energy "
-        "for a two-mirror cavity.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run", "single scenario: trajectories, Moore functions, energy record"),
-        ("sweep", "repeat over a list of timescales tau"),
-    ):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("config", help="INI config file")
-        sp.add_argument(
-            "--strict",
-            action="store_true",
-            help="treat superluminal effective trajectories and skipped exact "
-            "solves as fatal",
-        )
-        sp.add_argument("--out", default=None, help="override output directory")
-        sp.add_argument(
-            "--threads", type=int, default=1,
-            help="accepted and ignored: sweeps run serially",
-        )
-    return p
+
+def _parse(argv):
+    """(command, config path, strict, out dir or None) of a command line;
+    exits 0 after -h/--help, and 2 after the usage line and one `error:`
+    line for a line that does not parse."""
+    try:
+        opts, args = getopt.gnu_getopt(argv, "h", ["help", "strict", "out=", "threads="])
+        strict, out = False, None
+        for opt, value in opts:
+            if opt in ("-h", "--help"):
+                print((__doc__ or _USAGE).strip())  # python -OO strips docstrings
+                raise SystemExit(0)
+            if opt == "--strict":
+                strict = True
+            elif opt == "--out":
+                out = value
+            elif opt == "--threads":
+                try:
+                    int(value)
+                except ValueError:
+                    raise getopt.GetoptError(f"--threads takes an integer, got {value!r}")
+        if not args or args[0] not in _COMMANDS:
+            got = f", got {args[0]!r}" if args else ""
+            raise getopt.GetoptError(f"a command is required: run or sweep{got}")
+        if len(args) != 2:
+            raise getopt.GetoptError(
+                "the config file is required" if len(args) < 2
+                else f"unexpected arguments: {' '.join(args[2:])}"
+            )
+    except getopt.GetoptError as exc:
+        print(_USAGE, file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+    return args[0], args[1], strict, out
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    command, config, strict, out = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        cfg = load_config(args.config)
-        cfg = replace(cfg, strict=args.strict)
-        if args.out is not None:
-            cfg = replace(cfg, out_dir=args.out)
-        result = run(cfg) if args.command == "run" else sweep_tau(cfg)
+        cfg = replace(load_config(config), strict=strict)
+        if out is not None:
+            cfg = replace(cfg, out_dir=out)
+        result = _COMMANDS[command](cfg)
     except CavstaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

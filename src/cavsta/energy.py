@@ -18,7 +18,8 @@ difference of one-variable primitives,
 
 With r = h''/h' the anomaly bracket equals r' - r^2/2 (Schwarzian identity),
 so its primitive is -(1/24 pi) [r - (1/2) int r^2]: the total energy needs
-only h' and h'', and `density` stays the one pointwise consumer of h'''.
+only h' and h'', so its traces carry derivatives to second order only, and
+`density` stays the one pointwise consumer of h'''.
 Each Moore map gets one uniform grid across the arguments a call needs,
 kept only inside the union of the sample cavities (no sample integrates a
 panel between two disjoint cavities), with every sample endpoint and every
@@ -150,10 +151,12 @@ def density(moore, x, t: float, state: ThermalState):
 
 def _connected_parts(lo, hi):
     """(starts, ends) of the connected parts of the union of the intervals
-    [lo[j], hi[j]]: sorted by lo, an interval joins the part before it when
-    it starts at or before the running max of the ends so far."""
-    order = np.argsort(lo, kind="stable")
-    starts, ends = lo[order], np.maximum.accumulate(hi[order])
+    [lo[j], hi[j]], from lo and hi each sorted on its own.  A new part
+    begins at the (k+1)-th smallest start exactly when the k-th smallest end
+    lies below it: then the k intervals that start first have all ended
+    (their ends are the k smallest), and the k-th smallest end is the last
+    of theirs, the end of the part before."""
+    starts, ends = np.sort(lo), np.sort(hi)
     first = np.concatenate([[True], starts[1:] > ends[:-1]])
     last = np.concatenate([first[1:], [True]])
     return starts[first], ends[last]
@@ -181,7 +184,7 @@ def _map_parts(jet, kinks, lo, hi, points, at):
     inner = part[1:] == part[:-1]  # the panels inside one part
     mids = 0.5 * (nodes[:-1] + nodes[1:])[inner]
     m = n + mids.size
-    h0, h1, h2, _ = jet(np.concatenate([nodes, mids, at]))
+    h0, h1, h2 = jet(np.concatenate([nodes, mids, at]), 2)
     h1, h2 = h1[:m], h2[:m]
     r = _slope_ratio(h1, h2)
     width = np.diff(nodes) / 6.0

@@ -1,12 +1,14 @@
-"""Third-order derivative jets: (value, f', f'', f''') tuples of arrays.
+"""Derivative jets up to third order: (value, f', f'', f''') tuples of
+arrays, or their leading entries.
 
 The exact Moore solver and the adiabatic closed forms both need first
 through third derivatives propagated through compositions, inversions and
 quotients.  Everything here is plain Faa di Bruno truncated at order 3; the
 quotient rule solves the Leibniz triangle for the quotient's derivatives,
-which is tidier than expanding u/v directly.  `divide` and `reciprocal`
-also take shorter jets and return that many orders, each entry computed
-exactly as in the full jet.
+which is tidier than expanding u/v directly.  Every function also takes
+shorter jets and returns that many orders, each entry computed exactly as
+in the full jet, so a caller that needs fewer orders computes none of the
+rest.
 """
 
 from __future__ import annotations
@@ -15,29 +17,40 @@ __all__ = ["compose", "inverse_derivs", "divide", "reciprocal"]
 
 
 def compose(outer, inner):
-    """Jet of f(g(z)) given `outer` = jet of f at g(z) and `inner` = jet of g.
+    """Jet of f(g(z)) given `outer` = jet of f at g(z) and `inner` = jet of g,
+    to the order of the shorter of the two.
 
-    Only the derivative entries of `outer` are used; the composed value is
+    Only the derivative entries of `inner` are used; the composed value is
     outer[0] (f evaluated at the inner value already).
     """
-    f0, f1, f2, f3 = outer
-    g1, g2, g3 = inner[1], inner[2], inner[3]
-    return (
-        f0,
-        f1 * g1,
-        f2 * g1 * g1 + f1 * g2,
-        f3 * g1 ** 3 + 3.0 * f2 * g1 * g2 + f1 * g3,
-    )
+    n = min(len(outer), len(inner))
+    q = [outer[0]]
+    if n > 1:
+        f1, g1 = outer[1], inner[1]
+        q.append(f1 * g1)
+    if n > 2:
+        f2, g2 = outer[2], inner[2]
+        q.append(f2 * g1 * g1 + f1 * g2)
+    if n > 3:
+        q.append(outer[3] * g1 ** 3 + 3.0 * f2 * g1 * g2 + f1 * inner[3])
+    return tuple(q)
 
 
-def inverse_derivs(m1, m2, m3):
-    """Derivatives of the inverse map t(y) given dm/dt derivatives at t.
+def inverse_derivs(m1, *higher):
+    """Derivatives of the inverse map t(y) given dm/dt derivatives at t, as
+    many as are given (one to three).
 
     For y = m(t): t' = 1/m', t'' = -m''/m'^3, t''' = 3 m''^2/m'^5 - m'''/m'^4.
     """
     i1 = 1.0 / m1
+    if not higher:
+        return (i1,)
+    m2 = higher[0]
     i2 = i1 * i1
-    return (i1, -m2 * i2 * i1, 3.0 * m2 * m2 * i2 * i2 * i1 - m3 * i2 * i2)
+    out = (i1, -m2 * i2 * i1)
+    if len(higher) > 1:
+        out += (3.0 * m2 * m2 * i2 * i2 * i1 - higher[1] * i2 * i2,)
+    return out
 
 
 def divide(u, v):

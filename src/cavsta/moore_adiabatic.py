@@ -136,11 +136,11 @@ class AdiabaticMoore:
     def G(self, z, order: int = 0):
         return self.jet("G", z, order)[order]
 
-    def F_jet(self, z):
-        return self.jet("F", z)
+    def F_jet(self, z, order: int = 3):
+        return self.jet("F", z, order)
 
-    def G_jet(self, z):
-        return self.jet("G", z)
+    def G_jet(self, z, order: int = 3):
+        return self.jet("G", z, order)
 
 
 def mirror_jets(am: AdiabaticMoore, t, x, order: int):

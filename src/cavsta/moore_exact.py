@@ -10,8 +10,9 @@ boundaries are tabulated once per map, so one search finds the segment
 holding a target's root; Newton steps on its coefficient columns, seeded
 by the secant across it, polish the root, and targets beyond the table
 invert in closed form.  The path's jet at the root comes back with it, and
-derivatives to third order propagate analytically through every inversion
-and reflection, so no numerical differentiation ever happens.
+derivatives up to third order (as many as the caller asks for) propagate
+analytically through every inversion and reflection, so no numerical
+differentiation ever happens.
 
 The recursion argument strictly decreases by about twice the cavity length
 per round trip, which bounds the depth a priori.
@@ -152,29 +153,33 @@ class ExactMoore:
     def _reflect(sign: float, t, Xj, acc):
         """Compose onto the jet `acc` one reflection: invert the map
         t + sign*X(t) at the jet's value (root t, path jet Xj there), then
-        step to the other null coordinate t - sign*X(t)."""
-        step_in = (t, *jets.inverse_derivs(1.0 + sign * Xj[1], sign * Xj[2], sign * Xj[3]))
-        step_out = (t - sign * Xj[0], 1.0 - sign * Xj[1], -sign * Xj[2], -sign * Xj[3])
+        step to the other null coordinate t - sign*X(t).  `acc` carries as
+        many orders as Xj, and so does the result."""
+        higher = [sign * x for x in Xj[2:]]
+        step_in = (t, *jets.inverse_derivs(1.0 + sign * Xj[1], *higher))
+        step_out = (t - sign * Xj[0], 1.0 - sign * Xj[1], *(-x for x in higher))
         return jets.compose(step_out, jets.compose(step_in, acc))
 
-    def _trace(self, args, which: str):
+    def _trace(self, args, which: str, order: int = 3):
         """Shared backward walk over raveled `args`; returns (jet, bounce counts).
 
-        The jet is one (4, n) array: each ray's final static argument and
-        its derivatives 1..3 in the starting argument.  Each bounce gathers
-        the active columns once and scatters them back once.  G first
-        inverts the right-mirror map t + R(t), then the left-mirror map
-        t - L(t); F takes the two mirrors in the opposite order.  The one
-        onset test is `go`: a ray whose first root lies at or before motion
-        onset is static and stops there.  An argument at or below the first
-        boundary image inverts in closed form, so a ray that is static from
-        the start costs no Newton step.
+        The jet is one (order + 1, n) array, order 1..3: each ray's final
+        static argument and its derivatives 1..order in the starting
+        argument.  Each bounce gathers the active columns once and scatters
+        them back once.  G first inverts the right-mirror map t + R(t), then
+        the left-mirror map t - L(t); F takes the two mirrors in the
+        opposite order.  The one onset test is `go`: a ray whose first root
+        lies at or before motion onset is static and stops there.  An
+        argument at or below the first boundary image inverts in closed
+        form, so a ray that is static from the start costs no Newton step.
         """
         first, second = (("right", 1.0), ("left", -1.0))
         if which == "F":
             first, second = second, first
+        if order not in (1, 2, 3):
+            raise ValueError(f"order must be in 1..3, got {order}")
         z = np.ravel(np.asarray(args, dtype=float))
-        jet = np.zeros((4, *z.shape))
+        jet = np.zeros((order + 1, *z.shape))
         jet[0], jet[1] = z, 1.0
         n = np.zeros(z.shape, dtype=int)
         active = np.ones(z.shape, dtype=bool)
@@ -184,7 +189,7 @@ class ExactMoore:
             if not active.any():
                 break
             idx = np.flatnonzero(active)
-            t1, Xj = self._invert(*first, jet[0, idx])
+            t1, Xj = self._invert(*first, jet[0, idx], order)
             go = t1 > self._start
             active[idx[~go]] = False
             cont = idx[go]
@@ -194,7 +199,7 @@ class ExactMoore:
             # reaches: invert the mirror map, then reflect off the mirror
             acc = jet[:, cont]
             new = self._reflect(first[1], t1[go], [x[go] for x in Xj], acc)
-            t2, Yj = self._invert(*second, new[0])
+            t2, Yj = self._invert(*second, new[0], order)
             new = self._reflect(second[1], t2, Yj, new)
             if np.any(new[0] >= acc[0]):
                 raise ConvergenceError(
@@ -206,20 +211,22 @@ class ExactMoore:
             raise ConvergenceError("backward trace exceeded its bounce bound")
         return jet, n
 
-    def _solve(self, args, which: str):
-        (arg, d1, d2, d3), n = self._trace(args, which)
+    def _solve(self, args, which: str, order: int = 3):
+        (arg, *derivs), n = self._trace(args, which, order)
         sgn = -1.0 if which == "G" else +1.0
         d0 = self.pair.d0
-        out = ((arg + sgn * self.pair.L0) / d0 + 2.0 * n, d1 / d0, d2 / d0, d3 / d0)
+        out = ((arg + sgn * self.pair.L0) / d0 + 2.0 * n, *(d / d0 for d in derivs))
         return _shaped(args, out)
 
-    def solve_G(self, z):
-        """(G, G', G'', G''') at z, each of z's shape; scalar in, floats out."""
-        return self._solve(z, "G")
+    def solve_G(self, z, order: int = 3):
+        """(G, G', ..., G^(order)) at z, order 1..3, each of z's shape;
+        scalar in, floats out.  Each derivative's values are the same bits
+        whatever `order` asks for."""
+        return self._solve(z, "G", order)
 
-    def solve_F(self, w):
-        """(F, F', F'', F''') at w."""
-        return self._solve(w, "F")
+    def solve_F(self, w, order: int = 3):
+        """(F, F', ..., F^(order)) at w."""
+        return self._solve(w, "F", order)
 
     # the jet names the energy density reads, shared with AdiabaticMoore
     G_jet = solve_G

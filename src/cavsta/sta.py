@@ -295,10 +295,10 @@ def build_effective(
                 f"{np.max(miss):.3g} after {_MAX_REFINE} refinement rounds "
                 f"(refine_tol {refine_tol:g})"
             )
-        times = np.concatenate([times, mids[bad]])
-        positions = np.concatenate([positions, solved[bad]])
-        order = np.argsort(times)
-        times, positions = times[order], positions[order]
+        # each refined midpoint goes in after its interval's first node
+        cut = np.flatnonzero(bad) + 1
+        times = np.insert(times, cut, mids[bad])
+        positions = np.insert(positions, cut, solved[bad])
 
     return eff
 
@@ -414,8 +414,9 @@ def critical_tau(
     from `trajectory._real_roots`.  There delta' = 140 (s r)^3 and
     D = d0 delta(r) + df delta(s), r = 1 - s, are sums of positive terms
     (delta(x) = x^4 (35 y^3 + 21 x y^2 + 7 x^2 y + x^3), y = 1 - x), so the
-    ratio carries no cancellation.  K = Lf R0 - L0 Rf is
-    0, and so is tau_c, exactly when `continuity_check` holds.
+    ratio carries no cancellation.  K = Lf R0 - L0 Rf of the pair's float
+    edges is rounded once from its exact value, and is taken as 0, as is
+    tau_c, when `continuity_check` holds.
     make_reference validates the geometry and supplies the default Lf.  The
     value is exact, so it meets any `tol` > 0.  Raises BracketError when
     tau_c <= tau_lo ("all candidate tau physical") or tau_c >= tau_hi ("no
@@ -426,7 +427,13 @@ def critical_tau(
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     p = make_reference(family, L0=L0, Lf=Lf, R0=R0, eps=eps, tau=1.0)
-    K = 0.0 if continuity_check(p.L0, p.Lf, p.R0, p.Rf) else p.Lf * p.R0 - p.L0 * p.Rf
+    K = 0.0
+    if not continuity_check(p.L0, p.Lf, p.R0, p.Rf):
+        # rounded once: the edges' exact ratios combine in integers, and
+        # int / int true division is correctly rounded
+        edges = (float(x).as_integer_ratio() for x in (p.Lf, p.R0, p.L0, p.Rf))
+        (a, b), (c, d), (e, f), (g, h) = edges
+        K = (a * c * f * h - e * g * b * d) / (b * d * f * h)
     # ascending coefficients of delta, delta', delta'', D and the numerator
     delta = np.r_[0.0, 0.0, 0.0, 0.0, _STEP]
     d1 = delta[1:] * np.arange(1, 8)

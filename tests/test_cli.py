@@ -9,7 +9,7 @@ import pytest
 
 import cavsta
 
-from cavsta import runner
+from cavsta import cli, runner
 from cavsta.cli import main
 
 
@@ -247,6 +247,72 @@ def test_infinite_temperature_is_one_error_line(tmp_path):
 def test_subcommand_required():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_options_parse_anywhere_with_unique_prefixes(tmp_path, monkeypatch):
+    """--out=DIR, a cut-down --str and --threads N parse before, between and
+    after the command and the config."""
+    seen = []
+
+    def record(cfg):
+        seen.append(cfg)
+        return runner.RunResult(config=cfg)
+
+    monkeypatch.setitem(cli._COMMANDS, "run", record)
+    cfg = write_config(tmp_path, tmp_path / "out")
+    moved = str(tmp_path / "moved")
+    assert main(["--str", "run", f"--out={moved}", cfg, "--threads", "3"]) == 0
+    assert main(["run", cfg]) == 0
+    assert [(c.strict, c.out_dir) for c in seen] == [(True, moved), (False, str(tmp_path / "out"))]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "CFG", "--bogus"], "error: option --bogus not recognized"),
+        (["run", "CFG", "--out"], "error: option --out requires argument"),
+        (["run", "CFG", "--threads", "two"], "error: --threads takes an integer, got 'two'"),
+        (["walk", "CFG"], "error: a command is required: run or sweep, got 'walk'"),
+        (["sweep"], "error: the config file is required"),
+        (["run", "CFG", "CFG"], "error: unexpected arguments: CFG"),
+    ],
+)
+def test_command_line_that_does_not_parse_exits_2(tmp_path, capsys, argv, message):
+    """A command line that does not parse prints the usage line and one
+    error line, and exits 2 before reading the config."""
+    with pytest.raises(SystemExit) as exc:
+        main([str(tmp_path / "absent.ini") if a == "CFG" else a for a in argv])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    message = message.replace("CFG", str(tmp_path / "absent.ini"))
+    assert out.out == ""
+    assert out.err.splitlines() == [cli._USAGE, message]
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+def test_help_prints_the_module_docstring(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", flag])
+    assert exc.value.code == 0
+    out = capsys.readouterr()
+    assert out.out == cli.__doc__.strip() + "\n" and out.err == ""
+
+
+def test_run_and_sweep_import_no_argparse(tmp_path):
+    """`python -m cavsta.cli run|sweep` parses its line without argparse,
+    whose import and parser cost a call about 0.5 MB of peak memory."""
+    src = os.path.dirname(os.path.dirname(cavsta.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    cfg = write_config(tmp_path, tmp_path / "out", extra="[sweep]\ntau_list = 2.0 4.0 8.0\n")
+    for command in ("run", "sweep"):
+        out = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "cavsta.cli", command, cfg],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()]
+        assert "cavsta.runner" in imported
+        assert "argparse" not in imported
 
 
 def test_import_loads_no_scipy():

@@ -5,10 +5,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
 from cavsta.energy import (
+    _connected_parts,
     _map_parts,
     ThermalState,
     adiabatic_energy,
@@ -21,7 +24,7 @@ from cavsta.energy import (
 from cavsta.errors import DensityError
 from cavsta.moore_adiabatic import AdiabaticMoore
 from cavsta.moore_exact import ExactMoore
-from cavsta.sta import build_effective, default_window
+from cavsta.sta import EffectiveTrajectory, build_effective, default_window
 from cavsta.trajectory import MirrorPath, TrajectoryPair, _reference_path, make_reference
 
 
@@ -368,9 +371,9 @@ def test_energy_traces_only_sample_cavities(contraction40, monkeypatch):
     for which in ("G", "F"):
         solve = getattr(ExactMoore, f"solve_{which}")
 
-        def recording(self, args, which=which, solve=solve):
+        def recording(self, args, order=3, which=which, solve=solve):
             traced.append((self, which, np.asarray(args)))
-            return solve(self, args)
+            return solve(self, args, order)
 
         monkeypatch.setattr(ExactMoore, f"{which}_jet", recording)
     states = [ThermalState(0.0, 1.0)]
@@ -398,8 +401,8 @@ def test_cavity_integrals_sum_only_their_own_panels(contraction40):
         for which, kinks in (("G", z_kinks), ("F", w_kinks)):
             seen = {}
 
-            def recording(x, jet=getattr(moore, f"{which}_jet")):
-                seen["x"], seen["jet"] = x, jet(x)
+            def recording(x, order=3, jet=getattr(moore, f"{which}_jet")):
+                seen["x"], seen["jet"] = x, jet(x, order)
                 return seen["jet"]
 
             lo, hi = _cavities(moore.pair, times, which)
@@ -438,13 +441,13 @@ def _stub_moore(zero_lo, zero_hi):
     """Moore maps with G' = 0 on [zero_lo, zero_hi] and 1 elsewhere, F' = 1,
     no higher derivatives and no kinks."""
 
-    def jet(x, zero):
+    def jet(x, zero, order):
         h1 = np.where((x >= zero[0]) & (x <= zero[1]), 0.0, 1.0)
-        return x, h1, np.zeros_like(x), np.zeros_like(x)
+        return (x, h1, np.zeros_like(x), np.zeros_like(x))[: order + 1]
 
     return SimpleNamespace(
-        G_jet=lambda z: jet(z, (zero_lo, zero_hi)),
-        F_jet=lambda w: jet(w, (np.inf, -np.inf)),
+        G_jet=lambda z, order=3: jet(z, (zero_lo, zero_hi), order),
+        F_jet=lambda w, order=3: jet(w, (np.inf, -np.inf), order),
         kink_args=lambda lo, hi: (np.empty(0), np.empty(0)),
     )
 
@@ -463,3 +466,52 @@ def test_density_guard_sees_every_integrated_argument(contraction40):
         energy_record(times, states, _stub_moore(-40.6, -40.4), s.pair)
     rec = energy_record(times, states, _stub_moore(-39.6, -39.4), s.pair)
     assert np.all(np.isfinite(rec.E))
+
+
+def _parts_by_argsort(lo, hi):
+    """Connected parts from the intervals sorted by start (stable) and the
+    running max of their ends."""
+    order = np.argsort(lo, kind="stable")
+    starts, ends = lo[order], np.maximum.accumulate(hi[order])
+    first = np.concatenate([[True], starts[1:] > ends[:-1]])
+    last = np.concatenate([first[1:], [True]])
+    return starts[first], ends[last]
+
+
+# quarter-integer ends in a narrow range draw ties, nested intervals and
+# intervals that touch, without -0.0
+_intervals = st.lists(
+    st.tuples(st.integers(-12, 12), st.integers(0, 8)), min_size=1, max_size=30
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_intervals)
+def test_connected_parts_are_the_running_max_ones(intervals):
+    """Sorting the starts and the ends on their own gives bitwise the parts
+    of the stable argsort by start and the running max of the ends."""
+    lo = np.array([a for a, _ in intervals], dtype=float) / 4.0
+    hi = lo + np.array([w for _, w in intervals], dtype=float) / 4.0
+    got, want = _connected_parts(lo, hi), _parts_by_argsort(lo, hi)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_energy_record_asks_no_path_for_third_order(contraction40, monkeypatch):
+    """The energy record needs h' and h'' only: its traces ask the mirror
+    paths of both pairs for jets to second order at most."""
+    orders = []
+    for cls in (MirrorPath, EffectiveTrajectory):
+        jet = cls.__dict__["jet"]
+
+        def recording(self, t, order=3, jet=jet):
+            orders.append(order)
+            return jet(self, t, order)
+
+        monkeypatch.setattr(cls, "jet", recording)
+    s = contraction40
+    times = s.times(40)
+    states = [ThermalState(0.0, 1.0)]
+    energy_record(times, states, s.exact_ref, s.pair, at=times)
+    energy_record(times, states, s.exact_eff, s.eff_pair)
+    assert 2 in orders and max(orders) == 2

@@ -142,3 +142,21 @@ def test_reciprocal_is_an_involution(v0, v1, v2, v3):
     )
     for k in range(4):
         assert abs(back[k] - v[k]) <= 1e-14 * scale[k], k
+
+
+@settings(max_examples=200, deadline=None)
+@given(_entry, _lead, _entry, _entry, _lead, _lead, _entry, _entry)
+def test_shorter_jets_are_the_leading_orders(f0, f1, f2, f3, g0, g1, g2, g3):
+    """Every rule on jets cut to n entries returns n entries, each bitwise
+    the full jet's entry."""
+    f, g = (f0, f1, f2, f3), (g0, g1, g2, g3)
+    full = (compose(f, g), inverse_derivs(g1, g2, g3), divide(f, g), reciprocal(g))
+    for n in (1, 2, 3):
+        short = (
+            compose(f[:n], g[:n]),
+            inverse_derivs(*g[1 : n + 1]),
+            divide(f[:n], g[:n]),
+            reciprocal(g[:n]),
+        )
+        for got, want in zip(short, full):
+            assert np.array(got).tobytes() == np.array(want[:n]).tobytes()

@@ -146,6 +146,26 @@ def test_effective_traces_stop_where_the_reference_traces_do(contraction40):
         assert eff <= ref + 2
 
 
+def test_lower_order_jets_are_the_leading_orders(contraction40):
+    """A jet to order 1 or 2 is bitwise the leading entries of the full
+    jet, on both pairs, for arguments from before the motion to many
+    bounces deep; orders outside 1..3 are refused."""
+    s = contraction40
+    z = np.concatenate([s.times(200), [-50.0, 0.0, 100.0]])
+    for moore in (s.exact_ref, s.exact_eff):
+        for which in ("G", "F"):
+            solve = getattr(moore, f"solve_{which}")
+            full = solve(z)
+            for order in (1, 2):
+                got = solve(z, order)
+                assert len(got) == order + 1
+                for g, w in zip(got, full):
+                    assert g.tobytes() == w.tobytes()
+            for order in (0, 4):
+                with pytest.raises(ValueError, match="order must be in 1..3"):
+                    solve(z, order)
+
+
 def test_scalar_interface(contraction12):
     moore = contraction12.exact_ref
     out = moore.solve_G(0.37)

@@ -129,9 +129,9 @@ def test_one_trace_per_moore_map(tmp_path, monkeypatch):
     traces = {}
     trace = ExactMoore._trace
 
-    def counting(self, args, which):
+    def counting(self, args, which, order=3):
         traces[id(self), which] = traces.get((id(self), which), 0) + 1
-        return trace(self, args, which)
+        return trace(self, args, which, order)
 
     monkeypatch.setattr(ExactMoore, "_trace", counting)
     res = run(contraction_cfg(tmp_path))

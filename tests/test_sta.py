@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -407,10 +407,12 @@ def test_critical_tau_rejects_tolerance_not_positive(tol, monkeypatch):
 
 def _polynomial_tau_c(family, L0, Lf, R0, eps):
     """critical_tau's closed form at `numpy.polynomial`'s roots of the
-    numerator, with K as critical_tau computes it and delta'/D evaluated
-    exactly in rational arithmetic at each candidate s."""
+    numerator, with K = Lf R0 - L0 Rf exact in the pair's float edges (0
+    where `continuity_check` holds) and delta'/D evaluated exactly in
+    rational arithmetic at each candidate s."""
     p = make_reference(family, L0=L0, Lf=Lf, R0=R0, eps=eps, tau=1.0)
-    K = 0.0 if continuity_check(p.L0, p.Lf, p.R0, p.Rf) else p.Lf * p.R0 - p.L0 * p.Rf
+    Lf, R0, L0, Rf = (Fraction(float(x)) for x in (p.Lf, p.R0, p.L0, p.Rf))
+    K = 0 if continuity_check(p.L0, p.Lf, p.R0, p.Rf) else Lf * R0 - L0 * Rf
     delta = np.polynomial.Polynomial(np.r_[0.0, 0.0, 0.0, 0.0, _STEP])
     d1, D = delta.deriv(), p.d0 + (p.df - p.d0) * delta
     roots = (d1.deriv() * D - (p.df - p.d0) * d1**2).roots().real
@@ -424,7 +426,7 @@ def _polynomial_tau_c(family, L0, Lf, R0, eps):
         return slope / (d0 + (df - d0) * step)
 
     s = [0.0, 1.0, *roots[(roots > 0.0) & (roots < 1.0)]]
-    return float(abs(Fraction(K)) * max(ratio(x) for x in s))
+    return float(abs(K) * max(ratio(x) for x in s))
 
 
 @st.composite
@@ -448,6 +450,9 @@ def tau_scaled_geometries(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(tau_scaled_geometries())
+# K = Lf R0 - L0 Rf cancels here: rounding both products in floats left
+# tau_c 4.6e-13 relative off
+@example(("expansion", -1.657, -2.9570950000000003, 3.767, -0.785))
 def test_critical_tau_matches_numpy_polynomial(geometry):
     """critical_tau is within 1e-14 relative of delta'/D evaluated exactly
     at numpy.polynomial's roots on every family; K = 0 gives none in either
@@ -559,6 +564,47 @@ def test_unconverged_refinement_raises(contraction12, side):
     s = contraction12
     with pytest.raises(ConvergenceError, match=rf"effective {side} .* \(refine_tol 1e-08\)"):
         build_effective(s.am, side, *s.window, step=s.pair.tau)
+
+
+def _build_by_argsort(am, side, t_lo, t_hi, step, refine_tol=1e-8):
+    """build_effective's refinement loop with each round's refined
+    midpoints merged by concatenation and an argsort of the times."""
+    x0, xf = getattr(am.pair, side).edges
+    on, off = am.pair.motion_start - abs(x0), am.pair.motion_end + abs(xf)
+    times = sta._motion_nodes(t_lo, t_hi, max(2, int(np.ceil((t_hi - t_lo) / step))), on, off)
+    positions = _solve(am, side, times, getattr(am.pair, side)(times))
+    rounds = 0
+    while True:
+        slopes, curvatures, residual = sta._implicit_jet(am, side, times, positions)
+        rows = sta._quintic_rows(times, positions, slopes, curvatures)
+        eff = EffectiveTrajectory(times, rows, x0, xf, residual)
+        mids = 0.5 * (times[:-1] + times[1:])
+        predicted = eff(mids)
+        solved = _solve(am, side, mids, predicted)
+        bad = np.abs(predicted - solved) > refine_tol
+        if not bad.any():
+            return eff, rounds
+        rounds += 1
+        times = np.concatenate([times, mids[bad]])
+        positions = np.concatenate([positions, solved[bad]])
+        order = np.argsort(times)
+        times, positions = times[order], positions[order]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_refined_nodes_merge_as_a_sort_would(contraction12, side):
+    """A build that refines (README geometry, step tau/16: two rounds)
+    inserts each refined midpoint after its interval's first node, which
+    leaves the nodes and the interpolant bitwise those of sorting the
+    concatenated nodes."""
+    s = contraction12
+    step = s.pair.tau / 16.0
+    want, rounds = _build_by_argsort(s.am, side, *s.window, step)
+    assert rounds == 2
+    got = build_effective(s.am, side, *s.window, step=step)
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.table()[1].tobytes() == want.table()[1].tobytes()
+    assert got.residual_sup == want.residual_sup
 
 
 def _motion_window(pair, side):
