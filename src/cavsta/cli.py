@@ -14,10 +14,11 @@ sweep   repeat over a list of timescales tau
 Options may come anywhere on the line, as --out=DIR too, and a long
 option may be cut to any unique prefix (--str).  -h/--help prints this text.
 
-Exit codes: 0 success, 1 a hard numerical check failed or the run raised,
-2 a command line that does not parse, or strict-only violations
-(superluminal effective trajectory, skipped exact solve, a temperature
-whose kinetic weight is near zero) with --strict set.
+Exit codes: 0 success; 1 a failed hard numerical check, or one `error:`
+line (a bad config, a grid past memory or numpy's index limit, a thermal
+sum Z(T d0) past the float range); 2 a command line that does not parse,
+or strict-only violations (superluminal effective trajectory, skipped
+exact solve, a kinetic weight near zero) with --strict set.
 """
 
 from __future__ import annotations
@@ -80,9 +81,11 @@ def main(argv=None) -> int:
     except CavstaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:
-        # a grid too fine for this machine, such as a tiny time_step;
-        # numpy's message names the array it could not allocate
+    except (MemoryError, ValueError) as exc:
+        # a grid too fine for this machine, such as a tiny time_step (numpy's
+        # message names the array), or past numpy's index limit: a ValueError
+        if isinstance(exc, ValueError) and str(exc) != "Maximum allowed size exceeded":
+            raise
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     for msg in result.hard_failures:

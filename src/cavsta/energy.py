@@ -71,25 +71,30 @@ def thermal_Z(x: float) -> float:
         Z(x) = pi/24 + pi x^2/6 - x/2 - 4 pi x^2 sum_{n>=1} n / (exp(4 pi x n) - 1)
 
     is summed instead: its terms fall like exp(-4 pi x n), so four of them
-    leave a relative error below 1e-20.  Z(0) = 0 by continuity.
+    leave a relative error below 1e-20.  Z(0) = 0 by continuity.  Z > 1.8e308 raises ValueError.
     """
     if not 0.0 <= x < np.inf:
         raise ValueError(f"thermal argument must be finite and nonnegative, got {x}")
     if x == 0.0:
         return 0.0
     if x > 1.0:
+        Z = np.pi / 24.0 + np.pi * x * x / 6.0 - x / 2.0
+        if Z == np.inf:
+            raise ValueError(f"thermal sum overflows the float range at argument {x}")
         n = np.arange(1.0, 5.0)
         a = 4.0 * np.pi * x * n
         tail = float(np.sum(n * np.exp(-a) / -np.expm1(-a)))
-        return np.pi / 24.0 + np.pi * x * x / 6.0 - x / 2.0 - 4.0 * np.pi * x * x * tail
+        # the tail is 0 past x ~ 59, and 4 pi x^2 * 0 is NaN past x ~ 3.8e153
+        return Z - (4.0 * np.pi * x * x * tail if tail else 0.0)
     total = 0.0
     n = 1
-    while True:
-        term = n * np.pi / np.expm1(n * np.pi / x)
-        total += term
-        if term < 1e-15 * (1.0 + total):
-            return total
-        n += 1
+    with np.errstate(over="ignore"):  # below x = 4.4e-3 the first term is pi / inf = 0
+        while True:
+            term = n * np.pi / np.expm1(n * np.pi / x)
+            total += term
+            if term < 1e-15 * (1.0 + total):
+                return total
+            n += 1
 
 
 @dataclass(frozen=True)
@@ -208,30 +213,10 @@ def _map_parts(jet, kinks, lo, hi, points, at):
     return anom, 0.5 * (kk[j] - kk[i]), (h0[i], h0[j], h0[m:])
 
 
-def _energy_parts(moore, pair, times, points, at=np.empty(0)):
-    """(anomaly, kinetic) cavity integrals at every time in `times`: G runs
-    over t + [L, R], F over t - [R, L].  From the same traces come F and G
-    at `at` and the two mirror residuals over `times`.  One `kink_args`
-    call covers both maps' arguments, min(t - R, t + L) up to
-    max(t + R, t - L); where L + R < 0, t + L < t - R and t - L > t + R."""
-    L, R = pair.left(times), pair.right(times)
-    lo = min(np.min(times - R), np.min(times + L))
-    hi = max(np.max(times + R), np.max(times - L))
-    z_kinks, w_kinks = moore.kink_args(float(lo), float(hi))
-    anom_g, kin_g, (g_l, g_r, G) = _map_parts(
-        moore.G_jet, z_kinks, times + L, times + R, points, at
-    )
-    anom_f, kin_f, (f_r, f_l, F) = _map_parts(
-        moore.F_jet, w_kinks, times - R, times - L, points, at
-    )
-    return anom_g + anom_f, kin_g + kin_f, F, G, mirror_residuals(g_l, g_r, f_l, f_r)
-
-
 def total_energy(moore, pair, t: float, state: ThermalState, points: int = 2001) -> float:
-    """Total field energy at time t: the density integrated across the cavity,
-    with `points` Simpson panels per Moore map."""
-    anom, kin, *_ = _energy_parts(moore, pair, np.array([float(t)]), points)
-    return float(anom[0] + state.kinetic_weight * kin[0])
+    """Total field energy at time t, with `points` Simpson panels per Moore
+    map: the one-sample, one-state `energy_record`."""
+    return float(energy_record(np.array([float(t)]), [state], moore, pair, points).E[0, 0])
 
 
 def adiabatic_energy(d: float, state: ThermalState) -> float:
@@ -255,8 +240,8 @@ def eval_mode(moore, k: int, x, t: float):
         raise ValueError(f"mode number must be a positive integer, got {k}")
     x = np.asarray(x, dtype=float)
     _check_inside(moore.pair, x, t)
-    G = moore.G_jet(t + x)[0]
-    F = moore.F_jet(t - x)[0]
+    G = moore.G_jet(t + x, 1)[0]  # order 1, an exact solver's lowest
+    F = moore.F_jet(t - x, 1)[0]
     pref = 1j / np.sqrt(4.0 * np.pi * k)
     out = pref * (np.exp(-1j * k * np.pi * G) - np.exp(-1j * k * np.pi * F))
     return complex(out) if np.ndim(out) == 0 else out
@@ -284,13 +269,14 @@ class EnergyRecord:
 
 
 def energy_record(times, states, moore, pair, points: int = 2001, at=np.empty(0)) -> EnergyRecord:
-    """Assemble the energy/adiabaticity time series of one run.
+    """Energy/adiabaticity time series of one run; the one builder of a cavity energy.
 
     The exact Moore solution of `pair` enters through `moore`; None leaves
     every field but E_ad NaN (reported, not fatal, so sweeps can cross the
-    superluminal regime).  `points` sets each Moore map's Simpson panel
-    spacing, (max - min)/`points` across the arguments the run needs;
-    panels outside every sample cavity are skipped.
+    superluminal regime).  Each sample integrates G over t + [L, R] and F
+    over t - [R, L].  `points` sets each Moore map's Simpson panel spacing,
+    (max - min)/`points` across the arguments the run needs; panels outside
+    every sample cavity are skipped.
 
     Each Moore map is traced once.  F and G at `at` ride in the energy
     batch, and the mirror residuals are read off the cavity-end nodes, so a
@@ -302,7 +288,18 @@ def energy_record(times, states, moore, pair, points: int = 2001, at=np.empty(0)
         nan = np.full(times.shape, np.nan)
         anom, kin, F, G, residual = nan, nan, *np.full((2, len(at)), np.nan), (np.nan, np.nan)
     else:
-        anom, kin, F, G, residual = _energy_parts(moore, pair, times, points, at)
+        L, R = pair.left(times), pair.right(times)
+        # one kink_args call over both maps' arguments (t + L < t - R where L + R < 0)
+        lo = min(np.min(times - R), np.min(times + L))
+        hi = max(np.max(times + R), np.max(times - L))
+        z_kinks, w_kinks = moore.kink_args(float(lo), float(hi))
+        anom_g, kin_g, (g_l, g_r, G) = _map_parts(
+            moore.G_jet, z_kinks, times + L, times + R, points, at
+        )
+        anom_f, kin_f, (f_r, f_l, F) = _map_parts(
+            moore.F_jet, w_kinks, times - R, times - L, points, at
+        )
+        anom, kin, residual = anom_g + anom_f, kin_g + kin_f, mirror_residuals(g_l, g_r, f_l, f_r)
     E = anom + weight * kin
     with np.errstate(divide="ignore", invalid="ignore"):
         Q = E / E_ad

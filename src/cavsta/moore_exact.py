@@ -234,7 +234,7 @@ class ExactMoore:
 
     def trace_depth(self, z, which: str = "G"):
         """Bounce counts and final static arguments of the walk (diagnostic)."""
-        jet, n = self._trace(z, which)
+        jet, n = self._trace(z, which, 1)
         return _shaped(z, (n, jet[0]))
 
     # -- diagnostics ---------------------------------------------------------------
@@ -247,10 +247,10 @@ class ExactMoore:
         t = np.atleast_1d(np.asarray(times, dtype=float))
         L = self.pair.left(t)
         R = self.pair.right(t)
-        # one trace per map over both mirrors' arguments; each element's
-        # trace is independent of the rest of the batch
-        g_l, g_r = np.split(self.solve_G(np.concatenate([t + L, t + R]))[0], 2)
-        f_l, f_r = np.split(self.solve_F(np.concatenate([t - L, t - R]))[0], 2)
+        # one order-1 trace (values only) per map over both mirrors'
+        # arguments; each element's trace is independent of the batch
+        g_l, g_r = np.split(self.solve_G(np.concatenate([t + L, t + R]), 1)[0], 2)
+        f_l, f_r = np.split(self.solve_F(np.concatenate([t - L, t - R]), 1)[0], 2)
         return mirror_residuals(g_l, g_r, f_l, f_r)
 
     def kink_args(self, lo: float, hi: float):

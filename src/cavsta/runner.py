@@ -337,7 +337,12 @@ def run(cfg: RunConfig) -> RunResult:
     exact_ref = _try_exact(pair, notes, "reference pair")
     exact_eff = _try_exact(eff_pair, notes, "effective pair")
 
-    states = [ThermalState(T, pair.d0) for T in cfg.temperatures]
+    states = []
+    for T in cfg.temperatures:
+        try:
+            states.append(ThermalState(T, pair.d0))
+        except ValueError as exc:  # Z(T d0) past the float range
+            raise CavstaError(f"[numerics] temperatures: T={T:g}: {exc}") from None
     # the reference run also gives moore.csv's exact columns at the times
     rec_ref = energy_record(times, states, exact_ref, pair, cfg.spatial_points, at=times)
     rec_eff = energy_record(times, states, exact_eff, eff_pair, cfg.spatial_points)

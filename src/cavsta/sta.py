@@ -84,10 +84,11 @@ def _solve(am, side, t, guesses):
     0.05 d0 * 2^24 = 8.4e5 d0 from the guess, far beyond any guess a caller
     makes (reference positions, interpolated effective positions).  Raises
     BracketError for a sample that never straddles one.  Then
-    `trajectory._newton` polishes every sample from its bracket midpoint,
-    with slope G' + F'; a sample stops once its step is at most
-    1e-15 max(1, |x|), or once |h| is within 2e-14 max(1, |G|, |F|), the
-    rounding of the maps, which counts as h = 0.
+    `trajectory._newton` polishes every sample from its bracket midpoint
+    (from a bracket end where h is exactly 0, and stops there), with slope
+    G' + F'; a sample stops once its step is at most 1e-15 max(1, |x|), or
+    once |h| is within 2e-14 max(1, |G|, |F|), the rounding of the maps,
+    which counts as h = 0.
     """
     target = _TARGET[side]
     t = np.asarray(t, dtype=float)
@@ -115,21 +116,16 @@ def _solve(am, side, t, guesses):
         hi[i] += half
 
     x = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, 0.5 * (lo + hi)))
-    i = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
-    ti = t[i]
 
     def h(j, xj):
         # a value within rounding of the maps' size counts as the root
-        (g, g1), (f, f1) = mirror_jets(am, ti[j], xj, 1)
+        (g, g1), (f, f1) = mirror_jets(am, t[j], xj, 1)
         v = g - f - target
         v[np.abs(v) <= 2e-14 * np.maximum(1.0, np.maximum(np.abs(g), np.abs(f)))] = 0.0
         return v, g1 + f1
 
-    xi = x[i]
     with np.errstate(divide="ignore", invalid="ignore"):
-        x[i] = _newton(h, xi, lo[i], hi[i], np.ones(i.size, dtype=bool),
-                       1e-15 * np.maximum(1.0, np.abs(xi)))
-    return x
+        return _newton(h, x, lo, hi, 1e-15 * np.maximum(1.0, np.abs(x)))
 
 
 def _implicit_jet(am, side, times, positions):

@@ -101,22 +101,22 @@ _STEP_TOL = 1e-8
 _NEWTON_STEPS = 100
 
 
-def _newton(fun, x, a, b, up, tol):
-    """The root in each bracket [a, b] of a function monotone there, rising
-    where `up`, by Newton steps from the guesses x; `fun(i, x)` returns the
-    value and slope at x of the roots i (indices into the batch) still live.
+def _newton(fun, x, a, b, tol):
+    """The root in each bracket [a, b] of a function rising there, by Newton
+    steps from the guesses x; `fun(i, x)` returns the value and slope at x
+    of the roots i (indices into the batch) still live.
 
-    The bracket end on the value's side of zero moves to each evaluated
-    point, and a step that does not land strictly inside the bracket
-    bisects it instead, without which a fast rigid build jumps to another
-    root of its folded branch.  A root stops once its step is at most its
-    tol, clamped to its bracket, and leaves the batch, so no root depends
-    on the others and each round evaluates only the live roots (on masks,
-    `sta._solve` would evaluate 103,071 points instead of 45,980 on the
-    sweep_critical seed-0 sweep).  `ExactMoore._invert` keeps a masked loop
-    of its own: its points stop after one or two steps, and over the
-    hundreds of calls of an exact run this loop's per-round index
-    bookkeeping measured slower."""
+    The bracket end on the value's side of zero (b at a value of 0, where
+    the step is 0) moves to each evaluated point, and a step that does not
+    land strictly inside the bracket bisects it instead, without which a
+    fast rigid build jumps to another root of its folded branch.  A root
+    stops once its step is at most its tol, clamped to its bracket, and
+    leaves the batch, so no root depends on the others and each round
+    evaluates only the live roots (on masks, `sta._solve` would evaluate
+    103,071 points instead of 45,980 on the sweep_critical seed-0 sweep).
+    `ExactMoore._invert` keeps a masked loop of its own: its points stop
+    after one or two steps, and over the hundreds of calls of an exact run
+    this loop's per-round index bookkeeping measured slower."""
     out = np.empty_like(x)
     todo = np.arange(x.size)
     for _ in range(_NEWTON_STEPS):
@@ -125,7 +125,7 @@ def _newton(fun, x, a, b, up, tol):
         f, df = fun(todo, x)
         step = f / df
         # the bracket end on f's side of zero moves to x
-        low = (f < 0.0) == up
+        low = f < 0.0
         np.copyto(a, x, where=low)
         np.copyto(b, x, where=~low)
         x = x - step
@@ -134,13 +134,14 @@ def _newton(fun, x, a, b, up, tol):
         if np.count_nonzero(done):
             out[todo[done]] = np.minimum(np.maximum(x[done], a[done]), b[done])
             keep = ~done
-            todo, x, a, b, up, tol = todo[keep], x[keep], a[keep], b[keep], up[keep], tol[keep]
+            todo, x, a, b, tol = todo[keep], x[keep], a[keep], b[keep], tol[keep]
     out[todo] = x
     return out
 
 
 def _roots_of_degree(rows, spans):
-    """`_real_roots` of rows all of degree d = width - 1 >= 1."""
+    """`_real_roots` of rows all of degree d = width - 1 >= 1; `_newton`
+    polishes each bracket's root on its level's rows, negated where it falls."""
     n, d = rows.shape[0], rows.shape[1] - 1
     # chain[k]: the rows of the k-th derivative, zero-padded, for k down to
     # the quadratic level (a linear row counts as a quadratic with c2 = 0);
@@ -177,12 +178,11 @@ def _roots_of_degree(rows, spans):
         # each bracket's left point, flat in `at`
         p = i + row
         a, b, fa, fb = at.take(p), at.take(p + 1), f.take(p), f.take(p + 1)
-        u = a
-        if i.size:
-            x = _start(a, b, fa / (fa - fb), a > 0.0, b < spans.take(row))
-            # value and slope rows of each bracket's row
-            cd = chain[k : k + 2, :, : m + 1].take(row, axis=1)
-            u = _newton(lambda j, v: _horner(cd[:, j], v), x, a, b, fa < 0.0, tol.take(row))
+        x = _start(a, b, fa / (fa - fb), a > 0.0, b < spans.take(row))
+        # value and slope rows of each bracket's row, rising
+        cd = chain[k : k + 2, :, : m + 1].take(row, axis=1)
+        cd *= np.where(fa < 0.0, 1.0, -1.0)[:, None]
+        u = _newton(lambda j, v: _horner(cd[:, j], v), x, a, b, tol.take(row))
         v = np.zeros((n, m))
         v.put(i, u)
     return row, u
@@ -218,9 +218,7 @@ def _real_roots(rows: np.ndarray, spans: np.ndarray):
         rows = padded[np.arange(n)[:, None], low[:, None] + np.arange(w)]
     found = [(low[:0], np.zeros(0))]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if deg.min() == deg.max() > 0:
-            return _roots_of_degree(rows[:, : deg[0] + 1], spans)
-        for d in _sorted_unique(deg[deg > 0]):
+        for d in np.flatnonzero(np.bincount(deg[deg > 0])):  # no int sort: its kernel maps pages
             g = np.flatnonzero(deg == d)
             row, u = _roots_of_degree(rows[g, : d + 1], spans[g])
             found.append((g[row], u))

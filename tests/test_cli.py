@@ -114,6 +114,46 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in out.out + out.err
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("time_step = 0.25", "time_step = 1e-300"),
+        ("effective_step = 0.0125", "effective_step = 1e-300"),
+        ("spatial_points = 301", "spatial_points = 100000000000000000000"),
+        ("spatial_points = 301", "spatial_points = 301\nmoore_panels = 100000000000000000000"),
+        ("window = -1.5 2.2", "window = -1e300 1e300"),
+        ("R0 = 1.0", "R0 = 1e300"),
+    ],
+    ids=["time_step", "effective_step", "spatial_points", "moore_panels", "window", "R0"],
+)
+def test_grid_past_the_index_limit_is_one_error_line(tmp_path, capsys, old, new):
+    """A grid past numpy's index limit raises ValueError, not MemoryError,
+    and is the same one error line and exit 1 as a grid too large to
+    allocate."""
+    cfg = write_config(tmp_path, tmp_path / "out")
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(ini.read_text().replace(old, new))
+    code = main(["run", cfg])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.err.splitlines() == ["error: out of memory: Maximum allowed size exceeded"]
+
+
+def test_temperature_past_the_float_range_is_one_error_line(tmp_path, capsys):
+    """At T d0 = 1e200 the thermal sum Z overflows: one error line naming
+    the temperature and exit 1, where the run once wrote NaN Q values."""
+    cfg = write_config(tmp_path, tmp_path / "out")
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(ini.read_text().replace("temperatures = 0", "temperatures = 0 1e200"))
+    code = main(["run", cfg])
+    out = capsys.readouterr()
+    assert code == 1 and out.out == ""
+    assert out.err.splitlines() == [
+        "error: [numerics] temperatures: T=1e+200: "
+        "thermal sum overflows the float range at argument 1e+200"
+    ]
+
+
 def test_unconverged_effective_build_is_an_error(tmp_path, capsys):
     """effective_step = tau leaves the interpolant off its midpoint solves
     after every refinement round: one error line, exit 1, also in strict."""

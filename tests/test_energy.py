@@ -44,8 +44,10 @@ def test_thermal_sum_basics():
         (lambda: ThermalState(1.0, -2.0), r"^initial length must be positive, got -2\.0$"),
         (lambda: thermal_Z(-0.5), r"^thermal argument must be finite and nonnegative, got -0\.5$"),
         (lambda: thermal_Z(math.inf), r"^thermal argument must be finite and nonnegative, got inf$"),
+        (lambda: thermal_Z(1e200), r"^thermal sum overflows the float range at argument 1e\+200$"),
     ],
-    ids=["negative_T", "zero_d0", "negative_d0", "negative_Z_argument", "infinite_Z_argument"],
+    ids=["negative_T", "zero_d0", "negative_d0", "negative_Z_argument", "infinite_Z_argument",
+         "overflowing_Z"],
 )
 def test_thermal_refusals_name_their_fault(call, message):
     with pytest.raises(ValueError, match=message):
@@ -63,12 +65,35 @@ def test_thermal_sum_high_temperature_limit():
     assert thermal_Z(x) == pytest.approx(np.pi * x * x / 6.0 - x / 2.0, rel=1e-3)
 
 
-@pytest.mark.parametrize("x", [2e4, 1e6])
+@pytest.mark.parametrize("x", [2e4, 1e6, 3e153, 7e153])
 def test_thermal_sum_far_above_one_is_the_closed_form(x):
     """Far above x = 1 the dual series' tail is below double precision, so
     Z is pi x^2/6 - x/2 + pi/24; the direct sum stopped converging near
-    x = 1.07e4."""
+    x = 1.07e4.  Past x = 3.8e153 the tail's factor 4 pi x^2 overflows,
+    which once made Z NaN."""
     assert thermal_Z(x) == pytest.approx(np.pi * x * x / 6.0 - x / 2.0 + np.pi / 24.0, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "x, Z", [(1e-3, 0.0), (5.0, 10.720869083857048), (60.0, 1855.0864918477755)]
+)
+def test_thermal_sum_keeps_its_bits(x, Z):
+    """The overflow guards leave Z bit for bit where it was finite, with
+    the dual-series tail in use (x = 5) and vanished (x = 60).  At x = 1e-3
+    the direct sum's e^{pi/x} overflows, once with a RuntimeWarning."""
+    assert thermal_Z(x) == Z
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1e308))
+def test_thermal_sum_is_never_nan(x):
+    """Every finite argument gives a finite Z or a ValueError, never NaN."""
+    try:
+        Z = thermal_Z(x)
+    except ValueError as exc:
+        assert str(exc).startswith("thermal sum overflows")
+    else:
+        assert math.isfinite(Z)
 
 
 def test_thermal_sum_is_continuous_across_its_series_switch():
@@ -346,6 +371,20 @@ def test_total_energy_matches_density_quadrature(contraction12):
             x = np.linspace(s.pair.left(t), s.pair.right(t), 20001)
             want = simpson(density(s.exact_ref, x, t, st), x=x)
             assert total_energy(s.exact_ref, s.pair, t, st) == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("T", [0.0, 1.0, 5.0])
+@pytest.mark.parametrize("side", ["ref", "eff"])
+def test_total_energy_is_the_one_sample_energy_record(contraction12, side, T):
+    """`total_energy` builds no energy of its own: before, inside and after
+    the motion it is bit for bit the one-sample, one-state record."""
+    s = contraction12
+    pair, moore = (s.pair, s.exact_ref) if side == "ref" else (s.eff_pair, s.exact_eff)
+    st = ThermalState(T, pair.d0)
+    start, end = pair.motion_start, pair.motion_end
+    for t in (start - 0.4, start + 0.3 * (end - start), 0.5 * (start + end), end + 0.4):
+        rec = energy_record(np.array([t]), [st], moore, pair)
+        assert total_energy(moore, pair, t, st) == rec.E[0, 0]
 
 
 def _disjoint_samples(s):

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from cavsta.energy import eval_mode
 from cavsta.errors import SuperluminalError
-from cavsta.moore_exact import ExactMoore
+from cavsta.moore_exact import ExactMoore, mirror_residuals
+from cavsta.sta import EffectiveTrajectory
 from cavsta.trajectory import MirrorPath, TrajectoryPair, make_reference
 
 from util import drop_near, fd_jets, one_hop_kink_args, split_path
@@ -33,6 +35,42 @@ def test_functional_equations_hold(contraction12):
     res_l, res_r = s.exact_ref.residuals(t)
     assert res_l < 1e-12
     assert res_r < 1e-12
+
+
+def test_diagnostics_trace_to_first_order_only(contraction12, monkeypatch):
+    """`residuals`, `trace_depth` and `eval_mode` read only map values and
+    bounce counts, so no path jet they ask for goes above order 1, an exact
+    solver's lowest; their results are the bits of order-3 traces."""
+    s = contraction12
+    t = s.times(60)
+    want = {}
+    for moore, pair in ((s.exact_ref, s.pair), (s.exact_eff, s.eff_pair)):
+        L, R = pair.left(t), pair.right(t)
+        x = np.linspace(pair.left(0.6), pair.right(0.6), 9)
+        G = moore.solve_G(np.concatenate([t + L, t + R]))[0]
+        F = moore.solve_F(np.concatenate([t - L, t - R]))[0]
+        G_x, F_x = moore.solve_G(0.6 + x)[0], moore.solve_F(0.6 - x)[0]
+        psi = 1j / np.sqrt(12.0 * np.pi) * (np.exp(-3j * np.pi * G_x) - np.exp(-3j * np.pi * F_x))
+        want[moore] = (
+            mirror_residuals(*np.split(G, 2), *np.split(F, 2)),
+            [moore._trace(t, which) for which in ("G", "F")],
+            (x, psi),
+        )
+    orders = []
+    for cls in (MirrorPath, EffectiveTrajectory):  # each binds its own jet
+
+        def counting(self, t, order=3, jet=cls.jet):
+            orders.append(order)
+            return jet(self, t, order)
+
+        monkeypatch.setattr(cls, "jet", counting)
+    for moore, (residual, traces, (x, psi)) in want.items():
+        assert moore.residuals(t) == residual
+        for which, (full, n) in zip(("G", "F"), traces):
+            depth, arg = moore.trace_depth(t, which)
+            assert np.array_equal(depth, n) and np.array_equal(arg, full[0])
+        assert np.array_equal(eval_mode(moore, 3, x, 0.6), psi)
+    assert orders and max(orders) == 1
 
 
 def test_map_inversion_round_trip(contraction12):

@@ -212,6 +212,20 @@ def test_solved_samples_do_not_depend_on_their_batch(tau, side):
     assert np.array_equal(_solve(am, side, t[perm], guesses[perm]), batch[perm])
 
 
+@pytest.mark.parametrize("side, end, inward", [("left", 0.0, 1.0), ("right", 1.0, -1.0)])
+def test_root_on_a_bracket_end_is_that_end(contraction12, side, end, inward):
+    """Before the motion the reference edge is an exact root of h.  A guess
+    0.05 d0 inside the cavity starts its bracket on that edge, and `_newton`
+    stops there at once: the solve is the edge, bit for bit."""
+    s = contraction12
+    t = s.pair.motion_start - np.array([5.0, 3.0])
+    guesses = np.full(2, end + inward * 0.05 * s.pair.d0)
+    assert np.array_equal(guesses - inward * 0.05 * s.pair.d0, np.full(2, end))
+    (g,), (f,) = mirror_jets(s.am, t, np.full(2, end), 0)
+    assert np.array_equal(g - f, np.full(2, 2.0 if side == "right" else 0.0))
+    assert np.array_equal(_solve(s.am, side, t, guesses), np.full(2, end))
+
+
 def test_local_search_without_crossing_raises():
     with pytest.raises(BracketError):
         _solve(_RootlessMoore(), "left", np.zeros(2), np.array([0.0, 5.0]))
