@@ -160,18 +160,61 @@ class ExactMoore:
         step_out = (t - sign * Xj[0], 1.0 - sign * Xj[1], *(-x for x in higher))
         return jets.compose(step_out, jets.compose(step_in, acc))
 
+    def _moving(self, mirror: str, sign: float, z):
+        """Mask of the arguments whose first root, of t + sign*X(t) = z on
+        the mirror's path X, lies after motion onset: the walk's `go` test,
+        made without a walk where it is closed form.  A finite argument
+        outside the map's span of boundary images has the root
+        z - sign*(edge value) that `_invert` gives it, bit for bit; every
+        other argument counts as moving."""
+        _, _, before, after = getattr(self.pair, mirror).table()
+        img = self._images[mirror][sign]
+        low = z <= img[0]
+        closed = low | (z >= img[-1])
+        return ~closed | (z - sign * np.where(low, before, after) > self._start)
+
+    def _round_trip(self, first, second, jet, idx, order: int):
+        """One bounce of the rays `idx` of `jet`, in place: invert the first
+        (mirror, sign) map, then reflect off both mirrors.  Returns the rays
+        whose first root lies after onset, the only columns gathered and
+        written back.  The bounce's temporaries go on return, so none is
+        held through the next bounce, and the first map's root and path jet
+        go before the second inversion."""
+        t1, Xj = self._invert(*first, jet[0, idx], order)
+        go = t1 > self._start
+        idx = idx[go]
+        if idx.size == 0:
+            return idx
+        # each step is the jet of one map, valued at the argument it
+        # reaches: invert the mirror map, then reflect off the mirror
+        acc = jet[:, idx]
+        new = self._reflect(first[1], t1[go], [x[go] for x in Xj], acc)
+        del t1, Xj
+        t2, Yj = self._invert(*second, new[0], order)
+        new = self._reflect(second[1], t2, Yj, new)
+        if np.any(new[0] >= acc[0]):
+            raise ConvergenceError("backward trace failed to decrease; geometry invalid")
+        jet[:, idx] = new
+        return idx
+
     def _trace(self, args, which: str, order: int = 3):
         """Shared backward walk over raveled `args`; returns (jet, bounce counts).
 
         The jet is one (order + 1, n) array, order 1..3: each ray's final
         static argument and its derivatives 1..order in the starting
-        argument.  Each bounce gathers the active columns once and scatters
-        them back once.  G first inverts the right-mirror map t + R(t), then
-        the left-mirror map t - L(t); F takes the two mirrors in the
-        opposite order.  The one onset test is `go`: a ray whose first root
-        lies at or before motion onset is static and stops there.  An
-        argument at or below the first boundary image inverts in closed
-        form, so a ray that is static from the start costs no Newton step.
+        argument.  G first inverts the right-mirror map t + R(t), then the
+        left-mirror map t - L(t); F takes the two mirrors in the opposite
+        order.  The one onset test is `go`: a ray whose first root lies at
+        or before motion onset is static and stops there.  A ray whose
+        first root is closed form never enters the walk when that root is
+        at or before onset (`_moving`), so no inversion, reflection or path
+        jet ever sees it: its jet stays (z, 1, 0, ...) with no bounce, the
+        static closed form, as the walk would leave it.  Lying below the
+        first boundary image is not enough: an effective pair's motion can
+        start before the first mirror's table does, and such a ray bounces.
+        Each bounce (`_round_trip`) gathers the live columns once and
+        scatters them back once.  A NaN or infinite argument raises
+        ConvergenceError.
         """
         first, second = (("right", 1.0), ("left", -1.0))
         if which == "F":
@@ -182,32 +225,17 @@ class ExactMoore:
         jet = np.zeros((order + 1, *z.shape))
         jet[0], jet[1] = z, 1.0
         n = np.zeros(z.shape, dtype=int)
-        active = np.ones(z.shape, dtype=bool)
         if z.size == 0:
             return jet, n
+        if not np.isfinite(z).all():
+            raise ConvergenceError("backward trace of an argument that is not finite")
+        idx = np.flatnonzero(self._moving(*first, z))
         for _ in range(self._max_bounces(float(np.max(z))) + 1):
-            if not active.any():
+            if idx.size == 0:
                 break
-            idx = np.flatnonzero(active)
-            t1, Xj = self._invert(*first, jet[0, idx], order)
-            go = t1 > self._start
-            active[idx[~go]] = False
-            cont = idx[go]
-            if cont.size == 0:
-                continue
-            # each step is the jet of one map, valued at the argument it
-            # reaches: invert the mirror map, then reflect off the mirror
-            acc = jet[:, cont]
-            new = self._reflect(first[1], t1[go], [x[go] for x in Xj], acc)
-            t2, Yj = self._invert(*second, new[0], order)
-            new = self._reflect(second[1], t2, Yj, new)
-            if np.any(new[0] >= acc[0]):
-                raise ConvergenceError(
-                    "backward trace failed to decrease; geometry invalid"
-                )
-            jet[:, cont] = new
-            n[cont] += 1
-        if active.any():
+            idx = self._round_trip(first, second, jet, idx, order)
+            n[idx] += 1
+        if idx.size:
             raise ConvergenceError("backward trace exceeded its bounce bound")
         return jet, n
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import configparser
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -273,18 +274,38 @@ def _write_summary(path: str, sections: dict) -> None:
             f.write("\n")
 
 
-def _make_out_dir(cfg: RunConfig) -> None:
-    """Create the output directory before any work, so a path that cannot
-    be one fails at once and by name, not after the whole computation."""
+@contextmanager
+def _out_dir(cfg: RunConfig):
+    """Create the output directory before the costly work, so a path that
+    cannot be one fails at once and by name, not after the whole
+    computation.  If the block raises, the directories made here are
+    removed again, deepest first, as long as they are empty; a directory
+    that existed before stays."""
+    made = []
+    path = os.path.abspath(cfg.out_dir)
+    while not os.path.lexists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     try:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-    except OSError as exc:
-        raise CavstaError(f"cannot create output directory {cfg.out_dir}: {exc.strerror}") from exc
+        try:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise CavstaError(
+                f"cannot create output directory {cfg.out_dir}: {exc.strerror}"
+            ) from exc
+        yield
+    except BaseException:
+        for path in made:
+            try:
+                os.rmdir(path)
+            except OSError:
+                break
+        raise
 
 
 def _write_artifacts(result: RunResult, tables: dict, summary_name: str, summary: dict) -> None:
     """Write each table, name: (header, columns), as name.csv in order, then
-    the summary, into the output directory that `_make_out_dir` made; list
+    the summary, into the output directory that `_out_dir` made; list
     each on `result.files`."""
     out_dir = result.config.out_dir
     for name, (header, columns) in tables.items():
@@ -298,16 +319,17 @@ def _write_artifacts(result: RunResult, tables: dict, summary_name: str, summary
     result.files.append(path)
 
 
-def _scenario(cfg: RunConfig):
-    """Build everything one scenario needs; shared by run and sweep."""
-    pair = _build_pair(cfg)
+def _scenario(cfg: RunConfig, pair: TrajectoryPair, times):
+    """The table phase of one scenario, shared by run and sweep: the
+    adiabatic table, the effective and limit trajectories, and all else
+    read off the table, moore.csv's (F_ad, G_ad) at `times` and the
+    adiabatic residual.  The table is not returned, so it is freed here."""
     am = AdiabaticMoore.build(pair, cfg.moore_panels)
-    times = _time_grid(cfg, pair)
     t_lo, t_hi = float(times[0]), float(times[-1])
     num = dict(step=cfg.effective_step, refine_tol=cfg.effective_refine_tol)
     eff = tuple(sta.build_effective(am, side, t_lo, t_hi, **num) for side in ("left", "right"))
     lim = sta.limit_trajectory(pair.L0, pair.Lf, pair.R0, pair.Rf)
-    return pair, am, times, eff, lim
+    return eff, lim, (am.F(times), am.G(times)), adiabatic_residual(am, times)
 
 
 def _critical_tau(cfg: RunConfig):
@@ -329,25 +351,34 @@ def _try_exact(pair, notes: list, label: str):
 
 
 def run(cfg: RunConfig) -> RunResult:
-    _make_out_dir(cfg)
-    result = RunResult(config=cfg)
-    pair, am, times, eff, (lim_l, lim_r) = _scenario(cfg)
-    eff_pair = TrajectoryPair(*eff)
-    notes: list = []
-    exact_ref = _try_exact(pair, notes, "reference pair")
-    exact_eff = _try_exact(eff_pair, notes, "effective pair")
-
+    """One scenario in phases, each holding only its own data: the cheap
+    checks (pair, time grid, thermal states), then the output directory,
+    then the table phase (`_scenario`), and only after the table is freed
+    the exact solvers, the two energy records and the artifacts."""
+    pair = _build_pair(cfg)
+    times = _time_grid(cfg, pair)
     states = []
     for T in cfg.temperatures:
         try:
             states.append(ThermalState(T, pair.d0))
         except ValueError as exc:  # Z(T d0) past the float range
             raise CavstaError(f"[numerics] temperatures: T={T:g}: {exc}") from None
+    with _out_dir(cfg):
+        return _run(cfg, pair, times, states)
+
+
+def _run(cfg: RunConfig, pair: TrajectoryPair, times, states) -> RunResult:
+    result = RunResult(config=cfg)
+    eff, (lim_l, lim_r), (F_ad, G_ad), res_ad = _scenario(cfg, pair, times)
+    # the table is gone: the rest holds the exact walks, not it
+    eff_pair = TrajectoryPair(*eff)
+    notes: list = []
+    exact_ref = _try_exact(pair, notes, "reference pair")
+    exact_eff = _try_exact(eff_pair, notes, "effective pair")
     # the reference run also gives moore.csv's exact columns at the times
     rec_ref = energy_record(times, states, exact_ref, pair, cfg.spatial_points, at=times)
     rec_eff = energy_record(times, states, exact_eff, eff_pair, cfg.spatial_points)
 
-    res_ad = adiabatic_residual(am, times)
     # read off the energy record's traces; NaN when there is no solver
     res_exact = rec_ref.residual
     if exact_ref is not None and max(res_exact) > _EXACT_RESIDUAL_MAX:
@@ -379,7 +410,7 @@ def run(cfg: RunConfig) -> RunResult:
         ),
         "moore": (
             ["z", "F_ad", "G_ad", "F_exact", "G_exact"],
-            [times, am.F(times), am.G(times), rec_ref.F, rec_ref.G],
+            [times, F_ad, G_ad, rec_ref.F, rec_ref.G],
         ),
         "energy": (
             ["t"] + [f"{key}_T{_t_label(T)}" for T in cfg.temperatures for key in _ENERGY],
@@ -464,9 +495,10 @@ def _limit_distance(eff, lim, times, tau: float) -> float:
 
 def _sweep_one(cfg: RunConfig) -> dict:
     # the effective trajectories are read one by one: a sweep row needs no
-    # pair, and so no exact gap check
-    _, am, times, (eff_l, eff_r), (lim_l, lim_r) = _scenario(cfg)
-    res_ad = adiabatic_residual(am, times)
+    # effective pair, and so no exact gap check
+    pair = _build_pair(cfg)
+    times = _time_grid(cfg, pair)
+    (eff_l, eff_r), (lim_l, lim_r), _, res_ad = _scenario(cfg, pair, times)
     return {
         "tau": cfg.tau,
         "res_ad_L": res_ad[0],
@@ -486,7 +518,11 @@ def sweep_tau(cfg: RunConfig) -> SweepResult:
     taus = cfg.tau_list
     if len(taus) < 3:
         raise CavstaError(f"sweep needs at least 3 tau values, got {len(taus)}")
-    _make_out_dir(cfg)
+    with _out_dir(cfg):
+        return _sweep(cfg, taus)
+
+
+def _sweep(cfg: RunConfig, taus) -> SweepResult:
     result = SweepResult(config=cfg)
     rows = result.rows = [_sweep_one(replace(cfg, tau=t)) for t in taus]
 

@@ -399,7 +399,6 @@ def critical_tau(
     eps: float,
     tau_lo: float,
     tau_hi: float,
-    tol: float = 1e-3,
 ) -> float:
     """Timescale tau_c below which the effective trajectories exceed light.
 
@@ -413,15 +412,12 @@ def critical_tau(
     ratio carries no cancellation.  K = Lf R0 - L0 Rf of the pair's float
     edges is rounded once from its exact value, and is taken as 0, as is
     tau_c, when `continuity_check` holds.
-    make_reference validates the geometry and supplies the default Lf.  The
-    value is exact, so it meets any `tol` > 0.  Raises BracketError when
-    tau_c <= tau_lo ("all candidate tau physical") or tau_c >= tau_hi ("no
-    candidate tau physical").
+    make_reference validates the geometry and supplies the default Lf.
+    Raises BracketError when tau_c <= tau_lo ("all candidate tau physical")
+    or tau_c >= tau_hi ("no candidate tau physical").
     """
     if not 0 < tau_lo < tau_hi:
         raise ValueError(f"need 0 < tau_lo < tau_hi, got ({tau_lo}, {tau_hi})")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     p = make_reference(family, L0=L0, Lf=Lf, R0=R0, eps=eps, tau=1.0)
     K = 0.0
     if not continuity_check(p.L0, p.Lf, p.R0, p.Rf):

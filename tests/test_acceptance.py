@@ -258,9 +258,7 @@ def test_critical_timescale():
     monotone (shorter protocols superluminal, longer ones physical) and a
     sub-critical protocol is flagged and refused by the exact solver."""
     geo = dict(L0=0.0, Lf=0.3, R0=1.0, eps=0.3)
-    tc = critical_tau(
-        "contraction", geo["L0"], geo["Lf"], geo["R0"], geo["eps"], 0.2, 1.2, tol=1e-3
-    )
+    tc = critical_tau("contraction", geo["L0"], geo["Lf"], geo["R0"], geo["eps"], 0.2, 1.2)
 
     def max_speed(tau):
         pair = make_reference("contraction", tau=tau, **geo)

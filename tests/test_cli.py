@@ -112,6 +112,7 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert out.err.splitlines() == [f"error: out of memory: {message}"]
     assert "Traceback" not in out.out + out.err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -129,7 +130,7 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
 def test_grid_past_the_index_limit_is_one_error_line(tmp_path, capsys, old, new):
     """A grid past numpy's index limit raises ValueError, not MemoryError,
     and is the same one error line and exit 1 as a grid too large to
-    allocate."""
+    allocate, and leaves no output directory behind."""
     cfg = write_config(tmp_path, tmp_path / "out")
     ini = tmp_path / "cfg.ini"
     ini.write_text(ini.read_text().replace(old, new))
@@ -137,6 +138,7 @@ def test_grid_past_the_index_limit_is_one_error_line(tmp_path, capsys, old, new)
     out = capsys.readouterr()
     assert code == 1
     assert out.err.splitlines() == ["error: out of memory: Maximum allowed size exceeded"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_temperature_past_the_float_range_is_one_error_line(tmp_path, capsys):
@@ -152,6 +154,26 @@ def test_temperature_past_the_float_range_is_one_error_line(tmp_path, capsys):
         "error: [numerics] temperatures: T=1e+200: "
         "thermal sum overflows the float range at argument 1e+200"
     ]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_refused_work_removes_only_the_directories_it_made(tmp_path, capsys, command):
+    """A run or sweep that stops inside its work (here the table of
+    moore_panels = 1e20) removes the output directories it made, parents
+    too, and leaves one that existed before the run."""
+    extra = "[sweep]\ntau_list = 1.0 1.2 1.4\n"
+    for out_dir, made in ((tmp_path / "new" / "out", tmp_path / "new"), (tmp_path / "old", None)):
+        if made is None:
+            out_dir.mkdir()
+        cfg = write_config(tmp_path, out_dir, extra)
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(ini.read_text().replace(
+            "spatial_points = 301", "spatial_points = 301\nmoore_panels = 100000000000000000000"
+        ))
+        assert main([command, cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: out of memory")
+        assert out_dir.is_dir() if made is None else not made.exists()
 
 
 def test_unconverged_effective_build_is_an_error(tmp_path, capsys):

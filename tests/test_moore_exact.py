@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cavsta.energy import eval_mode
-from cavsta.errors import SuperluminalError
+from cavsta.errors import ConvergenceError, SuperluminalError
 from cavsta.moore_exact import ExactMoore, mirror_residuals
 from cavsta.sta import EffectiveTrajectory
 from cavsta.trajectory import MirrorPath, TrajectoryPair, make_reference
@@ -390,3 +390,66 @@ def test_non_increasing_boundary_images_refused():
     pair = SimpleNamespace(left=_Understated(fast.left), right=_Understated(fast.right))
     with pytest.raises(SuperluminalError, match="boundaries"):
         ExactMoore(pair)
+
+
+def test_static_rays_never_enter_the_walk(contraction12, monkeypatch):
+    """A ray whose first root is closed form and at or before onset makes
+    no inversion: a batch of such arguments makes no `_invert` call, and
+    the first call for a mixed batch holds only the rays that bounce.
+    Values and bounce counts are the static closed form's."""
+    calls = []
+    invert = ExactMoore._invert
+
+    def recording(self, mirror, sign, target, order=3):
+        calls.append(np.array(target))
+        return invert(self, mirror, sign, target, order)
+
+    monkeypatch.setattr(ExactMoore, "_invert", recording)
+    for moore in (contraction12.exact_ref, contraction12.exact_eff):
+        pair = moore.pair
+        start = pair.motion_start
+        for which, image, sgn in (
+            ("G", start + float(pair.right(start)), -1.0),
+            ("F", start - float(pair.left(start)), 1.0),
+        ):
+            static = np.linspace(image - 3.0, image, 41)
+            calls.clear()
+            n, arg = moore.trace_depth(static, which)
+            assert calls == [] and np.all(n == 0) and np.array_equal(arg, static)
+            value = moore._solve(static, which)
+            assert calls == [] and np.array_equal(value[0], (static + sgn * pair.L0) / pair.d0)
+            mixed = np.concatenate([static, np.linspace(image + 0.01, image + 4.0, 40)])
+            calls.clear()
+            n, _ = moore.trace_depth(mixed, which)
+            assert np.array_equal(calls[0], mixed[n > 0]) and np.all(n[41:] > 0)
+
+
+def test_effective_rays_below_the_first_image_still_bounce(contraction12):
+    """The effective pair's motion starts with its right mirror, about one
+    light-crossing before its left mirror's table: an F argument between
+    the two lies below the left map's first image, inverts in closed form
+    and still bounces once.  The values are those of the walk that traced
+    every argument, bit for bit."""
+    moore = contraction12.exact_eff
+    pair = moore.pair
+    first_image = moore._images["left"][-1.0][0]
+    w = np.array([-0.99, -0.5, -0.3, -0.01])
+    assert np.all((pair.motion_start < w) & (w < first_image))
+    n, _ = moore.trace_depth(w, "F")
+    assert n.tolist() == [1, 1, 1, 1]
+    F = moore.solve_F(w)
+    assert F[0].tolist() == [-0.9900000000000002, -0.5, -0.2999999999999998, -0.009999999999999787]
+    assert F[1].tolist() == [1.0] * 4 and F[2].tolist() == F[3].tolist() == [0.0] * 4
+    assert moore.solve_F(-0.3) == (-0.2999999999999998, 1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_arguments_that_are_not_finite_raise(contraction12, bad):
+    """Alone or in a batch with static and moving rays, on either map."""
+    moore = contraction12.exact_ref
+    for which in ("G", "F"):
+        for args in (bad, np.array([-5.0, bad, 0.5])):
+            with pytest.raises(ConvergenceError):
+                moore._solve(args, which)
+            with pytest.raises(ConvergenceError):
+                moore.trace_depth(args, which)

@@ -2,13 +2,14 @@
 
 import dataclasses
 import os
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from cavsta import sta
+from cavsta import runner, sta
 from cavsta.errors import CavstaError
 from cavsta.moore_adiabatic import AdiabaticMoore
 from cavsta.moore_exact import ExactMoore
@@ -138,6 +139,28 @@ def test_one_trace_per_moore_map(tmp_path, monkeypatch):
     assert res.exit_code == 0
     assert sorted(which for _, which in traces) == ["F", "F", "G", "G"]
     assert list(traces.values()) == [1, 1, 1, 1]
+
+
+def test_no_adiabatic_table_alive_in_the_energy_phase(tmp_path, monkeypatch):
+    """Every product of the adiabatic table is read off before the energy
+    records, so the table is freed by then: no reference is left in the
+    run, in the scenario's return value or in a result."""
+    tables, seen = [], []
+    build, record = AdiabaticMoore.build, runner.energy_record
+
+    def building(pair, panels=4096):
+        am = build(pair, panels)
+        tables.append(weakref.ref(am))
+        return am
+
+    def recording(*args, **kw):
+        seen.append([ref() is None for ref in tables])
+        return record(*args, **kw)
+
+    monkeypatch.setattr(AdiabaticMoore, "build", building)
+    monkeypatch.setattr(runner, "energy_record", recording)
+    assert run(contraction_cfg(tmp_path)).exit_code == 0
+    assert seen == [[True], [True]]
 
 
 def test_run_moore_values_are_the_standalone_solve(tmp_path):

@@ -332,7 +332,7 @@ def test_limit_continuity_criterion():
 
 
 def test_critical_timescale_brackets_speed_crossing():
-    tc = critical_tau("contraction", 0.0, 0.3, 1.0, 0.3, 0.8, 1.2, tol=1e-2)
+    tc = critical_tau("contraction", 0.0, 0.3, 1.0, 0.3, 0.8, 1.2)
     assert 0.9 < tc < 1.1
 
 
@@ -409,14 +409,6 @@ def test_critical_tau_vanishes_exactly_with_continuous_limits(geometry):
         assert continuous and "all candidate tau physical" in str(exc)
     else:
         assert not continuous and tc > 0.0
-
-
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
-def test_critical_tau_rejects_tolerance_not_positive(tol, monkeypatch):
-    """Checked before any work: make_reference is never reached."""
-    monkeypatch.setattr(sta, "make_reference", None)
-    with pytest.raises(ValueError, match="tol"):
-        critical_tau(*next(iter(_TAU_C)), 0.2, 1.2, tol=tol)
 
 
 def _polynomial_tau_c(family, L0, Lf, R0, eps):
