@@ -18,7 +18,7 @@ class SuperluminalError(CavstaError):
 
 
 class BracketError(CavstaError):
-    """A root could not be bracketed; no physical solution in range."""
+    """No solution in a search range: `critical_tau` outside [tau_lo, tau_hi]."""
 
 
 class ConvergenceError(CavstaError):

@@ -25,7 +25,7 @@ import numpy as np
 from . import jets
 from .errors import ConvergenceError
 from .moore_exact import mirror_residuals
-from .trajectory import TrajectoryPair, _check_order, _horner_at, _locate
+from .trajectory import TrajectoryPair, _check_order, _horner_at, _locate, _newton
 
 __all__ = ["AdiabaticMoore", "adiabatic_residual", "mirror_jets"]
 
@@ -44,7 +44,8 @@ class AdiabaticMoore:
     panel of `_nodes`, whose node slopes are the exact integrand 1/(R-L);
     `_cols` holds their ascending coefficients as four contiguous columns
     (`_cols[j][i]`: coefficient j of panel i).  Outside the window I is
-    linear and evaluated in closed form.
+    linear and evaluated in closed form.  `_node_values` caches, per map
+    `invert` was asked for, its rising node values (None if they fall).
     """
 
     pair: TrajectoryPair
@@ -52,6 +53,7 @@ class AdiabaticMoore:
     _nodes: np.ndarray = field(repr=False, compare=False)
     _cols: np.ndarray = field(repr=False, compare=False)
     I_end: float
+    _node_values: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(cls, pair: TrajectoryPair, panels: int = 4096) -> "AdiabaticMoore":
@@ -100,14 +102,17 @@ class AdiabaticMoore:
         out = np.where(z > t_hi, self.I_end + (z - t_hi) / self.pair.df, out)
         return float(out) if out.ndim == 0 else out
 
-    def _q_jet(self, z, order: int):
-        """Jets to `order` of (R+L)/(R-L) and, one order lower, of 1/(R-L)
-        at z (exact from the path polynomials)."""
+    def _lifted_jet(self, z, s, order: int):
+        """Jets to `order` of I + s (R+L)/(R-L) at z: the map of sign s
+        without its anchoring constant -s, its derivatives exact from the
+        path polynomials."""
         L = self.pair.left.jet(z, order)
         R = self.pair.right.jet(z, order)
         u = tuple(r + l for r, l in zip(R, L))
         v = tuple(r - l for r, l in zip(R, L))
-        return jets.divide(u, v), jets.reciprocal(v[:order]) if order else ()
+        q, r = jets.divide(u, v), jets.reciprocal(v[:order]) if order else ()
+        lifted = (self.advance(z) + s * q[0],)
+        return lifted + tuple(r[k - 1] + s * q[k] for k in range(1, order + 1))
 
     def jet(self, which: str, z, order: int = 3):
         """(value, d1, ..., d_order) of F_ad or G_ad at z; vectorized.
@@ -121,14 +126,55 @@ class AdiabaticMoore:
             raise ValueError(f"which must be F, G or GF (even size), got {which!r}")
         _check_order(order)
         scalar = np.ndim(z) == 0
-        zz = np.atleast_1d(np.asarray(z, dtype=float))
-        q, r = self._q_jet(zz, order)
-        out = (self.advance(zz) + s * q[0] - s,) + tuple(
-            r[k - 1] + s * q[k] for k in range(1, order + 1)
-        )
+        lifted = self._lifted_jet(np.atleast_1d(np.asarray(z, dtype=float)), s, order)
+        out = (lifted[0] - s,) + lifted[1:]
         if scalar:
             return tuple(float(a[0]) for a in out)
         return out
+
+    def invert(self, which: str, z, target: float):
+        """Arguments of F_ad (`which` "F") or G_ad ("G") solving the mirror
+        condition G_ad(u) - F_ad(v) = target, one per value of the 1-D array
+        z, the other map's argument; None if the map does not rise across
+        its table.  Both maps are I + s q less their anchoring constant s
+        (s = 1/2 for F, -1/2 for G), so the condition is solved as
+        I + s q = (I - s q)(z) + 2s (1 - target): the same floating-point
+        problem for a pair and its mirror image, which turns q into -q.
+        Outside the motion window I + s q is linear and inverted in closed
+        form; inside, a search over the node values finds the one panel
+        that brackets the root, and `trajectory._newton` polishes it from
+        the secant point, stopping at a step of 1e-15 max(1, |root|) or a
+        gap of 2e-14 max(1, |I + s q|), the rounding of the map.
+        """
+        s = _SIGN[which]
+        if which not in self._node_values:
+            vals = self._lifted_jet(self._nodes, s, 0)[0]
+            self._node_values[which] = vals if np.all(np.diff(vals) > 0.0) else None
+        vals = self._node_values[which]
+        if vals is None:
+            return None
+        nodes, z = self._nodes, np.asarray(z, dtype=float)
+        y = self._lifted_jet(z, -s, 0)[0] + 2.0 * s * (1.0 - target)
+        i = np.searchsorted(vals, y, side="right") - 1
+        root = np.where(
+            i < 0,
+            nodes[0] + (y - vals[0]) * self.pair.d0,
+            nodes[-1] + (y - vals[-1]) * self.pair.df,
+        )
+        j = np.flatnonzero((i >= 0) & (i < nodes.size - 1))
+        i, yj = i[j], y[j]
+        a, b = nodes[i], nodes[i + 1]
+        x = a + (b - a) * ((yj - vals[i]) / (vals[i + 1] - vals[i]))
+
+        def h(k, xk):
+            value, slope = self._lifted_jet(xk, s, 1)
+            gap = value - yj[k]
+            gap[np.abs(gap) <= 2e-14 * np.maximum(1.0, np.abs(value))] = 0.0
+            return gap, slope
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root[j] = _newton(h, x, a, b, 1e-15 * np.maximum(1.0, np.abs(x)))
+        return root
 
     def F(self, z, order: int = 0):
         return self.jet("F", z, order)[order]

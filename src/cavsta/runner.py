@@ -533,7 +533,9 @@ def _sweep(cfg: RunConfig, taus) -> SweepResult:
         slope = float(np.polyfit(np.log(np.array(taus)[fit]), np.log(res[fit]), 1)[0])
     else:
         slope = "not fitted: fewer than two taus with a nonzero adiabatic residual"
-    speeds = [max(r["max_eff_speed_left"], r["max_eff_speed_right"]) for r in rows]
+    # a superluminal row's max_eff_speed measures its fold on the grid, not a speed
+    real = [r for r in rows if r["realizable"]]
+    speeds = [max(r["max_eff_speed_left"], r["max_eff_speed_right"]) for r in real]
     results_section = {
         "residual_loglog_slope": slope,
         "speeds_decrease_with_tau": bool(np.all(np.diff(speeds) <= 1e-9)),

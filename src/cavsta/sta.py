@@ -6,12 +6,13 @@ of the reference protocol, so the field ends in the adiabatic target state
 in finite time.  The defining conditions are
 
     G_ad(t + L_eff(t)) - F_ad(t - L_eff(t)) = 0,
-    G_ad(t + R_eff(t)) - F_ad(t - R_eff(t)) = 2,
+    G_ad(t + R_eff(t)) - F_ad(t - R_eff(t)) = 2.
 
-solved per time sample by bracketed Newton steps, in the loop
-`trajectory._newton` that also polishes every polynomial root.
-For instantaneous reference motion the solution has the closed "limit"
-form: constants joined by a uniform-velocity segment of slope
+In the null coordinates u = t + x and v = t - x each is an explicit graph,
+v = F_ad^-1(G_ad(u) - target) or u = G_ad^-1(F_ad(v) + target), solved on a
+grid of one null coordinate by `AdiabaticMoore.invert`.  For instantaneous
+reference motion the solution has the closed "limit" form: constants
+joined by a uniform-velocity segment of slope
 
     v_lim = -(d0 - df) / (d0 + df),
 
@@ -36,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketError, ConvergenceError, GeometryError
-from .moore_adiabatic import AdiabaticMoore, mirror_jets
-from .trajectory import _STEP, PiecewisePath, TrajectoryPair, _newton, _real_roots, make_reference
+from .errors import BracketError, ConvergenceError, GeometryError, SuperluminalError
+from .moore_adiabatic import AdiabaticMoore
+from .trajectory import _STEP, PiecewisePath, TrajectoryPair, _real_roots, make_reference
 
 __all__ = [
     "build_effective",
@@ -52,9 +53,7 @@ __all__ = [
 ]
 
 _TARGET = {"left": 0.0, "right": 2.0}
-_SLOPE_CAP = 1e3  # keeps the interpolant finite across fold points
 _MAX_REFINE = 5  # bisection rounds of a subluminal build_effective
-_GROWTH_ROUNDS = 24  # bracket doublings of `_solve`
 
 
 def default_window(pair) -> tuple[float, float]:
@@ -69,81 +68,20 @@ def default_window(pair) -> tuple[float, float]:
     return (pair.motion_start - (x0 + pair.tau), pair.motion_end + max(3.0 * df, settled))
 
 
-def _solve(am, side, t, guesses):
-    """Roots of h(x) = G_ad(t+x) - F_ad(t-x) - target, one per sample t.
-
-    Each sample's bracket starts at its guess +- 0.05 d0 (d0 of `am.pair`)
-    and grows by half its width on each side per round, for at most
-    `_GROWTH_ROUNDS` rounds, until it straddles an increasing crossing
-    h(lo) < 0 < h(hi) (or hits a root exactly).  For an adiabatic Moore
-    pair that always happens: once t + x and t - x both lie outside the
-    motion window, the maps are linear there, and h is linear in x with
-    slope 1/d0 + 1/df > 0, so it rises without bound on both sides and a
-    bracket grown about any guess soon straddles a root.  The half-width
-    doubles each round, to 2^24 times its start: a reach of
-    0.05 d0 * 2^24 = 8.4e5 d0 from the guess, far beyond any guess a caller
-    makes (reference positions, interpolated effective positions).  Raises
-    BracketError for a sample that never straddles one.  Then
-    `trajectory._newton` polishes every sample from its bracket midpoint
-    (from a bracket end where h is exactly 0, and stops there), with slope
-    G' + F'; a sample stops once its step is at most 1e-15 max(1, |x|), or
-    once |h| is within 2e-14 max(1, |G|, |F|), the rounding of the maps,
-    which counts as h = 0.
-    """
-    target = _TARGET[side]
-    t = np.asarray(t, dtype=float)
-    guesses = np.asarray(guesses, dtype=float)
-    w = 0.05 * am.pair.d0
-    lo, hi = guesses - w, guesses + w
-
-    flo, fhi = np.empty(t.shape), np.empty(t.shape)
-    i = np.arange(t.size)
-    for round_ in range(_GROWTH_ROUNDS + 1):
-        # both bracket ends of the samples still searching, in one pass
-        tt, xx = np.concatenate([t[i], t[i]]), np.concatenate([lo[i], hi[i]])
-        (g,), (f,) = mirror_jets(am, tt, xx, 0)
-        flo[i], fhi[i] = np.split(g - f - target, 2)
-        ok = ((flo < 0.0) & (fhi > 0.0)) | (flo == 0.0) | (fhi == 0.0)
-        i = np.flatnonzero(~ok)
-        if i.size == 0:
-            break
-        if round_ == _GROWTH_ROUNDS:
-            raise BracketError(
-                f"no physical effective position for side={side} at t={t[i[0]]}"
-            )
-        half = 0.5 * (hi[i] - lo[i])
-        lo[i] -= half
-        hi[i] += half
-
-    x = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, 0.5 * (lo + hi)))
-
-    def h(j, xj):
-        # a value within rounding of the maps' size counts as the root
-        (g, g1), (f, f1) = mirror_jets(am, t[j], xj, 1)
-        v = g - f - target
-        v[np.abs(v) <= 2e-14 * np.maximum(1.0, np.maximum(np.abs(g), np.abs(f)))] = 0.0
-        return v, g1 + f1
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _newton(h, x, lo, hi, 1e-15 * np.maximum(1.0, np.abs(x)))
-
-
-def _implicit_jet(am, side, times, positions):
-    """Exact dx/dt and d2x/dt2 at solved samples, from differentiating the
-    defining equation: with F' at t-x and G' at t+x,
+def _implicit_jet(am, side, u, v):
+    """Exact dx/dt and d2x/dt2 at solved nodes (u, v) = (t + x, t - x), from
+    differentiating the defining equation: with F' at v and G' at u,
 
         dx/dt   = (F' - G') / (F' + G'),
         d2x/dt2 = [F''(1-dx/dt)^2 - G''(1+dx/dt)^2] / (F' + G').
 
-    Both are capped where F' + G' changes sign (fold of the branch).  The
-    third value is the sup over the samples of |G - F - target|, read off
+    The third value is the sup over the nodes of |G - F - target|, read off
     the same pass."""
-    (G0, G1, G2), (F0, F1, F2) = mirror_jets(am, times, positions, 2)
+    jet = am.jet("GF", np.concatenate([u, v]), 2)
+    G0, F0, G1, F1, G2, F2 = (half for a in jet for half in np.split(a, 2))
     denom = G1 + F1
-    safe = np.where(np.abs(denom) < 1e-12, 1e-12, denom)
-    slopes = np.clip((F1 - G1) / safe, -_SLOPE_CAP, _SLOPE_CAP)
-    curv = (F2 * (1.0 - slopes) ** 2 - G2 * (1.0 + slopes) ** 2) / safe
-    curv = np.clip(curv, -_SLOPE_CAP, _SLOPE_CAP)
+    slopes = (F1 - G1) / denom
+    curv = (F2 * (1.0 - slopes) ** 2 - G2 * (1.0 + slopes) ** 2) / denom
     return slopes, curv, np.max(np.abs(G0 - F0 - _TARGET[side]))
 
 
@@ -165,42 +103,24 @@ def _quintic_rows(times, positions, slopes, curvatures) -> np.ndarray:
     return np.stack([positions[:-1], s0, 0.5 * k0, c3, c4, c5], axis=1)
 
 
-def _motion_nodes(t_lo, t_hi, n, on, off):
-    """Nodes of the uniform n-step grid on [t_lo, t_hi] that span [on, off]:
-    from the last node at or below `on` to the first at or above `off`.
-
-    Where [t_lo, t_hi] does not cover [on, off], the grid runs on past its
-    ends by whole steps, t_lo + k*h.  Nodes inside the window are bitwise
-    those of np.linspace(t_lo, t_hi, n + 1).  Since on < off, at least one
-    segment is kept.
-    """
-    h = (t_hi - t_lo) / n
-    k = np.arange(np.floor((on - t_lo) / h) - 1.0, np.ceil((off - t_lo) / h) + 2.0)
-    grid = k * h + t_lo
-    grid[k == n] = t_hi
-    first = np.searchsorted(grid, on, side="right") - 1
-    last = np.searchsorted(grid, off, side="left")
-    return grid[first : last + 1]
-
-
 class EffectiveTrajectory(PiecewisePath):
     """Solved effective trajectory for one mirror, with its interpolant.
 
-    `times` are the solved samples, the knots of a C^2 quintic Hermite
-    interpolant that matches the solved positions and the exact
-    implicit-function slopes and curvatures there.  They span the mirror's
-    effective motion window (see `build_effective`); outside it the
-    trajectory equals its exact edge values, the reference mirror's initial
-    and final positions.  `breaks` reports only the ends of that window:
-    the interior nodes are not C^3 breaks that the exact Moore functions
-    need to track.  `residual_sup` is the sup of |G_ad - F_ad - target|
-    over the solved samples.  `max_speed_sampled` is the exact sup of
-    |dx/dt| over the interpolant; `realizable` is False when it reaches the
-    speed of light (protocol faster than the critical timescale), and such
-    curves remain usable for plotting and limit-curve comparison.  A
-    superluminal curve is the interpolant of the round where refinement
-    stopped, so its `max_speed_sampled` shows only that the branch folds
-    (speed above 1): its size depends on the grid that resolved the fold.
+    `times` are the t = (u + v)/2 of the solved nodes (u, v) in null
+    coordinates, the knots of a C^2 quintic Hermite interpolant matching
+    the nodes' x = (u - v)/2 and the exact implicit-function slopes and
+    curvatures there.  They span the mirror's effective motion window (see
+    `build_effective`); outside it the trajectory equals its exact edge
+    values, the reference mirror's initial and final positions.  `breaks`
+    reports only the ends of that window: the interior nodes are not C^3
+    breaks that the exact Moore functions need to track.  `residual_sup` is
+    the sup of |G_ad - F_ad - target| over the nodes.  `max_speed_sampled`
+    is the exact sup of |dx/dt| over the interpolant; `realizable` is False
+    when it reaches the speed of light (protocol faster than the critical
+    timescale), and such curves remain usable for plotting and limit-curve
+    comparison.  A superluminal curve is its build's unrefined round, on the
+    nodes its fold rule kept, so its `max_speed_sampled` shows only that the
+    speed exceeds 1: its size depends on how the grid met the fold.
     """
 
     def __init__(self, times, rows, before, after, residual_sup):
@@ -231,57 +151,90 @@ def build_effective(
     step: float | None = None,
     refine_tol: float = 1e-8,
 ) -> EffectiveTrajectory:
-    """Solve the side's defining equation where the effective mirror moves.
+    """The side's effective trajectory, as a graph in null coordinates.
 
-    The reference mirror's edge values (x0, xf) solve the equation exactly
-    up to on = motion_start - |x0| and from off = motion_end + |xf| on, with
-    the reference pair's motion_start and motion_end: there both Moore
-    arguments t +- x lie outside the reference motion, where the adiabatic
-    Moore functions are their static closed forms.  So only [on, off] is
-    solved, on the nodes of the uniform grid on [t_lo, t_hi] (default step
-    pair.tau/512, the motion window's length over 512) from the last at or
-    below `on` to the first at or above `off`; where the window does not
-    cover [on, off], that grid runs on past its ends by whole steps.  The curve holds x0 before its first knot and xf
-    after its last.
+    The reference mirror's edge values (x0, xf) solve the defining equation
+    exactly up to on = motion_start - |x0| and from off = motion_end + |xf|
+    on (the reference pair's motion window): there both Moore arguments
+    t +- x lie outside the motion, where the adiabatic maps are static, and
+    the curve holds x0 before its first knot and xf after its last.  In
+    between, `AdiabaticMoore.invert` solves the branch on a uniform grid in
+    u = t + x if K = Lf R0 - L0 Rf >= 0, else in v = t - x, from the end
+    node (on, x0) to (off, xf), of spacing at most h = (t_hi - t_lo) /
+    max(2, ceil((t_hi - t_lo) / step)) (default step pair.tau/512).  K has
+    the sign of c (module docstring), so on the tau-scaled families the
+    inverted map rises and the near-luminal stretches run along the grid
+    coordinate; where that map does not rise the other coordinate is used,
+    and where neither does SuperluminalError is raised.  Reflection x -> -x
+    swaps u and v and the sign of K, so mirrored pairs build mirrored
+    curves on the same knots.  Grid intervals longer than h in t, where the
+    mirror moves against the grid coordinate, are bisected, in at most
+    `_MAX_REFINE` passes.
 
-    The solve is seeded with the reference mirror positions (the effective
-    trajectory approaches the reference as the protocol slows down).  Each
-    round builds its EffectiveTrajectory on the solved nodes, predicts the
-    interval midpoints with it and solves them from those predictions; it
-    bisects the intervals whose prediction misses the solve by more than
-    `refine_tol`, and the first round with no miss returns its curve.
-    Refinement stops at the first round where a node slope exceeds 1 in
-    magnitude, and that round's curve is returned: a node slope is the
-    constant term of its segment's velocity row, so it is a candidate of
-    `max_speed_sampled`, and further rounds would keep every node, so the
-    curve is superluminal whatever they add.  Near such a fold the solved
-    branch jumps, and no refinement resolves it.  A subluminal curve that
-    still misses a midpoint solve after `_MAX_REFINE` rounds raises
-    ConvergenceError.
+    Each round keeps, on a fold (where t = (u + v)/2 turns back along the
+    grid), only the nodes inside (on, off) whose t exceeds every earlier t,
+    so the knots strictly increase; builds its EffectiveTrajectory on them;
+    and bisects the grid intervals whose solved midpoint the curve misses
+    by more than `refine_tol`.  The first round with no miss returns its
+    curve, and so does, unrefined, the first round with a node slope above
+    1 in magnitude: a node slope is a candidate of `max_speed_sampled`, and
+    later rounds keep every node.  A subluminal curve that still misses
+    after `_MAX_REFINE` rounds raises ConvergenceError.
     """
     if side not in _TARGET:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    pair = am.pair
+    pair, target = am.pair, _TARGET[side]
     if step is None:
         step = pair.tau / 512.0
-    n = max(2, int(np.ceil((t_hi - t_lo) / step)))
-    ref_path = pair.right if side == "right" else pair.left
-    x0, xf = ref_path.edges
+    h = (t_hi - t_lo) / max(2, int(np.ceil((t_hi - t_lo) / step)))
+    x0, xf = (pair.right if side == "right" else pair.left).edges
     on, off = pair.motion_start - abs(x0), pair.motion_end + abs(xf)
-    times = _motion_nodes(t_lo, t_hi, n, on, off)
-    positions = _solve(am, side, times, ref_path(times))
+
+    def solve(s):
+        """(u, v, t, x) at grid values s; None if the map does not rise."""
+        r = am.invert(inverted, s, target)
+        if r is not None:
+            u, v = (s, r) if sign > 0 else (r, s)
+            return u, v, 0.5 * (u + v), 0.5 * (u - v)
+
+    def bisect(nodes, i, new):
+        """The nodes with new ones after the first node of each interval i."""
+        return tuple(np.insert(a, i + 1, b) for a, b in zip(nodes, new))
+
+    # sign +1: u-grid, v = F^-1(G(u) - target); -1: v-grid, u = G^-1(F(v) + target)
+    for sign in (1.0, -1.0) if pair.Lf * pair.R0 >= pair.L0 * pair.Rf else (-1.0, 1.0):
+        inverted = "F" if sign > 0 else "G"
+        lo, hi = on + sign * x0, off + sign * xf
+        nodes = solve(np.linspace(lo, hi, int(np.ceil((hi - lo) / h)) + 1))
+        if nodes is not None:
+            break
+    else:
+        raise SuperluminalError(
+            f"effective {side} trajectory: neither F_ad nor G_ad rises across its table"
+        )
+    nodes[2][[0, -1]], nodes[3][[0, -1]] = (on, off), (x0, xf)
+    for _ in range(_MAX_REFINE):
+        i = np.flatnonzero(np.diff(nodes[2]) > h)
+        if not i.size:
+            break
+        s = nodes[0 if sign > 0 else 1]
+        nodes = bisect(nodes, i, solve(0.5 * (s[i] + s[i + 1])))
 
     for round_ in range(_MAX_REFINE + 1):
-        slopes, curvatures, residual = _implicit_jet(am, side, times, positions)
+        # on a fold, the nodes inside (on, off) whose t exceeds every earlier t
+        times = nodes[2]
+        keep = np.r_[True, (times[1:-1] > on) & (times[1:-1] < off), True]
+        keep[keep] = times[keep] > np.maximum.accumulate(np.r_[-np.inf, times[keep][:-1]])
+        nodes = u, v, times, positions = tuple(a[keep] for a in nodes)
+        slopes, curvatures, residual = _implicit_jet(am, side, u, v)
         rows = _quintic_rows(times, positions, slopes, curvatures)
         eff = EffectiveTrajectory(times, rows, x0, xf, residual)
         # the last node starts no segment, so its slope is no row's constant
         if np.any(np.abs(slopes[:-1]) > 1.0):
             break
-        mids = 0.5 * (times[:-1] + times[1:])
-        predicted = eff(mids)
-        solved = _solve(am, side, mids, predicted)
-        miss = np.abs(predicted - solved)
+        s = nodes[0 if sign > 0 else 1]
+        mids = solve(0.5 * (s[:-1] + s[1:]))
+        miss = np.abs(eff(mids[2]) - mids[3])
         bad = miss > refine_tol
         if not bad.any():
             break
@@ -291,10 +244,7 @@ def build_effective(
                 f"{np.max(miss):.3g} after {_MAX_REFINE} refinement rounds "
                 f"(refine_tol {refine_tol:g})"
             )
-        # each refined midpoint goes in after its interval's first node
-        cut = np.flatnonzero(bad) + 1
-        times = np.insert(times, cut, mids[bad])
-        positions = np.insert(positions, cut, solved[bad])
+        nodes = bisect(nodes, np.flatnonzero(bad), (m[bad] for m in mids))
 
     return eff
 

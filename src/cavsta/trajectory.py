@@ -108,12 +108,13 @@ def _newton(fun, x, a, b, tol):
 
     The bracket end on the value's side of zero (b at a value of 0, where
     the step is 0) moves to each evaluated point, and a step that does not
-    land strictly inside the bracket bisects it instead, without which a
-    fast rigid build jumps to another root of its folded branch.  A root
-    stops once its step is at most its tol, clamped to its bracket, and
-    leaves the batch, so no root depends on the others and each round
-    evaluates only the live roots (on masks, `sta._solve` would evaluate
-    103,071 points instead of 45,980 on the sweep_critical seed-0 sweep).
+    land strictly inside the bracket bisects it instead, so no root leaves
+    its bracket: a table panel of `AdiabaticMoore.invert`, an isolating
+    interval of `_real_roots`.  A root stops once its step is at most its
+    tol, clamped to its bracket, and leaves the batch, so no root depends
+    on the others and each round evaluates only the live roots (the
+    inversions of the sweep_critical seed-0 sweep, started at each panel's
+    secant point, stop nearly together: 23,425 points, 23,446 on masks).
     `ExactMoore._invert` keeps a masked loop of its own: its points stop
     after one or two steps, and over the hundreds of calls of an exact run
     this loop's per-round index bookkeeping measured slower."""

@@ -123,14 +123,16 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
         ("spatial_points = 301", "spatial_points = 100000000000000000000"),
         ("spatial_points = 301", "spatial_points = 301\nmoore_panels = 100000000000000000000"),
         ("window = -1.5 2.2", "window = -1e300 1e300"),
-        ("R0 = 1.0", "R0 = 1e300"),
+        ("Lf = 0.3\nR0 = 1.0", "Lf = 3e299\nR0 = 1e300"),
     ],
     ids=["time_step", "effective_step", "spatial_points", "moore_panels", "window", "R0"],
 )
 def test_grid_past_the_index_limit_is_one_error_line(tmp_path, capsys, old, new):
     """A grid past numpy's index limit raises ValueError, not MemoryError,
     and is the same one error line and exit 1 as a grid too large to
-    allocate, and leaves no output directory behind."""
+    allocate, and leaves no output directory behind.  The R0 case scales
+    the cavity's lengths by 1e300: each effective mirror's null grid spans
+    its own motion, so the left one's is past the limit too."""
     cfg = write_config(tmp_path, tmp_path / "out")
     ini = tmp_path / "cfg.ini"
     ini.write_text(ini.read_text().replace(old, new))
@@ -138,6 +140,24 @@ def test_grid_past_the_index_limit_is_one_error_line(tmp_path, capsys, old, new)
     out = capsys.readouterr()
     assert code == 1
     assert out.err.splitlines() == ["error: out of memory: Maximum allowed size exceeded"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_adiabatic_maps_flat_to_rounding_are_one_error_line(tmp_path, capsys):
+    """R0 = 1e300 with the left mirror moving by 0.3: the left mirror's
+    share of the adiabatic maps, 2L/(R - L), is below their rounding, so
+    neither map rises across its table.  The left build refuses, as one
+    error line naming the side and exit 1, instead of solving noise."""
+    cfg = write_config(tmp_path, tmp_path / "out")
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(ini.read_text().replace("R0 = 1.0", "R0 = 1e300"))
+    code = main(["run", cfg])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.err.splitlines() == [
+        "error: effective left trajectory: neither F_ad nor G_ad rises across its table"
+    ]
+    assert "Traceback" not in out.out + out.err
     assert not (tmp_path / "out").exists()
 
 

@@ -255,13 +255,13 @@ def test_energy_record_independent_of_discretization(contraction12):
 
 
 # known defect: at tau = 1.2 the default effective step (tau/512) is too
-# coarse for this bound; halving it moves E_eff mid-protocol by 3.7e-8
-# (T = 0) and 2.0e-7 (T = 1) of E_ad, whatever the advance-integral panel
+# coarse for this bound; halving it moves E_eff mid-protocol by 4.9e-9
+# (T = 0) and 2.7e-8 (T = 1) of E_ad, whatever the advance-integral panel
 # count.  Below that, the 8192-panel advance table sets a floor near 2e-8.
 _STEP_FLOOR = pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="E_eff moves 3.7e-8 |E_ad| under step halving at tau = 1.2"
+    reason="E_eff moves 2.7e-8 |E_ad| (T = 1) under step halving at tau = 1.2"
 )
 
 

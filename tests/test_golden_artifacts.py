@@ -94,19 +94,19 @@ CASES = {
 
 GOLDEN = {
     "readme_run": {
-        "energy.csv": "220e8bcdc96538593033573c82305d8f63f939316666be0e2043ad434eb83323",
+        "energy.csv": "5f405fbedbc10f2f46c0b3d92f9272b846756009e10b3f935d5c3024717fe9a1",
         "moore.csv": "04004e071ac03fc0bf069e3005b8142b7c0c402bfc05c794edd1138acba35ceb",
-        "summary.txt": "63425ecb05cc6ebf46ca37783836f58de93025c8a4c525b6806bba951d847e64",
-        "trajectories.csv": "3a39d02201181424df568bd7f21dea6e70c07d48cf242d4978970d44f1cc4f45",
+        "summary.txt": "834cf77a94b9835587942c03fd7005aa65acbb5da8852f6e6923ff032acf082b",
+        "trajectories.csv": "3ed5825d57c719c537ba6f47f384d6e3cacfc577da8fba1f4480b3c180f4d67d",
     },
     "run_slow": {
-        "energy.csv": "8f0ee3ce8201be65c274c807253f21bdbd81ba93871b492a15b8571138c0980b",
+        "energy.csv": "84cd1e6736c62361b80660b599a184d753a577b532c40432e2382bc13bcdde2f",
         "moore.csv": "6b2f3db07f024902438b05e39bd716da78cc73e24910feff3039078db3c25652",
-        "summary.txt": "163f3281f81b4a93d2068f117d610414516cf11b32199a583fefec28921f2db5",
-        "trajectories.csv": "85c33a1213a6670d8283f5a81f033db3d10d817802040ad90d43a68f417cf77e",
+        "summary.txt": "ead1fbd774b5ff75cd51e9f4cd3994b14487aafd411b42ae7e05bafc838e5475",
+        "trajectories.csv": "d6df5495893ddd8f0fdb700d69e41e467a1660f5c6b5adf2f9af90a37fe5bf60",
     },
     "sweep_critical": {
-        "sweep.csv": "0d2549d5a51777001dcf688c4495e7571157b510fda52baa7c439da48ef89d20",
+        "sweep.csv": "38db8be566773341a1508ca2388b42b452762df427aed2ad0e51f539a016dcc6",
         "sweep_summary.txt": "292f2b979f89019bc3b3b04d3c7f287f6165b9edb43eb97a55c2526ddfb1e272",
     },
 }

@@ -641,6 +641,42 @@ def test_sweep_artifacts_and_slope(tmp_path):
     assert data.shape[0] == 3
 
 
+def test_sweep_speed_trend_reads_realizable_rows_only(tmp_path, monkeypatch):
+    """A superluminal row's max_eff_speed is the size of its fold on the
+    grid, not a speed: rising fold sizes below tau_c leave
+    speeds_decrease_with_tau true while the realizable speeds fall, and a
+    rising realizable speed still makes it false."""
+    def rows(speeds):
+        def sweep_one(cfg):
+            speed, real = speeds[cfg.tau]
+            return {"tau": cfg.tau, "res_ad_L": 0.1, "res_ad_R": 0.1, "res_ad_max": 0.1,
+                    "max_eff_speed_left": speed, "max_eff_speed_right": speed,
+                    "dist_limit_left": 0.0, "dist_limit_right": 0.0, "realizable": real}
+        return sweep_one
+
+    taus = (0.3, 0.6, 1.2, 2.4)
+    for real_speeds, trend in (((0.7, 0.3), True), ((0.3, 0.7), False)):
+        speeds = dict(zip(taus, ((10.0, 0.0), (20.0, 0.0), *((v, 1.0) for v in real_speeds))))
+        monkeypatch.setattr(runner, "_sweep_one", rows(speeds))
+        res = sweep_tau(contraction_cfg(tmp_path, tau_list=taus))
+        assert res.summary["results"]["speeds_decrease_with_tau"] is trend
+
+
+@pytest.mark.parametrize("R0", [1e-3, 2.0**-10])
+def test_small_cavity_ends_in_the_adiabatic_state(tmp_path, R0):
+    """The README geometry with every length and tau scaled to R0 = 1e-3
+    and 2^-10, default numerics: the effective pair ends in the adiabatic
+    state.  A node curvature cap in absolute units once gave Q = 0.7915
+    and 0.7866 here, with exit code 0."""
+    cfg = RunConfig(
+        family="contraction", L0=0.0, Lf=0.3 * R0, R0=R0, eps=0.3, tau=1.2 * R0,
+        temperatures=(0.0,), csv=(), out_dir=str(tmp_path),
+    )
+    res = run(cfg)
+    assert res.exit_code == 0
+    assert abs(res.summary["results"]["q_eff_final_T0"] - 1.0) <= 1e-9
+
+
 def test_motionless_sweep_fits_no_slope(tmp_path):
     """A cavity that never moves has a zero adiabatic residual at every tau:
     no log of 0 (a RuntimeWarning, an error under this suite), and the

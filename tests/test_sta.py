@@ -11,10 +11,16 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cavsta import sta
-from cavsta.errors import BracketError, CavstaError, ConvergenceError, GeometryError
+from cavsta.errors import (
+    BracketError,
+    CavstaError,
+    ConvergenceError,
+    GeometryError,
+    SuperluminalError,
+)
 from cavsta.moore_adiabatic import AdiabaticMoore, mirror_jets
 from cavsta.sta import (
-    _solve,
+    _TARGET,
     EffectivePair,
     EffectiveTrajectory,
     build_effective,
@@ -105,29 +111,27 @@ def test_effective_jet_orders_outside_0_to_3_rejected(contraction12):
 
 
 def test_effective_build_asks_for_no_third_order(contraction12, monkeypatch):
-    """The solver needs value and slope, the implicit jet curvature; a
+    """The inversion needs value and slope, the implicit jet curvature; a
     full third-order adiabatic jet anywhere in the build is wasted work.
-    Every evaluation is one joint pass over both maps, so each implicit-jet
-    round asks for one second-order jet."""
-    orders, whiches, rounds = [], [], []
-    jet, implicit_jet = AdiabaticMoore.jet, sta._implicit_jet
+    Every adiabatic evaluation goes through `_lifted_jet`, and each
+    implicit-jet round asks for one second-order jet, over both maps."""
+    orders, rounds = [], []
+    lifted_jet, implicit_jet = AdiabaticMoore._lifted_jet, sta._implicit_jet
 
-    def recording_jet(self, which, z, order=3):
+    def recording_jet(self, z, s, order):
         orders.append(order)
-        whiches.append(which)
-        return jet(self, which, z, order)
+        return lifted_jet(self, z, s, order)
 
     def counting_implicit_jet(*args):
         rounds.append(None)
         return implicit_jet(*args)
 
-    monkeypatch.setattr(AdiabaticMoore, "jet", recording_jet)
+    monkeypatch.setattr(AdiabaticMoore, "_lifted_jet", recording_jet)
     monkeypatch.setattr(sta, "_implicit_jet", counting_implicit_jet)
     s = contraction12
     build_effective(s.am, "right", *s.window)
     assert rounds and orders
     assert 3 not in orders
-    assert set(whiches) == {"GF"}
     assert orders.count(2) <= len(rounds)
 
 
@@ -149,86 +153,63 @@ def test_superluminal_protocol_flagged():
     assert eff.left.max_speed_sampled >= 1.0
 
 
-class _StubMoore:
-    """Stub Moore pair: `jet` is assembled from the stub's own G and F, for
-    the one request the solver makes, G on the first half of z, F on the
-    second.  Of its pair the solver reads only d0, the scale of its start
-    brackets."""
+class _FlatMoore:
+    """Stub whose adiabatic maps fall somewhere on their tables: no map
+    to invert, as for a custom pair whose c crosses both -1 and 1."""
 
-    pair = SimpleNamespace(d0=1.0)
+    pair = SimpleNamespace(
+        L0=0.0, Lf=0.0, R0=1.0, Rf=1.0, motion_start=-1.0, motion_end=1.0,
+        left=MirrorPath(np.array([0.0, 1.0]), np.zeros((1, 8))),
+    )
 
-    def jet(self, which, z, order=3):
-        assert which == "GF"
-        g, f = np.split(np.asarray(z, dtype=float), 2)
-        return tuple(np.concatenate([self.G(g, k), self.F(f, k)]) for k in range(order + 1))
+    def invert(self, which, z, target):
+        return None
 
 
-class _RootlessMoore(_StubMoore):
-    """Stub whose defining equation never crosses its target."""
-
-    def G(self, z, order=0):
-        # bounded away from zero on the whole axis, growth kept mild so the
-        # expanding bracket search cannot overflow
-        return np.log1p(np.abs(np.asarray(z, dtype=float))) + 2.0
-
-    def F(self, w, order=0):
-        return np.zeros_like(np.asarray(w, dtype=float))
+def test_build_refuses_when_neither_map_rises():
+    """Without a rising map the branch is no graph over either null
+    coordinate: one SuperluminalError naming the side."""
+    with pytest.raises(
+        SuperluminalError,
+        match=r"^effective left trajectory: neither F_ad nor G_ad rises across its table$",
+    ):
+        build_effective(_FlatMoore(), "left", -1.0, 1.0, step=0.25)
 
 
 @pytest.mark.parametrize("tau", [1.2, 40.0, 0.3])
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_far_guesses_reach_a_root_on_real_pairs(tau, side):
-    """Guesses 1000 d0 off the reference positions still bracket a root: the
-    defining equation rises linearly without bound in x.  Where the branch
-    is single-valued (tau = 1.2, 40) that root is the near-guess one; across
-    the fold of tau = 0.3 it may be another, but it is still a root."""
-    pair = make_reference("contraction", L0=0.0, Lf=0.3, R0=1.0, eps=0.3, tau=tau)
+def test_far_arguments_invert_in_closed_form(tau, side):
+    """Arguments 1000 d0 before and after the table invert in closed form
+    to roots of the mirror condition on the static branches, the side's
+    edge values, across the fold of tau = 0.3 too."""
+    pair = make_reference("contraction", tau=tau, **_README)
     am = AdiabaticMoore.build(pair)
-    t = np.linspace(*default_window(pair), 201)
-    ref = getattr(pair, side)(t)
-    near = _solve(am, side, t, ref)
-    for shift in (1000.0, -1000.0):
-        far = _solve(am, side, t, ref + shift * pair.d0)
-        (g,), (f,) = mirror_jets(am, t, far, 0)
-        assert np.max(np.abs(g - f - (2.0 if side == "right" else 0.0))) <= 1e-12
-        if tau > 1.0:
-            assert np.max(np.abs(far - near)) <= 1e-12
+    u = np.array([-1000.0, 1000.0]) * pair.d0
+    v = am.invert("F", u, _TARGET[side])
+    (g,), (f,) = mirror_jets(am, 0.5 * (u + v), 0.5 * (u - v), 0)
+    assert np.all(np.abs(g - f - _TARGET[side]) <= 1e-14 * np.abs(g))
+    assert_allclose(0.5 * (u - v), getattr(pair, side).edges, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("tau", [1.2, 0.3, 40.0])
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_solved_samples_do_not_depend_on_their_batch(tau, side):
-    """Each sample's root stops on its own: solved alone it is bitwise its
-    value in the batch, and a permuted batch gives the permuted roots, on a
-    single-valued branch (tau = 1.2, 40) and across the fold of tau = 0.3."""
+    """Each inverted sample's root stops on its own: solved alone it is
+    bitwise its value in the batch, and a permuted batch gives the
+    permuted roots, before, inside and after the table, on a single-valued
+    branch (tau = 1.2, 40) and across the fold of tau = 0.3."""
     pair = make_reference("contraction", tau=tau, **_README)
     am = AdiabaticMoore.build(pair)
-    t = np.linspace(*default_window(pair), 301)
-    guesses = getattr(pair, side)(t)
-    batch = _solve(am, side, t, guesses)
-    alone = [_solve(am, side, t[i : i + 1], guesses[i : i + 1])[0] for i in range(t.size)]
+    target = 2.0 if side == "right" else 0.0
+    u = np.linspace(pair.motion_start - 1.0, pair.motion_end + 1.0, 301)
+    batch = am.invert("F", u, target)
+    alone = [am.invert("F", u[i : i + 1], target)[0] for i in range(u.size)]
     assert np.array_equal(batch, alone)
-    perm = np.random.default_rng(0).permutation(t.size)
-    assert np.array_equal(_solve(am, side, t[perm], guesses[perm]), batch[perm])
-
-
-@pytest.mark.parametrize("side, end, inward", [("left", 0.0, 1.0), ("right", 1.0, -1.0)])
-def test_root_on_a_bracket_end_is_that_end(contraction12, side, end, inward):
-    """Before the motion the reference edge is an exact root of h.  A guess
-    0.05 d0 inside the cavity starts its bracket on that edge, and `_newton`
-    stops there at once: the solve is the edge, bit for bit."""
-    s = contraction12
-    t = s.pair.motion_start - np.array([5.0, 3.0])
-    guesses = np.full(2, end + inward * 0.05 * s.pair.d0)
-    assert np.array_equal(guesses - inward * 0.05 * s.pair.d0, np.full(2, end))
-    (g,), (f,) = mirror_jets(s.am, t, np.full(2, end), 0)
-    assert np.array_equal(g - f, np.full(2, 2.0 if side == "right" else 0.0))
-    assert np.array_equal(_solve(s.am, side, t, guesses), np.full(2, end))
-
-
-def test_local_search_without_crossing_raises():
-    with pytest.raises(BracketError):
-        _solve(_RootlessMoore(), "left", np.zeros(2), np.array([0.0, 5.0]))
+    perm = np.random.default_rng(0).permutation(u.size)
+    assert np.array_equal(am.invert("F", u[perm], target), batch[perm])
+    (g,), (f,) = mirror_jets(am, 0.5 * (u + batch), 0.5 * (u - batch), 0)
+    scale = np.maximum(1.0, np.maximum(np.abs(g), np.abs(f)))
+    assert np.all(np.abs(g - f - target) <= 1e-14 * scale)
 
 
 @pytest.mark.parametrize(
@@ -479,22 +460,29 @@ _README = dict(L0=0.0, Lf=0.3, R0=1.0, eps=0.3)  # the README contraction
 @cache
 def _readme_builds(tau):
     """Adiabatic Moore functions and, per mirror, its build on the default
-    window and the times of each `_solve` call, for the README
-    geometry."""
+    window and the build's events in order: ("invert", z) for each
+    inversion, ("round", u, v) for each round's implicit jet, for the
+    README geometry."""
     pair = make_reference("contraction", tau=tau, **_README)
     am = AdiabaticMoore.build(pair)
     window = default_window(pair)
+    invert, implicit_jet = AdiabaticMoore.invert, sta._implicit_jet
     builds = {}
     for side in ("left", "right"):
-        solves = []
+        events = []
 
-        def recording(am_, side_, times, *args):
-            solves.append(times)
-            return _solve(am_, side_, times, *args)
+        def recording_invert(self, which, z, target):
+            events.append(("invert", z))
+            return invert(self, which, z, target)
+
+        def recording_jet(am_, side_, u, v):
+            events.append(("round", u, v))
+            return implicit_jet(am_, side_, u, v)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sta, "_solve", recording)
-            builds[side] = (build_effective(am, side, *window), solves)
+            mp.setattr(AdiabaticMoore, "invert", recording_invert)
+            mp.setattr(sta, "_implicit_jet", recording_jet)
+            builds[side] = (build_effective(am, side, *window), events)
     return am, builds
 
 
@@ -511,9 +499,9 @@ def test_early_stop_keeps_the_superluminal_verdict(tau, superluminal):
     verdicts = []
     for side in ("left", "right"):
         eff = builds[side][0]
-        t = np.linspace(eff.times[0], eff.times[-1], 4001)
-        x = _solve(am, side, t, eff(t))
-        slopes, _, _ = sta._implicit_jet(am, side, t, x)
+        # the README contraction's branches are graphs over u
+        u = np.linspace(*(eff.times[[0, -1]] + eff.edges), 4001)
+        slopes, _, _ = sta._implicit_jet(am, side, u, am.invert("F", u, _TARGET[side]))
         assert (eff.max_speed_sampled > 1.0) == (np.max(np.abs(slopes)) > 1.0)
         verdicts.append(eff.max_speed_sampled > 1.0)
     assert any(verdicts) == superluminal
@@ -521,12 +509,16 @@ def test_early_stop_keeps_the_superluminal_verdict(tau, superluminal):
 
 @pytest.mark.parametrize("tau, solves", [(0.3, 1), (1.2, 2)])
 def test_superluminal_build_stops_on_its_starting_grid(tau, solves):
-    """A superluminal build returns the starting grid's interpolant after
-    its one solve; a subluminal one still solves its verification round."""
+    """A superluminal build returns the interpolant of its first round,
+    solving nothing after it; a subluminal one still solves its
+    verification round.  The first round's nodes are the build's knots."""
     for side in ("left", "right"):
-        eff, calls = _readme_builds(tau)[1][side]
-        assert len(calls) == solves
-        assert np.array_equal(eff.times, calls[0])
+        eff, events = _readme_builds(tau)[1][side]
+        kinds = [e[0] for e in events]
+        first = kinds.index("round")
+        assert kinds[first:] == ["round", "invert"][:solves]
+        _, u, v = events[first]
+        assert np.array_equal(eff.times[1:-1], (0.5 * (u + v))[1:-1])
 
 
 def test_early_stopped_curve_is_an_unrealizable_effective_trajectory():
@@ -537,23 +529,27 @@ def test_early_stopped_curve_is_an_unrealizable_effective_trajectory():
     assert eff.residual_sup <= 1e-9
 
 
-class _LuminalMoore(_StubMoore):
-    """Stub with G(z) = z^3 and F(w) = w.  The left solution has speed
-    (1 - 3u^2) / (1 + 3u^2) with u = t + x: at most 1, and exactly 1 at the
-    node t = 0, where x = 0."""
+class _LuminalMoore:
+    """Stub with G(z) = z^3 and F(w) = w.  The left solution v = u^3 has
+    speed (1 - 3u^2) / (1 + 3u^2): at most 1, and exactly 1 at the node
+    u = 0, where t = x = 0.  Of its pair the build reads the edges and the
+    motion window."""
 
     pair = SimpleNamespace(
-        L0=0.0, Lf=0.0, R0=1.0, Rf=1.0, d0=1.0, motion_start=-1.0, motion_end=1.0,
+        L0=0.0, Lf=0.0, R0=1.0, Rf=1.0, motion_start=-1.0, motion_end=1.0,
         left=MirrorPath(np.array([0.0, 1.0]), np.zeros((1, 8))),
     )
 
-    def G(self, z, order=0):
-        z = np.asarray(z, dtype=float)
-        return (z**3, 3.0 * z**2, 6.0 * z, np.full_like(z, 6.0))[order]
+    def invert(self, which, z, target):
+        assert which == "F"
+        return np.asarray(z) ** 3 - target
 
-    def F(self, w, order=0):
-        w = np.asarray(w, dtype=float)
-        return (w, np.ones_like(w), np.zeros_like(w), np.zeros_like(w))[order]
+    def jet(self, which, z, order=3):
+        assert which == "GF"
+        g, f = np.split(np.asarray(z, dtype=float), 2)
+        G = (g**3, 3.0 * g**2, 6.0 * g, np.full_like(g, 6.0))
+        F = (f, np.ones_like(f), np.zeros_like(f), np.zeros_like(f))
+        return tuple(np.concatenate([G[k], F[k]]) for k in range(order + 1))
 
 
 def test_node_speed_of_exactly_one_does_not_stop_refinement():
@@ -565,52 +561,36 @@ def test_node_speed_of_exactly_one_does_not_stop_refinement():
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_unconverged_refinement_raises(contraction12, side):
     """A subluminal build whose last refinement round still misses its
-    midpoint solves (step = tau) fails, naming the side, the miss and the
+    midpoint solves (step = 2 tau) fails, naming the side, the miss and the
     tolerance, instead of returning the unrefined curve."""
     s = contraction12
     with pytest.raises(ConvergenceError, match=rf"effective {side} .* \(refine_tol 1e-08\)"):
-        build_effective(s.am, side, *s.window, step=s.pair.tau)
-
-
-def _build_by_argsort(am, side, t_lo, t_hi, step, refine_tol=1e-8):
-    """build_effective's refinement loop with each round's refined
-    midpoints merged by concatenation and an argsort of the times."""
-    x0, xf = getattr(am.pair, side).edges
-    on, off = am.pair.motion_start - abs(x0), am.pair.motion_end + abs(xf)
-    times = sta._motion_nodes(t_lo, t_hi, max(2, int(np.ceil((t_hi - t_lo) / step))), on, off)
-    positions = _solve(am, side, times, getattr(am.pair, side)(times))
-    rounds = 0
-    while True:
-        slopes, curvatures, residual = sta._implicit_jet(am, side, times, positions)
-        rows = sta._quintic_rows(times, positions, slopes, curvatures)
-        eff = EffectiveTrajectory(times, rows, x0, xf, residual)
-        mids = 0.5 * (times[:-1] + times[1:])
-        predicted = eff(mids)
-        solved = _solve(am, side, mids, predicted)
-        bad = np.abs(predicted - solved) > refine_tol
-        if not bad.any():
-            return eff, rounds
-        rounds += 1
-        times = np.concatenate([times, mids[bad]])
-        positions = np.concatenate([positions, solved[bad]])
-        order = np.argsort(times)
-        times, positions = times[order], positions[order]
+        build_effective(s.am, side, *s.window, step=2.0 * s.pair.tau)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_refined_nodes_merge_as_a_sort_would(contraction12, side):
+def test_refined_nodes_merge_as_a_sort_would(contraction12, side, monkeypatch):
     """A build that refines (README geometry, step tau/16: two rounds)
-    inserts each refined midpoint after its interval's first node, which
-    leaves the nodes and the interpolant bitwise those of sorting the
-    concatenated nodes."""
+    inserts each refined midpoint after its interval's first node: every
+    round's nodes are bitwise the previous round's and the new ones merged
+    by a sort in t, and their grid coordinate u rises with t."""
+    rounds, implicit_jet = [], sta._implicit_jet
+
+    def recording_jet(am_, side_, u, v):
+        rounds.append((u, v))
+        return implicit_jet(am_, side_, u, v)
+
+    monkeypatch.setattr(sta, "_implicit_jet", recording_jet)
     s = contraction12
-    step = s.pair.tau / 16.0
-    want, rounds = _build_by_argsort(s.am, side, *s.window, step)
-    assert rounds == 2
-    got = build_effective(s.am, side, *s.window, step=step)
-    assert got.times.tobytes() == want.times.tobytes()
-    assert got.table()[1].tobytes() == want.table()[1].tobytes()
-    assert got.residual_sup == want.residual_sup
+    build_effective(s.am, side, *s.window, step=s.pair.tau / 16.0)
+    assert len(rounds) == 3
+    for (u0, v0), (u1, v1) in zip(rounds, rounds[1:]):
+        new = ~np.isin(u1, u0)
+        assert np.count_nonzero(new) == u1.size - u0.size > 0
+        u, v = np.concatenate([u0, u1[new]]), np.concatenate([v0, v1[new]])
+        order = np.argsort(0.5 * (u + v))
+        assert u1.tobytes() == u[order].tobytes() and v1.tobytes() == v[order].tobytes()
+        assert np.all(np.diff(u1) > 0.0)
 
 
 def _motion_window(pair, side):
@@ -621,28 +601,32 @@ def _motion_window(pair, side):
 
 
 def _assert_solves_to_edge(am, side, t, edge):
-    ref = getattr(am.pair, side)
-    x = _solve(am, side, t, ref(t))
-    assert np.max(np.abs(x - edge)) <= 1e-14 * max(1.0, abs(edge))
+    """The edge value solves the side's mirror condition at the times t, to
+    the rounding of the maps."""
+    (g,), (f,) = mirror_jets(am, t, np.full(t.shape, edge), 0)
+    assert np.all(np.abs(g - f - _TARGET[side]) <= 4e-14 * np.maximum(1.0, np.abs(g)))
 
 
 @pytest.mark.parametrize("scenario", ["contraction12", "contraction40"])
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_effective_build_drops_only_static_nodes(request, scenario, side):
-    """The build keeps the default grid's nodes across [on, off], bitwise;
-    the nodes it drops would solve to the reference edge values."""
+    """The build's knots run from the end node (on, x0) to (off, xf), both
+    bitwise, no two farther apart in t than the window's step; the times of
+    the window's grid outside [on, off], which the build does not solve,
+    hold the edge values, which solve the mirror condition there."""
     s = request.getfixturevalue(scenario)
     pair, (lo, hi) = s.pair, s.window
-    times = getattr(s.eff_pair, side).times
+    eff = getattr(s.eff_pair, side)
     on, off = _motion_window(pair, side)
-    assert times[0] <= on < times[1]
-    assert times[-2] < off <= times[-1]
-    grid = np.linspace(lo, hi, int(np.ceil((hi - lo) / (pair.tau / 512.0))) + 1)
-    kept = (grid >= times[0]) & (grid <= times[-1])
-    assert np.isin(grid[kept], times).all()
     edges = getattr(pair, side).edges
-    for dropped, edge in zip((grid < times[0], grid > times[-1]), edges):
+    assert (eff.times[0], eff.times[-1]) == (on, off)
+    assert (eff.table()[1][0, 0], eff.edges) == (edges[0], edges)
+    h = (hi - lo) / int(np.ceil((hi - lo) / (pair.tau / 512.0)))
+    assert np.max(np.diff(eff.times)) <= h
+    grid = np.linspace(lo, hi, int(np.ceil((hi - lo) / (pair.tau / 512.0))) + 1)
+    for dropped, edge in zip((grid < on, grid > off), edges):
         assert dropped.any()
+        assert np.array_equal(eff(grid[dropped]), np.full(np.count_nonzero(dropped), edge))
         _assert_solves_to_edge(s.am, side, grid[dropped], edge)
 
 
@@ -650,8 +634,8 @@ def test_effective_build_drops_only_static_nodes(request, scenario, side):
 @given(flat_c3_tables(), flat_c3_tables(), st.sampled_from(["left", "right"]), st.data())
 def test_effective_edges_exact_on_staggered_custom_motion(left, right, side, data):
     """Custom mirrors that start and stop moving at different times: outside
-    [on, off] the defining equation solves to the edge values, and a build
-    on any window spans [on, off] with nodes of that window's grid."""
+    [on, off] the edge values solve the defining equation, and a build on
+    any window spans exactly [on, off]."""
     pair = TrajectoryPair(
         MirrorPath(*_mirror_table(left, 0.0)), MirrorPath(*_mirror_table(right, 1.0))
     )
@@ -664,16 +648,44 @@ def test_effective_edges_exact_on_staggered_custom_motion(left, right, side, dat
 
     t_lo = data.draw(st.floats(on - 3.0, off + 3.0))
     t_hi = t_lo + data.draw(st.floats(0.1, 4.0))
-    times = build_effective(am, side, t_lo, t_hi, step=0.05).times
-    # the end knots are the grid nodes next to on and off, outside them
-    # (up to rounding in the node arithmetic); refinement may add midpoints
-    # of the end segments, so times[1] and times[-2] need not be grid nodes
-    h = (t_hi - t_lo) / max(2, int(np.ceil((t_hi - t_lo) / 0.05)))
-    slack = 1e-9 * h
-    assert times[0] <= on < times[0] + h + slack
-    assert times[-1] - h - slack < off <= times[-1]
-    k = (times[[0, -1]] - t_lo) / h
-    assert_allclose(k, np.round(k), atol=1e-6)
+    eff = build_effective(am, side, t_lo, t_hi, step=0.05)
+    assert (eff.times[0], eff.times[-1]) == (on, off)
+    assert np.all(np.diff(eff.times) > 0.0)
+
+
+# perfbench's seed-0 reference dist_limit_right of the sweep_critical rows
+_FOLD_DIST_RIGHT = {0.3: 0.075354055124524089, 0.6: 0.15070811024903363}
+
+
+@pytest.mark.parametrize(
+    "geometry, tau",
+    [(("contraction", 0.0, 0.3, 1.0, 0.3), 0.3), (("contraction", 0.0, 0.3, 1.0, 0.3), 0.6),
+     (("expansion", 0.0, -0.3, 1.0, -0.3), 0.1)],
+    ids=["contraction-0.3", "contraction-0.6", "expansion-0.1"],
+)
+def test_folded_builds_are_flagged_graphs(geometry, tau):
+    """Below tau_c the branch folds: on the u-grid of the contraction (F_ad
+    rises) and on the v-grid of the fast expansion (F_ad falls, G_ad
+    rises).  Each build keeps strictly increasing knots from (on, x0) to
+    (off, xf) and finite rows, is flagged unrealizable, and the
+    contraction's right curve keeps perfbench's distance to its limit
+    curve, read on the straight middle segment away from every fold."""
+    pair = _reference(geometry, tau)
+    am = AdiabaticMoore.build(pair)
+    window = default_window(pair)
+    for side in ("left", "right"):
+        eff = build_effective(am, side, *window)
+        knots, rows, _, _ = eff.table()
+        assert np.all(np.diff(knots) > 0.0)
+        assert (knots[0], knots[-1]) == _motion_window(pair, side)
+        assert np.all(np.isfinite(rows))
+        assert not eff.realizable
+    if geometry[0] == "contraction":
+        times = np.linspace(*window, int(round((window[1] - window[0]) / (tau / 64.0))) + 1)
+        lim = limit_trajectory(pair.L0, pair.Lf, pair.R0, pair.Rf)[1]
+        keep = np.all([np.abs(times - b) > tau for b in lim.breakpoints], axis=0)
+        dist = np.max(np.abs(eff(times[keep]) - lim(times[keep])))
+        assert abs(dist - _FOLD_DIST_RIGHT[tau]) <= 1e-6
 
 
 def test_critical_timescale_needs_a_crossing():

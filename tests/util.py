@@ -1,13 +1,12 @@
 """Finite-difference stencils used to cross-check analytic derivatives,
 derivatives of coefficient rows, table re-expansion for tests of
-multi-segment paths, path ranges, an effective-mirror root solved
-independently of the pipeline's guesses, and a one-hop-per-round kink walk
-to check the exact solver's against."""
+multi-segment paths, path ranges, an effective-mirror root solved by
+bisection independently of the pipeline's solver, and a one-hop-per-round
+kink walk to check the exact solver's against."""
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from cavsta import sta
 from cavsta.errors import ConvergenceError
 from cavsta.trajectory import MirrorPath, piecewise_extremes
 
@@ -58,12 +57,21 @@ def path_range(path):
 
 
 def whole_cavity_root(am, side, t):
-    """The side's effective-mirror root at scalar t, solved from the midpoint
-    of the whole cavity's range, [min(L0, Lf) - d0, max(R0, Rf) + d0], not
-    from the reference-position guesses `build_effective` starts from."""
-    p = am.pair
-    mid = 0.5 * (min(p.L0, p.Lf) + max(p.R0, p.Rf))
-    return float(sta._solve(am, side, np.array([float(t)]), [mid])[0])
+    """The side's effective-mirror root at scalar t: a root of
+    h(x) = G_ad(t + x) - F_ad(t - x) - target, bisected on
+    [min(L0, Lf) - d0, max(R0, Rf) + d0], where h runs from negative to
+    positive, until the bracket ends are adjacent floats."""
+    p, t = am.pair, float(t)
+    target = 2.0 if side == "right" else 0.0
+    lo, hi = min(p.L0, p.Lf) - p.d0, max(p.R0, p.Rf) + p.d0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        h = am.G(t + mid) - am.F(t - mid) - target
+        if h == 0.0:
+            return mid
+        lo, hi = (lo, mid) if h > 0.0 else (mid, hi)
 
 
 def one_hop_kink_args(moore, lo, hi):
