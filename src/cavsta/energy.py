@@ -121,17 +121,18 @@ class ThermalState:
         return -_QUARTER_PI_6 + self.Z
 
 
-def _slope_ratio(h1, h2):
-    """r = h''/h' of one Moore jet; the density is undefined where h' = 0."""
-    if np.min(np.abs(h1)) < 1e-12:
+def _slope_ratio(h1, h2, d0):
+    """r = h''/h' of one Moore jet; the density is undefined where h' = 0.
+    h' carries 1/length, so it counts as 0 below 1e-12 of the static 1/d0."""
+    if np.min(np.abs(h1)) < 1e-12 / d0:
         raise DensityError("Moore-function derivative vanishes; density undefined")
     return h2 / h1
 
 
-def _density_parts(jet):
+def _density_parts(jet, d0):
     """(anomaly, kinetic) density pieces for one Moore jet."""
     h1, h2, h3 = jet[1], jet[2], jet[3]
-    r = _slope_ratio(h1, h2)
+    r = _slope_ratio(h1, h2, d0)
     anom = -(h3 / h1 - 1.5 * r * r) / (24.0 * np.pi)
     kin = 0.5 * h1 * h1
     return anom, kin
@@ -139,7 +140,7 @@ def _density_parts(jet):
 
 def _check_inside(pair, x, t):
     xl, xr = pair.left(t), pair.right(t)
-    tol = 1e-9 * max(1.0, xr - xl)
+    tol = 1e-9 * (xr - xl)
     if np.any(x < xl - tol) or np.any(x > xr + tol):
         raise DensityError(f"x outside the cavity [{xl}, {xr}] at t={t}")
 
@@ -148,8 +149,9 @@ def density(moore, x, t: float, state: ThermalState):
     """Renormalized energy density at position(s) x and time t."""
     x = np.asarray(x, dtype=float)
     _check_inside(moore.pair, x, t)
-    anom_g, kin_g = _density_parts(moore.G_jet(t + x))
-    anom_f, kin_f = _density_parts(moore.F_jet(t - x))
+    d0 = moore.pair.d0
+    anom_g, kin_g = _density_parts(moore.G_jet(t + x), d0)
+    anom_f, kin_f = _density_parts(moore.F_jet(t - x), d0)
     out = anom_g + anom_f + state.kinetic_weight * (kin_g + kin_f)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -167,10 +169,11 @@ def _connected_parts(lo, hi):
     return starts[first], ends[last]
 
 
-def _map_parts(jet, kinks, lo, hi, points, at):
+def _map_parts(jet, kinks, lo, hi, points, at, d0):
     """(anomaly, kinetic) integrals of one Moore map's density pieces over
     [lo[j], hi[j]] for every j, then the map's values at lo, at hi and at
-    `at`; `jet` is the map's jet function, `kinks` its kink arguments.
+    `at`; `jet` is the map's jet function, `kinks` its kink arguments, d0
+    the pair's initial length (the unit of `_slope_ratio`'s guard).
 
     The grid spaces `points` panels evenly across [min lo, max hi] and keeps
     the nodes inside the union of the intervals; with every endpoint and
@@ -191,7 +194,7 @@ def _map_parts(jet, kinks, lo, hi, points, at):
     m = n + mids.size
     h0, h1, h2 = jet(np.concatenate([nodes, mids, at]), 2)
     h1, h2 = h1[:m], h2[:m]
-    r = _slope_ratio(h1, h2)
+    r = _slope_ratio(h1, h2, d0)
     width = np.diff(nodes) / 6.0
     cuts = np.flatnonzero(~inner) + 1  # the first node of every later part
 
@@ -294,10 +297,10 @@ def energy_record(times, states, moore, pair, points: int = 2001, at=np.empty(0)
         hi = max(np.max(times + R), np.max(times - L))
         z_kinks, w_kinks = moore.kink_args(float(lo), float(hi))
         anom_g, kin_g, (g_l, g_r, G) = _map_parts(
-            moore.G_jet, z_kinks, times + L, times + R, points, at
+            moore.G_jet, z_kinks, times + L, times + R, points, at, pair.d0
         )
         anom_f, kin_f, (f_r, f_l, F) = _map_parts(
-            moore.F_jet, w_kinks, times - R, times - L, points, at
+            moore.F_jet, w_kinks, times - R, times - L, points, at, pair.d0
         )
         anom, kin, residual = anom_g + anom_f, kin_g + kin_f, mirror_residuals(g_l, g_r, f_l, f_r)
     E = anom + weight * kin

@@ -143,8 +143,9 @@ class AdiabaticMoore:
         Outside the motion window I + s q is linear and inverted in closed
         form; inside, a search over the node values finds the one panel
         that brackets the root, and `trajectory._newton` polishes it from
-        the secant point, stopping at a step of 1e-15 max(1, |root|) or a
-        gap of 2e-14 max(1, |I + s q|), the rounding of the map.
+        the secant point, stopping at a step of 1e-15 max(d0, |root|) or a
+        gap of 2e-14 max(1, |I + s q|), the rounding of the map (I + s q is
+        a number, the root a time).
         """
         s = _SIGN[which]
         if which not in self._node_values:
@@ -173,7 +174,7 @@ class AdiabaticMoore:
             return gap, slope
 
         with np.errstate(divide="ignore", invalid="ignore"):
-            root[j] = _newton(h, x, a, b, 1e-15 * np.maximum(1.0, np.abs(x)))
+            root[j] = _newton(h, x, a, b, 1e-15 * np.maximum(self.pair.d0, np.abs(x)))
         return root
 
     def F(self, z, order: int = 0):

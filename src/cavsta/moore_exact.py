@@ -96,14 +96,15 @@ class ExactMoore:
         subluminal X), which brackets its root in the segment's local
         variable; Newton steps from the secant seed run on that segment's
         coefficient columns, and a step leaving the bracket falls back to
-        bisection.  Each point stops once its residual or step is at roundoff.
+        bisection.  Each point stops once its residual or step is at roundoff
+        of max(d0, |target|): near t = 0 the pair's length sets the scale.
         """
         path = getattr(self.pair, mirror)
         breaks, _, before, after = path.table()
         pos, slope = path._cols[:2]
         img = self._images[mirror][sign]
         target = np.atleast_1d(np.asarray(target, dtype=float))
-        scale = np.maximum(1.0, np.abs(target))
+        scale = np.maximum(self.pair.d0, np.abs(target))
         t = target - sign * np.where(target <= img[0], before, after)
         inner = np.flatnonzero((target > img[0]) & (target < img[-1]))
         if inner.size:
@@ -114,11 +115,12 @@ class ExactMoore:
             hi = breaks[k + 1] - b
             u = hi * (z - img[k]) / (img[k + 1] - img[k])
             done = np.zeros(z.shape, dtype=bool)
-            tol_f, tol_u = 4e-15 * scale[inner], 1e-15 * scale[inner]
+            # the step test's tolerance; the residual's is 4 tol
+            tol = 1e-15 * scale[inner]
             # not trajectory._newton: see its docstring
             for _ in range(90):
                 f = (b + u) + sign * _horner_at(pos, k, u) - z
-                done = done | (np.abs(f) <= tol_f)
+                done = done | (np.abs(f) <= 4.0 * tol)
                 if done.all():
                     break
                 lo = np.where(f < 0.0, u, lo)
@@ -130,7 +132,7 @@ class ExactMoore:
                 # would degrade Newton to plain bisection
                 fallback = ~np.isfinite(un) | (un < lo) | (un > hi)
                 un = np.where(fallback, 0.5 * (lo + hi), un)
-                step_small = np.abs(un - u) <= tol_u
+                step_small = np.abs(un - u) <= tol
                 u = np.where(done, u, un)
                 done = done | step_small
             t[inner] = b + u

@@ -175,7 +175,8 @@ def build_effective(
     grid), only the nodes inside (on, off) whose t exceeds every earlier t,
     so the knots strictly increase; builds its EffectiveTrajectory on them;
     and bisects the grid intervals whose solved midpoint the curve misses
-    by more than `refine_tol`.  The first round with no miss returns its
+    by more than `refine_tol` d0, a fraction of the pair's initial length
+    d0 = R0 - L0.  The first round with no miss returns its
     curve, and so does, unrefined, the first round with a node slope above
     1 in magnitude: a node slope is a candidate of `max_speed_sampled`, and
     later rounds keep every node.  A subluminal curve that still misses
@@ -235,13 +236,13 @@ def build_effective(
         s = nodes[0 if sign > 0 else 1]
         mids = solve(0.5 * (s[:-1] + s[1:]))
         miss = np.abs(eff(mids[2]) - mids[3])
-        bad = miss > refine_tol
+        bad = miss > refine_tol * pair.d0
         if not bad.any():
             break
         if round_ == _MAX_REFINE:
             raise ConvergenceError(
                 f"effective {side} trajectory misses its midpoint solves by "
-                f"{np.max(miss):.3g} after {_MAX_REFINE} refinement rounds "
+                f"{np.max(miss) / pair.d0:.3g} d0 after {_MAX_REFINE} refinement rounds "
                 f"(refine_tol {refine_tol:g})"
             )
         nodes = bisect(nodes, np.flatnonzero(bad), (m[bad] for m in mids))
@@ -322,7 +323,7 @@ def limit_trajectory(L0: float, Lf: float, R0: float, Rf: float):
     # to roundoff (rigid translations specified with decimal literals) must
     # give v = 0 exactly, not a few ulps of leftover cancellation noise
     num = (Rf - R0) - (Lf - L0)
-    scale = max(1.0, abs(L0), abs(Lf), abs(R0), abs(Rf))
+    scale = max(d0, abs(L0), abs(Lf), abs(R0), abs(Rf))
     if abs(num) <= 32.0 * np.finfo(float).eps * scale:
         num = 0.0
     v = num / (d0 + df)
@@ -335,10 +336,11 @@ def limit_trajectory(L0: float, Lf: float, R0: float, Rf: float):
 
 
 def continuity_check(L0: float, Lf: float, R0: float, Rf: float) -> bool:
-    """True iff the limit trajectories are continuous: Lf*R0 = L0*Rf
-    (relative tolerance 1e-12)."""
+    """True iff the limit trajectories are continuous: Lf*R0 = L0*Rf to
+    1e-12 of the larger of both products and d0^2 (they carry length^2)."""
     a, b = Lf * R0, L0 * Rf
-    return bool(abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b)))
+    d0 = R0 - L0
+    return bool(abs(a - b) <= 1e-12 * max(d0 * d0, abs(a), abs(b)))
 
 
 def critical_tau(

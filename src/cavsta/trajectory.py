@@ -1,11 +1,16 @@
 """Piecewise-polynomial mirror trajectories for a 1D two-mirror cavity.
 
-Lengths and times are measured in units of the initial right-mirror position
-(c = hbar = k_B = 1), so the speed of light is 1.  A mirror path is a
-piecewise polynomial of time, constant outside its motion window and C^3 at
-every segment boundary; third derivatives must be exact because they enter
-the renormalized energy density directly, so paths are stored as coefficient
-tables, never as sampled data.
+Lengths and times share any one unit of length (c = hbar = k_B = 1), so the
+speed of light is 1 and a temperature is an inverse length.  No tolerance
+assumes a unit: each scales with the quantity it guards or with the pair's
+initial length d0 = R0 - L0.  So the code is scale-covariant, as the
+physics is: lengths and times times a power of two lambda, and T over
+lambda, give trajectories times lambda, energies over lambda and the same Q,
+bit for bit.  A mirror path is a piecewise polynomial of time, constant
+outside its motion window and C^3 at every segment boundary; third
+derivatives must be exact because they enter the renormalized energy
+density directly, so paths are stored as coefficient tables, never as
+sampled data.
 
 Reference protocols displace each mirror by the seventh-order smoothstep
 delta(x) = 35x^4 - 84x^5 + 70x^6 - 20x^7, which rises from 0 to 1 on [0, 1]
@@ -14,6 +19,7 @@ with vanishing first, second and third derivatives at both ends.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -344,6 +350,11 @@ class MirrorPath(PiecewisePath):
     evaluating the boundary polynomial loses a few ulps, and quantities like
     the final cavity length deserve to be exact.  The pinned values must
     agree with the polynomial boundary values to continuity tolerance.
+
+    That tolerance is 1e-9 of each derivative order's own scale: order k
+    carries length/time^k, and its scale is the largest term |c_j| h^j of
+    its Horner sums over the segments (h a segment's span), the size its
+    rounding is relative to, floored at the smallest normal float.
     """
 
     def __init__(self, breaks, coeffs, edges: tuple | None = None):
@@ -361,20 +372,10 @@ class MirrorPath(PiecewisePath):
             raise GeometryError(f"need 1 to {_NCOEF} coefficients per row, got {coeffs.shape[1]}")
         if not np.all(np.isfinite(coeffs)) or not np.all(np.isfinite(breaks)):
             raise GeometryError("non-finite path data")
-        ev = (
-            float(coeffs[0, 0]),
-            float(_horner(coeffs[-1], breaks[-1] - breaks[-2])),
-        )
-        scale = max(1.0, float(np.max(np.abs(coeffs))))
         if edges is None:
-            edges = ev
-        elif max(abs(edges[0] - ev[0]), abs(edges[1] - ev[1])) > 1e-9 * scale:
-            raise ContinuityError(
-                f"pinned edge values {tuple(edges)} disagree with boundary "
-                f"polynomial values {ev}"
-            )
+            edges = (float(coeffs[0, 0]), float(_horner(coeffs[-1], breaks[-1] - breaks[-2])))
         super().__init__(breaks, coeffs, *edges)
-        self._check_c3(1e-9 * scale)
+        self._check_c3()
 
     # bound in this class's own namespace, so a tool that patches one path
     # class's evaluators leaves the other's alone
@@ -385,18 +386,30 @@ class MirrorPath(PiecewisePath):
     def breaks(self) -> np.ndarray:
         return self._knots
 
-    def _check_c3(self, tol: float):
-        """Value and derivatives 1..3 must match at every interior boundary,
-        and derivatives 1..3 must vanish at both ends (constant extension)."""
+    def _check_c3(self):
+        """The edges must be the boundary polynomial values, derivatives 1..3
+        must vanish at both ends (constant extension), and value and
+        derivatives 1..3 must match at every interior boundary."""
         spans = np.diff(self.breaks)
         for k, dc in enumerate(self._cols):
+            # the largest Horner term |c_j| h^j, by Horner steps that take
+            # the max for the sum: no power of h overflows alone.  The floor
+            # is sys.float_info's: a first np.finfo call maps pages
+            size = np.abs(dc[-1])
+            for c in dc[-2::-1]:
+                size = np.maximum(size * spans, np.abs(c))
+            tol = 1e-9 * max(float(np.max(size)), sys.float_info.min)
             left_end = _horner(dc.T, spans)
             right_start = dc[0]
-            if k >= 1:
-                if abs(left_end[-1]) > tol or abs(right_start[0]) > tol:
+            if k == 0:
+                ev = (float(right_start[0]), float(left_end[-1]))
+                if max(abs(self.edges[0] - ev[0]), abs(self.edges[1] - ev[1])) > tol:
                     raise ContinuityError(
-                        f"derivative {k} does not vanish at the motion window edge"
+                        f"pinned edge values {self.edges} disagree with boundary "
+                        f"polynomial values {ev}"
                     )
+            elif abs(left_end[-1]) > tol or abs(right_start[0]) > tol:
+                raise ContinuityError(f"derivative {k} does not vanish at the motion window edge")
             interior = np.abs(left_end[:-1] - right_start[1:])
             if interior.size and np.max(interior) > tol:
                 i = int(np.argmax(interior))
@@ -530,14 +543,13 @@ def make_reference(
     if not R0 > L0:
         raise GeometryError(f"need R0 > L0, got R0={R0}, L0={L0}")
     Rf = R0 * (1.0 - eps)
+    d0 = R0 - L0  # the unit of the endpoint tolerances below
 
     if family == "contraction":
         if Lf is None:
             Lf = L0
-        if Rf - Lf > R0 - L0 + 1e-15:
-            raise GeometryError(
-                f"contraction must not grow the cavity: df={Rf - Lf}, d0={R0 - L0}"
-            )
+        if Rf - Lf > d0 + 1e-15 * d0:
+            raise GeometryError(f"contraction must not grow the cavity: df={Rf - Lf}, d0={d0}")
     elif family in ("expansion", "rigid"):
         rigid = family == "rigid"
         what, pinned = ("rigid motion", -eps * R0) if rigid else ("expansion", eps * R0)
@@ -547,7 +559,7 @@ def make_reference(
             raise GeometryError("rigid motion requires L0 = 0")
         if Lf is None:
             Lf = pinned
-        elif not np.isclose(Lf, pinned, rtol=1e-12, atol=1e-15):
+        elif not np.isclose(Lf, pinned, rtol=1e-12, atol=1e-15 * d0):
             raise GeometryError(f"{what} requires Lf = {'-' * rigid}eps*R0 = {pinned}, got {Lf}")
     elif family == "custom":
         raise GeometryError(

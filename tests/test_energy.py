@@ -446,7 +446,8 @@ def test_cavity_integrals_sum_only_their_own_panels(contraction40):
 
             lo, hi = _cavities(moore.pair, times, which)
             kinks = kinks[(kinks > lo[0]) & (kinks < hi[-1])]
-            anom, kin, _ = _map_parts(recording, kinks, lo, hi, 2001, np.empty(0))
+            d0 = moore.pair.d0
+            anom, kin, _ = _map_parts(recording, kinks, lo, hi, 2001, np.empty(0), d0)
             x = seen["x"]
             h1, h2 = (dict(zip(x, h)) for h in seen["jet"][1:3])
             for j in range(times.size):

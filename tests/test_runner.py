@@ -677,6 +677,72 @@ def test_small_cavity_ends_in_the_adiabatic_state(tmp_path, R0):
     assert abs(res.summary["results"]["q_eff_final_T0"] - 1.0) <= 1e-9
 
 
+# the README geometry of each family; Lf of expansion and rigid is the pinned one
+_FAMILIES = {
+    "contraction": dict(L0=0.0, Lf=0.3, R0=1.0, eps=0.3),
+    "expansion": dict(L0=0.0, Lf=-0.3, R0=1.0, eps=-0.3),
+    "rigid": dict(L0=0.0, Lf=0.3, R0=1.0, eps=-0.3),
+}
+
+
+def _scaled_run(family, lam, out_dir):
+    """The family's README run with L0, Lf, R0 and tau times lam and the
+    temperatures 0 and 1/lam, default numerics: its exit code, its three
+    tables and, in summary order, the dimensionless results."""
+    geometry = {key: lam * v if key != "eps" else v for key, v in _FAMILIES[family].items()}
+    cfg = RunConfig(family=family, tau=1.2 * lam, temperatures=(0.0, 1.0 / lam),
+                    out_dir=str(out_dir), **geometry)
+    res = run(cfg)
+    tables = {name: read_csv(os.path.join(str(out_dir), f"{name}.csv"))[1]
+              for name in ("trajectories", "moore", "energy")}
+    # the temperature labels of the keys differ; their order does not
+    results = [v for key, v in res.summary["results"].items()
+               if key.startswith(("q_", "max_eff_speed_", "kinetic_weight_"))
+               or "_residual_" in key or key in ("v_lim", "continuity_check")]
+    return res.exit_code, tables, results
+
+
+@pytest.fixture(scope="module")
+def unit_runs(tmp_path_factory):
+    runs = {}
+
+    def get(family):
+        if family not in runs:
+            runs[family] = _scaled_run(family, 1.0, tmp_path_factory.mktemp(family))
+        return runs[family]
+
+    return get
+
+
+@pytest.mark.parametrize("k", [-40, -20, -4, 4, 20, 40])
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_runs_are_scale_covariant_bit_for_bit(unit_runs, tmp_path, family, k):
+    """The field is conformal: lengths and times times lam = 2^k and T over
+    lam give trajectories times lam, energies over lam and the same Q.  No
+    tolerance assumes a unit of length, so with default numerics every
+    artifact is the unit run's, scaled exactly: trajectories.csv and
+    moore.csv's z times lam, energy.csv's t times lam and E columns over
+    lam, and the Moore maps, Q and every dimensionless summary result the
+    same bits."""
+    lam = 2.0**k
+    code, tables, results = _scaled_run(family, lam, tmp_path)
+    unit_code, unit_tables, unit_results = unit_runs(family)
+    assert code == unit_code == 0
+    assert np.array_equal(tables["trajectories"], lam * unit_tables["trajectories"])
+    moore, unit_moore = tables["moore"], unit_tables["moore"]
+    assert np.array_equal(moore[:, 0], lam * unit_moore[:, 0])
+    assert np.array_equal(moore[:, 1:], unit_moore[:, 1:])
+    energy, unit_energy = tables["energy"], unit_tables["energy"]
+    assert np.array_equal(energy[:, 0], lam * unit_energy[:, 0])
+    for T in range(2):  # E_ref, E_eff, E_ad, then Q_ref, Q_eff, per temperature
+        E = slice(1 + 5 * T, 4 + 5 * T)
+        Q = slice(4 + 5 * T, 6 + 5 * T)
+        assert np.array_equal(energy[:, E], unit_energy[:, E] / lam)
+        assert np.array_equal(energy[:, Q], unit_energy[:, Q])
+    assert len(results) == len(unit_results) == 16
+    assert results == unit_results
+
+
 def test_motionless_sweep_fits_no_slope(tmp_path):
     """A cavity that never moves has a zero adiabatic residual at every tau:
     no log of 0 (a RuntimeWarning, an error under this suite), and the

@@ -234,23 +234,31 @@ def test_library_refusals_name_their_fault(contraction12, call, error, message):
         call(contraction12.am)
 
 
+# lengths times these powers of two give the unit-length results, scaled
+# exactly: no tolerance of the code assumes a unit of length
+_SCALES = [2.0**k for k in (0, -50, -20, 20, 50)]
+
+
 def test_limit_velocity_and_intercepts():
-    lim_l, lim_r = limit_trajectory(0.0, 0.3, 1.0, 0.7)
-    assert lim_l.v_lim == lim_r.v_lim
-    assert lim_r.v_lim == pytest.approx(-3.0 / 7.0, abs=1e-12)
-    assert lim_r.intercept == pytest.approx(11.0 / 14.0, abs=1e-12)
-    assert lim_l.intercept == pytest.approx(3.0 / 14.0, abs=1e-12)
-    # piecewise structure: constant, linear middle, constant
-    assert lim_r(-5.0) == 1.0
-    assert lim_r(5.0) == pytest.approx(0.7, abs=1e-12)
-    t_mid = 0.0
-    assert lim_r(t_mid) == pytest.approx(11.0 / 14.0, abs=1e-12)
+    v_lim = limit_trajectory(0.0, 0.3, 1.0, 0.7)[1].v_lim
+    for lam in _SCALES:
+        lim_l, lim_r = limit_trajectory(0.0, 0.3 * lam, lam, 0.7 * lam)
+        assert lim_l.v_lim == lim_r.v_lim == v_lim
+        assert lim_r.v_lim == pytest.approx(-3.0 / 7.0, abs=1e-12)
+        assert lim_r.intercept / lam == pytest.approx(11.0 / 14.0, abs=1e-12)
+        assert lim_l.intercept / lam == pytest.approx(3.0 / 14.0, abs=1e-12)
+        # piecewise structure: constant, linear middle, constant
+        assert lim_r(-5.0 * lam) == lam
+        assert lim_r(5.0 * lam) / lam == pytest.approx(0.7, abs=1e-12)
+        t_mid = 0.0
+        assert lim_r(t_mid) / lam == pytest.approx(11.0 / 14.0, abs=1e-12)
 
 
 def test_limit_velocity_zero_for_rigid_motion():
-    lim_l, lim_r = limit_trajectory(0.0, 0.4, 1.0, 1.4)
-    assert lim_r.v_lim == 0.0
-    assert not np.signbit(lim_r.v_lim)
+    for lam in _SCALES:
+        lim_l, lim_r = limit_trajectory(0.0, 0.4 * lam, lam, 1.4 * lam)
+        assert lim_r.v_lim == 0.0
+        assert not np.signbit(lim_r.v_lim)
 
 
 @pytest.mark.parametrize("geometry", [(0.0, 0.3, 1.0, 0.7), (0.0, 0.4, 1.0, 1.4)],
@@ -307,14 +315,19 @@ def test_rigid_left_effective_curve_approaches_its_limit():
 
 def test_limit_continuity_criterion():
     # continuous exactly when Lf R0 = L0 Rf
-    assert continuity_check(0.0, 0.0, 1.0, 0.7)
-    assert not continuity_check(0.0, 0.3, 1.0, 0.7)
-    assert not continuity_check(0.0, 0.4, 1.0, 1.4)
+    for lam in _SCALES:
+        assert continuity_check(0.0, 0.0, lam, 0.7 * lam)
+        assert not continuity_check(0.0, 0.3 * lam, lam, 0.7 * lam)
+        assert not continuity_check(0.0, 0.4 * lam, lam, 1.4 * lam)
+        assert continuity_check(0.2 * lam, 0.1 * lam, lam, 0.5 * lam)
 
 
 def test_critical_timescale_brackets_speed_crossing():
     tc = critical_tau("contraction", 0.0, 0.3, 1.0, 0.3, 0.8, 1.2)
     assert 0.9 < tc < 1.1
+    for lam in _SCALES:
+        window = (0.8 * lam, 1.2 * lam)
+        assert critical_tau("contraction", 0.0, 0.3 * lam, lam, 0.3, *window) == lam * tc
 
 
 # -- the closed-form critical timescale ------------------------------------------
@@ -532,11 +545,11 @@ def test_early_stopped_curve_is_an_unrealizable_effective_trajectory():
 class _LuminalMoore:
     """Stub with G(z) = z^3 and F(w) = w.  The left solution v = u^3 has
     speed (1 - 3u^2) / (1 + 3u^2): at most 1, and exactly 1 at the node
-    u = 0, where t = x = 0.  Of its pair the build reads the edges and the
-    motion window."""
+    u = 0, where t = x = 0.  Of its pair the build reads the edges, d0 and
+    the motion window."""
 
     pair = SimpleNamespace(
-        L0=0.0, Lf=0.0, R0=1.0, Rf=1.0, motion_start=-1.0, motion_end=1.0,
+        L0=0.0, Lf=0.0, R0=1.0, Rf=1.0, d0=1.0, motion_start=-1.0, motion_end=1.0,
         left=MirrorPath(np.array([0.0, 1.0]), np.zeros((1, 8))),
     )
 

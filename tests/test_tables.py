@@ -11,7 +11,7 @@ from math import factorial, perm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 from numpy.testing import assert_allclose
@@ -19,6 +19,7 @@ from numpy.testing import assert_allclose
 from cavsta import jets, trajectory
 from cavsta.errors import ContinuityError
 from cavsta.moore_adiabatic import AdiabaticMoore
+from cavsta.moore_exact import ExactMoore
 from cavsta.sta import _quintic_rows
 from cavsta.trajectory import (
     MirrorPath,
@@ -543,3 +544,62 @@ def test_sorted_unique_is_numpys_unique(floats, ints):
         got, want = _sorted_unique(x), np.unique(x)
         assert got.dtype == want.dtype and _bitwise(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# -- scale covariance: no tolerance assumes a unit of length -----------------
+
+
+def _scaled_table(breaks, rows, lam):
+    """The table with times and lengths times lam: coefficient j carries
+    length/time^j, so it scales by lam^(1 - j)."""
+    return lam * breaks, rows * lam ** (1.0 - np.arange(rows.shape[1]))
+
+
+def _subluminal_tables(left, right):
+    """Two flat C^3 tables slowed to speed at most 1/2 each, the right one
+    lifted one unit clear of the left: the tables of a subluminal pair."""
+    tables = []
+    for breaks, rows in (left, right):
+        speed = MirrorPath(breaks, rows).max_speed()
+        tables.append((breaks, rows * (0.5 / speed) if speed > 0.5 else rows))
+    (_, rows), low = tables[1], path_range(MirrorPath(*tables[1]))[0]
+    rows[:, 0] += path_range(MirrorPath(*tables[0]))[1] - low + 1.0
+    return tables
+
+
+@settings(max_examples=10, deadline=2000)
+@given(flat_c3_tables(), flat_c3_tables(), st.integers(-40, 40), st.data())
+def test_scaled_tables_scale_maps_and_inversions_exactly(left, right, k, data):
+    """Random C^3 tables with times and lengths times lam = 2^k build mirror
+    paths whose values are exactly lam times the unit ones; the exact Moore
+    maps at lam z have the same values and derivative j exactly lam^-j
+    times; and the adiabatic inversions' roots are exactly lam times."""
+    for _, rows in (left, right):
+        # scaled by up to 2^(6 * 40), no coefficient leaves the normal floats
+        assume(np.all((rows == 0.0) | (np.abs(rows) > 1e-200)))
+    lam = 2.0**k
+    tables = _subluminal_tables(left, right)
+    pair = TrajectoryPair(*(MirrorPath(*tab) for tab in tables))
+    scaled = TrajectoryPair(*(MirrorPath(*_scaled_table(*tab, lam)) for tab in tables))
+    lo = min(tab[0][0] for tab in tables) - 5.0
+    hi = max(tab[0][-1] for tab in tables) + 5.0
+    z = np.array(data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=8)))
+    for unit, path in zip((pair.left, pair.right), (scaled.left, scaled.right)):
+        assert _bitwise(path(lam * z), lam * unit(z))
+    assert scaled.gap_min() == lam * pair.gap_min()
+
+    exact, exact_scaled = ExactMoore(pair), ExactMoore(scaled)
+    for solve in ("solve_G", "solve_F"):
+        want = getattr(exact, solve)(z)
+        got = getattr(exact_scaled, solve)(lam * z)
+        for j in range(4):
+            assert _bitwise(got[j], want[j] / lam**j)
+
+    am, am_scaled = AdiabaticMoore.build(pair, 256), AdiabaticMoore.build(scaled, 256)
+    for which in ("F", "G"):
+        for target in (0.0, 2.0):
+            want = am.invert(which, z, target)
+            got = am_scaled.invert(which, lam * z, target)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert _bitwise(got, lam * want)
